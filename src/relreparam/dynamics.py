@@ -13,9 +13,9 @@ polynomials in x (series around the u = 0 singularity), so the expectation
 over the true mixture reduces exactly to its raw moments up to order 3.
 
 The relative-coordinate Jacobian is derived here from the coordinate map
-itself (and cross-checked against finite differences in the tests); a helper
-exposes the discrepancy against the transcription variant, which is not a
-valid Gram matrix.
+itself (and cross-checked against finite differences in the tests, which
+also measure its discrepancy against the transcription variant, not a valid
+Gram matrix).
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmm import Dataset, MixtureParams, MixtureError, mixture_moments, score_means, log_likelihood
+from .gmm import (Dataset, MixtureParams, MixtureError, log_likelihood, mean_distance,
+                  mixture_moments, normal_quadrature, score_means)
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,32 @@ def base_partials(state: UVWState, true: TrueModel) -> tuple[float, float, float
     return e_v, e_u, e_w
 
 
+def _gram(jac: list) -> list:
+    """J J^T for a 3x3 J given as rows, each entry summed left to right.
+
+    Neither this nor _gram_times calls BLAS: the field CSV must not depend on
+    which OpenBLAS kernel runs.
+    """
+    return [[a[0] * b[0] + a[1] * b[1] + a[2] * b[2] for b in jac] for a in jac]
+
+
+def _gram_times(gram: list, grad, eta: float) -> tuple[float, float, float]:
+    """eta * gram @ grad, each row summed left to right in plain floats."""
+    g0, g1, g2 = (float(x) for x in grad)
+    return tuple(eta * r[0] * g0 + eta * r[1] * g1 + eta * r[2] * g2 for r in gram)
+
+
+def _original_jacobian(state: UVWState) -> list:
+    """J = d(v,u,w)/d(v,mu1,mu2) as rows."""
+    v, u = state.v, state.u
+    return [[1.0, 0.0, 0.0],
+            [0.0, 1.0, -1.0],
+            [u, v, 1.0 - v]]
+
+
 def original_gram(state: UVWState) -> np.ndarray:
     """J J^T for J = d(v,u,w)/d(v,mu1,mu2)."""
-    v, u = state.v, state.u
-    jac = np.array([[1.0, 0.0, 0.0],
-                    [0.0, 1.0, -1.0],
-                    [u, v, 1.0 - v]])
-    return jac @ jac.T
+    return np.array(_gram(_original_jacobian(state)))
 
 
 def relative_jacobian(v: float, delta: float) -> np.ndarray:
@@ -123,28 +143,14 @@ def relative_jacobian(v: float, delta: float) -> np.ndarray:
 
 
 def relative_gram(v: float, delta: float) -> np.ndarray:
-    jac = relative_jacobian(v, delta)
-    return jac @ jac.T
-
-
-def transcribed_relative_jacobian(v: float, mu1: float, delta: float) -> np.ndarray:
-    """The relative Jacobian in its transcription form; kept only so the
-
-    discrepancy against the derived one can be measured. Its Gram product is
-    asymmetric-incompatible with any valid coordinate change (see tests).
-    """
-    return np.array([[1.0, 0.0, 0.0],
-                     [0.0, 0.0, 1.0],
-                     [mu1 - delta, v + 1.0 - delta, 1.0 - v - mu1]])
+    return np.array(_gram(relative_jacobian(v, delta).tolist()))
 
 
 def expected_velocity_original(state: UVWState, true: TrueModel, eta: float = 1.0):
     """(dv/dt, du/dt, dw/dt) = eta * J J^T * expected base partials."""
     if state.parameterization != "original":
         raise MixtureError("expected_velocity_original needs original coordinates")
-    grad = np.array(base_partials(state, true))
-    vel = eta * original_gram(state) @ grad
-    return float(vel[0]), float(vel[1]), float(vel[2])
+    return _gram_times(_gram(_original_jacobian(state)), base_partials(state, true), eta)
 
 
 def expected_velocity_relative(state: UVWState, true: TrueModel, eta: float = 1.0):
@@ -158,9 +164,8 @@ def expected_velocity_relative(state: UVWState, true: TrueModel, eta: float = 1.
     v, delta, w = state.v, state.u, state.w
     base = UVWState(v=v, u=-delta, w=w)
     e_v, e_u, e_w = base_partials(base, true)
-    grad = np.array([e_v, -e_u, e_w])
-    vel = eta * relative_gram(v, delta) @ grad
-    return float(vel[0]), float(vel[1]), float(vel[2])
+    gram = _gram(relative_jacobian(v, delta).tolist())
+    return _gram_times(gram, (e_v, -e_u, e_w), eta)
 
 
 def exact_partials_per_sample(state: UVWState, xs: np.ndarray) -> np.ndarray:
@@ -276,13 +281,6 @@ class Trajectory:
         return len(self.mu1) - 1
 
 
-def _dist_to_true(mu1: float, mu2: float, true_means) -> float:
-    """Euclidean distance in mean space, label-permutation resolved by sorting."""
-    a = np.sort([mu1, mu2])
-    b = np.sort(true_means)
-    return float(np.hypot(a[0] - b[0], a[1] - b[1]))
-
-
 def _expected_loglik(params: MixtureParams, true: TrueModel, nodes_weights) -> float:
     """E_true[ln p(x | params)] per point, via Gauss-Hermite over each true component."""
     nodes, wts = nodes_weights
@@ -313,12 +311,9 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
         raise MixtureError("empirical mode needs a Dataset")
 
     if gradient_source == "expected":
-        true_means = true.params.means
-        gh = np.polynomial.hermite_e.hermegauss(101)
-        nodes_weights = (gh[0], gh[1] / np.sqrt(2.0 * np.pi))
+        nodes_weights = normal_quadrature(101)
     else:
         xs = true.as_array()
-        true_means = None
 
     mu1, mu2 = float(init_means[0]), float(init_means[1])
     recs = {k: [] for k in ("mu1", "mu2", "delta", "loglik", "dist")}
@@ -331,7 +326,7 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
         recs["delta"].append(abs(m2 - m1))
         if gradient_source == "expected":
             recs["loglik"].append(_expected_loglik(params, true, nodes_weights))
-            recs["dist"].append(_dist_to_true(m1, m2, true_means))
+            recs["dist"].append(mean_distance(params, true.params))
         else:
             recs["loglik"].append(log_likelihood(params, true))
             recs["dist"].append(np.nan)

@@ -9,14 +9,14 @@ via its exact KKT solution.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gmm import (Dataset, MixtureParams, MixtureError, log_likelihood,
-                  log_component_densities, responsibilities_array)
-from .reparam import RelativeParams, ReparamSpec, to_absolute, to_relative
+                  log_component_densities, mean_distance, responsibilities_array)
+from .reparam import (RelativeParams, ReparamSpec, decoded_gaps, to_absolute,
+                      to_relative)
 
 
 class DegenerateComponentError(ValueError):
@@ -48,7 +48,6 @@ class ECMConfig:
     max_iters: int = 10000
     fix_weights: bool = True
     fix_sigmas: bool = True
-    lagrange_tol: float = 0.0
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -151,38 +150,42 @@ def q_function(params: MixtureParams, gamma: Responsibilities, data: Dataset) ->
     return float(np.sum(g * (logc + logw)))
 
 
-def _distances(traj_params, truth: MixtureParams | None) -> np.ndarray:
-    if truth is None:
-        return np.full(len(traj_params), np.nan)
-    bt = np.sort(truth.means)
-    out = []
-    for p in traj_params:
-        a = np.sort(p.means)
-        out.append(math.hypot(*(a - bt)))
-    return np.asarray(out)
+def _fit(data: Dataset, params: MixtureParams, step, config: ECMConfig,
+         truth: MixtureParams | None, algorithm: str) -> FitResult:
+    """Iterate params = step(params) from the initial mixture.
 
-
-def fit_em_standard(data: Dataset, init: MixtureParams, config: ECMConfig,
-                    truth: MixtureParams | None = None) -> FitResult:
-    """Standard EM loop; blocks frozen per config keep their init values."""
-    params = init
+    Records every iterate and its log-likelihood, and stops once the
+    log-likelihood changes by at most config.epsilon or after max_iters steps.
+    """
     traj = [params]
     lls = [log_likelihood(params, data)]
     converged = False
     iters = 0
     for iters in range(1, config.max_iters + 1):
-        gamma = e_step(params, data)
-        params = m_step_standard(gamma, data, old=params, config=config)
+        params = step(params)
         traj.append(params)
         lls.append(log_likelihood(params, data))
         if abs(lls[-1] - lls[-2]) <= config.epsilon:
             converged = True
             break
+    if truth is None:
+        dist = np.full(len(traj), np.nan)
+    else:
+        dist = np.asarray([mean_distance(p, truth) for p in traj])
     return FitResult(
         params=params, relative=None, trajectory_params=tuple(traj),
-        loglik=np.asarray(lls), dist_to_true=_distances(traj, truth),
-        iterations=iters, converged=converged, algorithm="em",
+        loglik=np.asarray(lls), dist_to_true=dist,
+        iterations=iters, converged=converged, algorithm=algorithm,
     )
+
+
+def fit_em_standard(data: Dataset, init: MixtureParams, config: ECMConfig,
+                    truth: MixtureParams | None = None) -> FitResult:
+    """Standard EM loop; blocks frozen per config keep their init values."""
+    def step(params):
+        return m_step_standard(e_step(params, data), data, old=params, config=config)
+
+    return _fit(data, init, step, config, truth, "em")
 
 
 def fit_ecm_relative(data: Dataset, init: RelativeParams, config: ECMConfig,
@@ -197,69 +200,18 @@ def fit_ecm_relative(data: Dataset, init: RelativeParams, config: ECMConfig,
     spec = spec or ReparamSpec(delta_encoding="raw_constrained")
     if init.n_components != 2:
         raise MixtureError("relative ECM is defined for the 2-component model")
-    params = to_absolute(init, spec)
-    mu1 = init.reference_value
-    delta = float(np.asarray(init.deltas)[0])
-    if spec.delta_encoding == "squared":
-        delta = delta * delta
-    delta += spec.clearance
-    traj = [params]
-    lls = [log_likelihood(params, data)]
-    converged = False
-    iters = 0
-    for iters in range(1, config.max_iters + 1):
+    # Delta is carried between iterations rather than re-read from the means:
+    # (mu1 + Delta) - mu1 need not round back to Delta
+    delta = float(decoded_gaps(init, spec)[0])
+
+    def step(params):
+        nonlocal delta
         gamma = e_step(params, data)
         mu1 = cm_step_reference_mean(gamma, data, delta)
         delta, _ = cm_step_delta(gamma, data, mu1)
-        params = MixtureParams(weights=params.weights,
-                               means=(mu1, mu1 + delta), sigmas=params.sigmas)
-        traj.append(params)
-        lls.append(log_likelihood(params, data))
-        if abs(lls[-1] - lls[-2]) <= config.epsilon:
-            converged = True
-            break
-    rel = to_relative(params, ReparamSpec(delta_encoding="raw_constrained"))
-    return FitResult(
-        params=params, relative=rel, trajectory_params=tuple(traj),
-        loglik=np.asarray(lls), dist_to_true=_distances(traj, truth),
-        iterations=iters, converged=converged, algorithm="ecm_relative",
-    )
+        return MixtureParams(weights=params.weights, means=(mu1, mu1 + delta),
+                             sigmas=params.sigmas)
 
-
-def fit_ecm_relative_roundtrip(data: Dataset, init: RelativeParams, config: ECMConfig,
-                               truth: MixtureParams | None = None,
-                               spec: ReparamSpec | None = None) -> FitResult:
-    """ECM variant that maps back and forth between coordinate systems every
-
-    iteration instead of reparameterizing once. Produces identical iterates to
-    fit_ecm_relative; exists to make that equivalence testable.
-    """
-    spec = spec or ReparamSpec(delta_encoding="raw_constrained")
-    params = to_absolute(init, spec)
-    traj = [params]
-    lls = [log_likelihood(params, data)]
-    converged = False
-    iters = 0
-    rt_spec = ReparamSpec(delta_encoding="raw_constrained")
-    for iters in range(1, config.max_iters + 1):
-        gamma = e_step(params, data)
-        rel = to_relative(params, rt_spec)
-        mu1 = rel.reference_value
-        delta = float(rel.deltas[0])
-        mu1 = cm_step_reference_mean(gamma, data, delta)
-        delta, _ = cm_step_delta(gamma, data, mu1)
-        rel = RelativeParams(reference_value=mu1, deltas=(delta,),
-                             weights=rel.weights, other_block=rel.other_block,
-                             permutation=rel.permutation)
-        params = to_absolute(rel, rt_spec)
-        traj.append(params)
-        lls.append(log_likelihood(params, data))
-        if abs(lls[-1] - lls[-2]) <= config.epsilon:
-            converged = True
-            break
-    rel = to_relative(params, rt_spec)
-    return FitResult(
-        params=params, relative=rel, trajectory_params=tuple(traj),
-        loglik=np.asarray(lls), dist_to_true=_distances(traj, truth),
-        iterations=iters, converged=converged, algorithm="ecm_relative",
-    )
+    res = _fit(data, to_absolute(init, spec), step, config, truth, "ecm_relative")
+    return replace(res, relative=to_relative(
+        res.params, ReparamSpec(delta_encoding="raw_constrained")))

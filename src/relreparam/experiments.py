@@ -216,8 +216,10 @@ def run_gd(cfg: dict, out_dir: Path) -> RunManifest:
         path = out_dir / f"gd_trajectory_{pname}.csv"
         write_csv(path, ["step", "mu1", "mu2", "delta", "loglik", "dist_to_true"], rows)
         emitted.append(path)
-        if traj.diverged:
-            raise ConvergenceError(f"{pname} gradient-descent run diverged")
+    diverged = [pname for pname, traj in trajs.items() if traj.diverged]
+    if diverged:
+        _finish(cfg, out_dir, started, emitted)
+        raise ConvergenceError(f"{', '.join(diverged)} gradient-descent run diverged")
 
     lo = min(min(t.mu1.min(), t.mu2.min()) for t in trajs.values())
     hi = max(max(t.mu1.max(), t.mu2.max()) for t in trajs.values())

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .gmm import MixtureParams, MixtureError, make_rng, score, score_means
+from .gmm import (MixtureParams, MixtureError, normal_quadrature, sample, score,
+                  score_means)
 
 COORD_SETS = ("means", "relative_means", "full")
 QUADRATURE_NODES = 201
@@ -81,12 +82,7 @@ def fim_estimate(params: MixtureParams, coords: str = "means",
     if method == "monte_carlo":
         if budget < 100:
             raise MixtureError("monte_carlo budget must be at least 100")
-        rng = make_rng(seed)
-        cum = np.cumsum(params.weights)
-        comp = np.minimum(np.searchsorted(cum, rng.random(budget), side="right"),
-                          params.n_components - 1)
-        xs = np.asarray(params.means)[comp] + np.asarray(params.sigmas)[comp] * rng.standard_normal(budget)
-        s = _score_in_coords(params, xs, coords)
+        s = _score_in_coords(params, sample(params, budget, seed).as_array(), coords)
         outer = s[:, :, None] * s[:, None, :]
         mean = outer.mean(axis=0)
         se = outer.std(axis=0, ddof=1) / np.sqrt(budget)
@@ -94,8 +90,7 @@ def fim_estimate(params: MixtureParams, coords: str = "means",
         return FisherMatrix(entries=mat, coordinates=coords, estimator="monte_carlo",
                             budget=budget, std_errors=0.5 * (se + se.T))
     if method == "quadrature":
-        nodes, wts = np.polynomial.hermite_e.hermegauss(QUADRATURE_NODES)
-        wts = wts / np.sqrt(2.0 * np.pi)
+        nodes, wts = normal_quadrature(QUADRATURE_NODES)
         dim = None
         acc = None
         for pi, mu, sig in zip(params.weights, params.means, params.sigmas):

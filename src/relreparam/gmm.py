@@ -9,7 +9,8 @@ fixtures are bit-reproducible across platforms for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,35 +102,42 @@ class MixtureParams:
         return params
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """One-dimensional dataset, optionally tagged with its generation seed."""
+    """One-dimensional dataset, optionally tagged with its generation seed.
 
-    points: tuple[float, ...]
+    ``points`` is a read-only float64 copy of the input, validated once here.
+    ``==`` compares identity only; compare ``points`` with ``np.array_equal``.
+    """
+
+    points: np.ndarray
     seed: int | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 1:
+            raise MixtureError("dataset must be one-dimensional")
         if pts.size < 1:
             raise MixtureError("dataset must contain at least one point")
         if not np.all(np.isfinite(pts)):
             raise MixtureError("dataset entries must be finite")
-        object.__setattr__(self, "points", tuple(float(x) for x in pts))
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
+        return self.points
 
     def to_text(self) -> str:
-        return "\n".join(repr(x) for x in self.points) + "\n"
+        return "\n".join(repr(float(x)) for x in self.points) + "\n"
 
     @classmethod
     def from_text(cls, text: str, seed: int | None = None) -> "Dataset":
         vals = [float(line) for line in text.splitlines() if line.strip()]
-        return cls(points=tuple(vals), seed=seed)
+        return cls(points=vals, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -237,8 +245,18 @@ def sample(params: MixtureParams, n: int, seed: int) -> Dataset:
     comp = np.minimum(comp, params.n_components - 1)
     mu = np.asarray(params.means)[comp]
     sig = np.asarray(params.sigmas)[comp]
-    pts = mu + sig * rng.standard_normal(n)
-    return Dataset(points=tuple(float(x) for x in pts), seed=int(seed))
+    return Dataset(points=mu + sig * rng.standard_normal(n), seed=int(seed))
+
+
+def mean_distance(params: MixtureParams, truth: MixtureParams) -> float:
+    """Euclidean distance between the mean vectors, label permutation resolved by sorting."""
+    return math.hypot(*(np.sort(params.means) - np.sort(truth.means)))
+
+
+def normal_quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for E[f(Z)], Z ~ N(0, 1): sum(w * f(nodes))."""
+    nodes, wts = np.polynomial.hermite_e.hermegauss(n_nodes)
+    return nodes, wts / np.sqrt(2.0 * np.pi)
 
 
 def gaussian_raw_moments(mu: float, sigma: float) -> tuple[float, float, float, float]:

@@ -12,7 +12,7 @@ nonnegative consecutive gaps. Two encodings are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -7,7 +7,7 @@ margin), so outputs are diffable and byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -112,8 +112,12 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         out = tmp_path / "o"
         assert main(["gd", "--config", str(path), "--out", str(out)]) == EXIT_NUMERICAL
-        # artifacts for the completed part of the run are still emitted
+        # artifacts for the completed part of the run are still emitted,
+        # and the manifest records every one of them
         assert (out / "gd_trajectory_original.csv").exists()
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        emitted = {p.name for p in out.iterdir()} - {"run_manifest.json"}
+        assert set(manifest["files"]) == emitted
 
 
 class TestDeterminism:
@@ -170,7 +174,10 @@ class TestGoldenFixtures:
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
                         or not _dynamic_arch_openblas(),
                         reason="needs x86-64 and numpy on a DYNAMIC_ARCH OpenBLAS")
-    def test_ecm_digest_independent_of_openblas_kernel(self, tmp_path):
+    @pytest.mark.parametrize("kind, csv", [("ecm", "ecm_trajectories.csv"),
+                                           ("field", "flow_field.csv")],
+                             ids=["ecm", "field"])
+    def test_digest_independent_of_openblas_kernel(self, tmp_path, kind, csv):
         coretypes = ["native", "Prescott"] + (["Haswell"] if _cpu_has_avx2() else [])
         src = str(Path(relreparam.__file__).resolve().parents[1])
         digests = {}
@@ -181,11 +188,11 @@ class TestGoldenFixtures:
                 env["OPENBLAS_CORETYPE"] = coretype
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             out = tmp_path / coretype
-            proc = subprocess.run([sys.executable, "-m", "relreparam.cli", "ecm", "--out", str(out)],
+            proc = subprocess.run([sys.executable, "-m", "relreparam.cli", kind, "--out", str(out)],
                                   env=env, capture_output=True, text=True)
             assert proc.returncode == EXIT_OK, proc.stderr
-            digests[coretype] = sha256(out / "ecm_trajectories.csv")
-        assert set(digests.values()) == {GOLDEN["ecm/ecm_trajectories.csv"]}, digests
+            digests[coretype] = sha256(out / csv)
+        assert set(digests.values()) == {GOLDEN[f"{kind}/{csv}"]}, digests
 
 
 class TestRunField:

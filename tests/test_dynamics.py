@@ -8,10 +8,20 @@ from relreparam.dynamics import (TrueModel, UVWState, base_partials,
                                  expected_velocity_relative, flow_field,
                                  integrate_gd, means_from_uvw, original_gram,
                                  relative_gram, relative_jacobian,
-                                 transcribed_relative_jacobian,
                                  uvw_from_means, velocity_in_means)
 
 TRUTH0 = TrueModel.from_means(0.0, 0.0)
+
+
+def transcribed_relative_jacobian(v, mu1, delta):
+    """The relative Jacobian in its transcription form, kept only so its
+
+    discrepancy against the derived one can be measured. Its Gram product is
+    incompatible with any valid coordinate change.
+    """
+    return np.array([[1.0, 0.0, 0.0],
+                     [0.0, 0.0, 1.0],
+                     [mu1 - delta, v + 1.0 - delta, 1.0 - v - mu1]])
 
 
 def bracket_integrands(v, u, w, xs):

@@ -136,7 +136,7 @@ class TestScore:
 class TestSample:
     def test_deterministic_per_seed(self):
         p = MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0))
-        assert sample(p, 100, seed=7).points == sample(p, 100, seed=7).points
+        assert np.array_equal(sample(p, 100, seed=7).points, sample(p, 100, seed=7).points)
 
     def test_degenerate_weights(self):
         p = MixtureParams((1.0, 0.0), (0.0, 100.0), (1.0, 1.0))
@@ -153,6 +153,27 @@ class TestSample:
         p = MixtureParams((1.0,), (0.0,), (1.0,))
         with pytest.raises(MixtureError):
             sample(p, 0, seed=0)
+
+
+class TestDataset:
+    def test_points_read_only(self):
+        d = Dataset((1.0, 2.0))
+        assert isinstance(d.points, np.ndarray) and d.points.dtype == np.float64
+        with pytest.raises(ValueError):
+            d.points[0] = 5.0
+
+    def test_caller_array_left_writable_and_unchanged(self):
+        xs = np.array([1.0, -2.0, 3.5])
+        d = Dataset(xs)
+        assert xs.flags.writeable
+        assert np.array_equal(xs, [1.0, -2.0, 3.5])
+        xs[0] = 9.0  # the dataset holds its own copy
+        assert d.points[0] == 1.0
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 2)), (), (1.0, np.nan), (np.inf,)])
+    def test_rejects_non_1d_empty_and_non_finite(self, bad):
+        with pytest.raises(MixtureError):
+            Dataset(bad)
 
 
 class TestMoments:
@@ -192,7 +213,12 @@ class TestSerialization:
 
     def test_dataset_roundtrip(self):
         d = Dataset((1.0, -2.5, 3.125))
-        assert Dataset.from_text(d.to_text()).points == d.points
+        assert np.array_equal(Dataset.from_text(d.to_text()).points, d.points)
+
+    def test_dataset_text_roundtrip_is_bit_exact(self):
+        d = sample(MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0)), 50, seed=3)
+        back = Dataset.from_text(d.to_text()).points
+        assert back.tobytes() == d.points.tobytes()
 
     def test_invalid_simplex_rejected(self):
         with pytest.raises(MixtureError):
