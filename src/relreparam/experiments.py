@@ -19,7 +19,7 @@ import yaml
 from . import __version__
 from .dynamics import TrueModel, flow_field, integrate_gd
 from .ecm import ECMConfig, fit_ecm_relative, fit_em_standard
-from .fim import SingularFimError, fim_estimate, transform_fim
+from .fim import PSD_TOL, SYMMETRY_TOL, SingularFimError, fim_estimate, transform_fim
 from .gmm import MixtureParams, MixtureError, sample
 from .nn import MLPParams, detect_singularities, report_lines
 from .reparam import ReparamSpec, SingularPointError, jacobian, to_relative
@@ -346,18 +346,23 @@ def run_fim(cfg: dict, out_dir: Path) -> RunManifest:
     ok = bool(np.all(residual <= bound))
 
     emitted = []
-    for name, fm in (("fim_direct_relative", direct), ("fim_absolute", absolute),
-                     ("fim_transformed", transformed)):
+    matrices = (("fim_direct_relative", direct), ("fim_absolute", absolute),
+                ("fim_transformed", transformed))
+    for name, fm in matrices:
         path = out_dir / f"{name}.csv"
         path.write_text(fm.to_csv())
         emitted.append(path)
+    asymmetry = max(float(np.max(np.abs(fm.entries - fm.entries.T))) for _, fm in matrices)
+    min_eig = min(float(np.min(np.linalg.eigvalsh(fm.entries))) for _, fm in matrices)
     report = out_dir / "fim_report.txt"
     lines = [
-        f"residual_max: {residual.max()!r}",
-        f"bound_max: {bound.max()!r}",
+        f"residual_max: {float(residual.max())!r}",
+        f"bound_max: {float(bound.max())!r}",
         f"covariance_law: {'PASS' if ok else 'FAIL'}",
-        "symmetry: PASS",  # enforced at construction
-        "psd: PASS",
+        f"max_asymmetry: {asymmetry!r}",
+        f"min_eigenvalue: {min_eig!r}",
+        f"symmetry: {'PASS' if asymmetry <= SYMMETRY_TOL else 'FAIL'}",
+        f"psd: {'PASS' if min_eig >= -PSD_TOL else 'FAIL'}",
     ]
     report.write_text("\n".join(lines) + "\n")
     emitted.append(report)

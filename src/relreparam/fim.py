@@ -20,6 +20,9 @@ from .gmm import (MixtureParams, MixtureError, normal_quadrature, sample, score,
 
 COORD_SETS = ("means", "relative_means", "full")
 QUADRATURE_NODES = 201
+# Largest |F - F^T| entry and most negative eigenvalue a FisherMatrix accepts.
+SYMMETRY_TOL = 1e-10
+PSD_TOL = 1e-8
 
 
 class SingularFimError(ValueError):
@@ -40,9 +43,9 @@ class FisherMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise MixtureError("FisherMatrix must be square")
-        if np.max(np.abs(e - e.T)) > 1e-10:
+        if np.max(np.abs(e - e.T)) > SYMMETRY_TOL:
             raise MixtureError("FisherMatrix must be symmetric")
-        if np.min(np.linalg.eigvalsh(e)) < -1e-8:
+        if np.min(np.linalg.eigvalsh(e)) < -PSD_TOL:
             raise MixtureError("FisherMatrix must be positive semi-definite")
         object.__setattr__(self, "entries", e)
 

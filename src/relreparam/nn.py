@@ -92,6 +92,14 @@ def detect_singularities(mlp: MLPParams, tol: float = 1e-6) -> NNSingularityRepo
     unit) and the outgoing weights are the rows of W_{k+1}. Tolerances are
     relative to the layer's Frobenius norm. Linear dependence is only
     meaningful when the activation is the identity.
+
+    Each layer is scanned in array passes: one norm pass per singular set,
+    one batched SVD giving an orthonormal basis of every pair's span, and
+    one projection pass over all pairs per target unit. Hits come in the
+    order of the per-triple ``lstsq`` loop this replaces (target unit, then
+    pairs in lexicographic order), with residuals equal to its within
+    rounding; the tests keep that loop as the oracle. The working set is
+    O(units^2 * fan_in) per layer.
     """
     if tol <= 0:
         raise MixtureError("tol must be positive")
@@ -99,31 +107,31 @@ def detect_singularities(mlp: MLPParams, tol: float = 1e-6) -> NNSingularityRepo
     for k in range(mlp.depth - 1):
         w_in = mlp.weights[k]       # (fan_in, units): column i feeds unit i
         w_out = mlp.weights[k + 1]  # (units, fan_out): row i carries unit i onward
-        scale = max(np.linalg.norm(w_in), 1.0)
-        units = w_in.shape[1]
-        for i in range(units):
-            prod = np.linalg.norm(w_out[i]) * np.linalg.norm(w_in[:, i])
-            if prod <= tol * scale:
-                elim.append((k, i, float(prod)))
-        for i in range(units):
-            for j in range(i + 1, units):
-                gap_plus = np.linalg.norm(w_in[:, i] - w_in[:, j])
-                gap_minus = np.linalg.norm(w_in[:, i] + w_in[:, j])
-                if min(gap_plus, gap_minus) <= tol * scale:
-                    sign = 1 if gap_plus <= gap_minus else -1
-                    over.append((k, i, j, sign, float(min(gap_plus, gap_minus))))
-        if mlp.activation == "identity":
-            for kk in range(units):
-                others = [i for i in range(units) if i != kk]
-                for a in range(len(others)):
-                    for b in range(a + 1, len(others)):
-                        i, j = others[a], others[b]
-                        basis = w_in[:, [i, j]]
-                        target = w_in[:, kk]
-                        coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
-                        resid = np.linalg.norm(basis @ coef - target)
-                        if resid <= tol * scale:
-                            lindep.append((k, (i, j, kk), float(resid)))
+        bound = tol * max(float(np.linalg.norm(w_in)), 1.0)
+        fan_in, units = w_in.shape
+        prod = np.linalg.norm(w_out, axis=1) * np.linalg.norm(w_in, axis=0)
+        elim.extend((k, int(i), float(prod[i])) for i in np.flatnonzero(prod <= bound))
+        first, second = np.triu_indices(units, 1)
+        gap_plus = np.linalg.norm(w_in[:, first] - w_in[:, second], axis=0)
+        gap_minus = np.linalg.norm(w_in[:, first] + w_in[:, second], axis=0)
+        gap = np.minimum(gap_plus, gap_minus)
+        over.extend((k, int(first[p]), int(second[p]), 1 if gap_plus[p] <= gap_minus[p] else -1,
+                     float(gap[p])) for p in np.flatnonzero(gap <= bound))
+        if mlp.activation != "identity":
+            continue
+        pairs = np.stack([w_in[:, first].T, w_in[:, second].T], axis=2)  # (P, fan_in, 2)
+        u, s, _ = np.linalg.svd(pairs, full_matrices=False)
+        # lstsq's rcond=None rank cut: without it a parallel pair keeps a
+        # rounding-noise direction and generic targets turn into hits
+        keep = s > np.finfo(float).eps * max(fan_in, 2) * s[:, :1]
+        u = u * keep[:, None, :]
+        for kk in range(units):
+            target = w_in[:, kk]
+            coef = target @ u                                   # (P, rank)
+            resid = np.linalg.norm(target - (u @ coef[:, :, None])[:, :, 0], axis=1)
+            hit = (resid <= bound) & (first != kk) & (second != kk)
+            lindep.extend((k, (int(first[p]), int(second[p]), kk), float(resid[p]))
+                          for p in np.flatnonzero(hit))
     return NNSingularityReport(elimination=tuple(elim), overlap=tuple(over),
                                linear_dependence=tuple(lindep))
 

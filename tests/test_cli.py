@@ -262,6 +262,11 @@ class TestRunFim:
         assert "covariance_law: PASS" in report
         assert "symmetry: PASS" in report
         assert "psd: PASS" in report
+        fields = dict(line.split(": ", 1) for line in report.splitlines())
+        asymmetry = float(fields["max_asymmetry"])
+        min_eig = float(fields["min_eigenvalue"])
+        assert np.isfinite(asymmetry) and np.isfinite(min_eig)
+        assert 0.0 <= asymmetry <= 1e-10 and min_eig >= -1e-8
 
     def test_matrix_csvs_have_headers(self, tmp_path):
         out = tmp_path / "o"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relreparam.experiments import _build_nn
 from relreparam.gmm import MixtureError, make_rng
 from relreparam.nn import (MLPParams, RowReparam, decode_rows,
                            detect_singularities, forward,
@@ -30,6 +31,62 @@ def naive_forward(mlp, x):
             nxt.append(out)
         h = nxt
     return np.array(h)
+
+
+def lstsq_detect_singularities(mlp, tol=1e-6):
+    """The per-triple scan that the batched detect_singularities replaced.
+
+    One ``np.linalg.lstsq`` call per (pair, target) triple; kept as the
+    oracle for hit order and values. Returns (elimination, overlap,
+    linear_dependence) lists in the report's tuple formats.
+    """
+    elim, over, lindep = [], [], []
+    for k in range(mlp.depth - 1):
+        w_in = mlp.weights[k]
+        w_out = mlp.weights[k + 1]
+        scale = max(np.linalg.norm(w_in), 1.0)
+        units = w_in.shape[1]
+        for i in range(units):
+            prod = np.linalg.norm(w_out[i]) * np.linalg.norm(w_in[:, i])
+            if prod <= tol * scale:
+                elim.append((k, i, float(prod)))
+        for i in range(units):
+            for j in range(i + 1, units):
+                gap_plus = np.linalg.norm(w_in[:, i] - w_in[:, j])
+                gap_minus = np.linalg.norm(w_in[:, i] + w_in[:, j])
+                if min(gap_plus, gap_minus) <= tol * scale:
+                    sign = 1 if gap_plus <= gap_minus else -1
+                    over.append((k, i, j, sign, float(min(gap_plus, gap_minus))))
+        if mlp.activation == "identity":
+            for kk in range(units):
+                others = [i for i in range(units) if i != kk]
+                for a in range(len(others)):
+                    for b in range(a + 1, len(others)):
+                        i, j = others[a], others[b]
+                        basis = w_in[:, [i, j]]
+                        target = w_in[:, kk]
+                        coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
+                        resid = np.linalg.norm(basis @ coef - target)
+                        if resid <= tol * scale:
+                            lindep.append((k, (i, j, kk), float(resid)))
+    return elim, over, lindep
+
+
+# Values may move by rounding only: the batched scan projects onto an SVD
+# basis where lstsq solves for coefficients (at most 3.1e-14 measured on the
+# injected networks below and at 64 units).
+ORACLE_ABS_TOL = 1e-12
+
+
+def assert_matches_oracle(mlp, tol):
+    rep = detect_singularities(mlp, tol=tol)
+    got = (rep.elimination, rep.overlap, rep.linear_dependence)
+    for hits, want in zip(got, lstsq_detect_singularities(mlp, tol)):
+        assert [h[:-1] for h in hits] == [w[:-1] for w in want]
+        assert all(abs(h[-1] - w[-1]) <= ORACLE_ABS_TOL for h, w in zip(hits, want))
+    # plain Python scalars: under numpy 2 an index would print as np.int64(1)
+    assert not any("np." in line for line in report_lines(rep))
+    return rep
 
 
 def random_mlp(rng, sizes, activation="tanh"):
@@ -172,6 +229,49 @@ class TestDetectSingularities:
                         biases=(np.zeros(2), np.zeros(1)))
         assert report_lines(detect_singularities(mlp)) == [
             "identifiable: no singularity hits"]
+
+
+class TestBatchedScanMatchesLstsqOracle:
+    INJECT = ["elimination", "overlap", "linear_dependence"]
+
+    @pytest.mark.parametrize("sizes,activation", [
+        ([3, 4, 1], "identity"),
+        ([8, 16, 16, 1], "identity"),
+        ([40, 40, 1], "identity"),
+        ([8, 16, 16, 1], "tanh"),
+        ([40, 40, 1], "relu"),
+    ])
+    def test_injected_networks(self, sizes, activation):
+        cfg = {"sizes": sizes, "seed": 0, "activation": activation, "inject": self.INJECT}
+        rep = assert_matches_oracle(_build_nn(cfg), tol=1e-6)
+        assert rep.elimination and rep.overlap
+        assert bool(rep.linear_dependence) == (activation == "identity")
+
+    @pytest.mark.parametrize("mode", ["parallel", "negated", "zero"])
+    def test_edge_grid(self, mode):
+        rng = make_rng(79)
+        for fan_in in (1, 2, 3):
+            for units in (1, 2, 3, 4):
+                for tol in (1e-8, 1e-3):
+                    w1 = rng.normal(0, 1, (fan_in, units))
+                    if units >= 2:
+                        w1[:, 1] = {"parallel": 2.5 * w1[:, 0], "negated": -w1[:, 0],
+                                    "zero": 0.0}[mode]
+                    mlp = MLPParams(weights=(w1, rng.normal(0, 1, (units, 1))),
+                                    biases=(np.zeros(units), np.zeros(1)),
+                                    activation="identity")
+                    assert_matches_oracle(mlp, tol)
+
+    def test_rank_cutoff_drops_parallel_pair_noise_direction(self):
+        # fan_in 2: a parallel pair spans only a line, so a generic third
+        # column is not in its span; keeping the pair's zero-singular-value
+        # direction would span the plane and report that triple
+        v0, v2 = np.array([1.0, 0.3]), np.array([-0.4, 1.2])
+        w1 = np.column_stack([v0, 2.5 * v0, v2])
+        mlp = MLPParams(weights=(w1, np.ones((3, 1))), biases=(np.zeros(3), np.zeros(1)),
+                        activation="identity")
+        rep = assert_matches_oracle(mlp, tol=1e-8)
+        assert [triple for _, triple, _ in rep.linear_dependence] == [(1, 2, 0), (0, 2, 1)]
 
 
 class TestReparameterizeRows:
