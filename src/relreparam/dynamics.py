@@ -16,6 +16,13 @@ The relative-coordinate Jacobian is derived here from the coordinate map
 itself (and cross-checked against finite differences in the tests, which
 also measure its discrepancy against the transcription variant, not a valid
 Gram matrix).
+
+The velocity functions take (u, w) or (mu1, mu2) as floats or as same-shape
+arrays, so one code path serves a grid cell, a whole grid and a GD step. They
+use only elementwise +, -, * and / (cubes are written as products, the 3x3
+Gram products as sums left to right): no BLAS call and no numpy `power`, so
+a grid evaluated in one call has the bits of its cells evaluated one by one,
+under any OpenBLAS kernel and any numpy SIMD dispatch level.
 """
 
 from __future__ import annotations
@@ -45,7 +52,10 @@ class TrueModel:
 
 @dataclass(frozen=True)
 class UVWState:
-    """Point in collective coordinates; u holds Delta in relative mode."""
+    """Point in collective coordinates; u holds Delta in relative mode.
+
+    u and w may be floats or same-shape arrays (a grid of points at one v).
+    """
 
     v: float
     u: float
@@ -57,7 +67,7 @@ class UVWState:
             raise MixtureError("v must lie strictly inside (0, 1)")
         if self.parameterization not in ("original", "relative"):
             raise MixtureError("parameterization must be 'original' or 'relative'")
-        if self.parameterization == "relative" and self.u < 0:
+        if self.parameterization == "relative" and np.less(self.u, 0).any():
             raise MixtureError("relative coordinate Delta must be >= 0")
 
 
@@ -74,14 +84,13 @@ def means_from_uvw(state: UVWState) -> tuple[float, float]:
     return mu1, mu1 + u
 
 
-def _centered_moments(true: TrueModel, w: float) -> tuple[float, float, float]:
+def _centered_moments(true: TrueModel, w) -> tuple[float, float, float]:
     """E[(x-w)^m], m = 1..3, over the true mixture."""
-    w = np.float64(w)  # overflow to inf instead of raising, for divergence detection
     mom = mixture_moments(true.params)
     with np.errstate(over="ignore", invalid="ignore"):
         m1 = mom[1] - w
         m2 = mom[2] - 2.0 * w * mom[1] + w * w
-        m3 = mom[3] - 3.0 * w * mom[2] + 3.0 * w * w * mom[1] - w ** 3
+        m3 = mom[3] - 3.0 * w * mom[2] + 3.0 * w * w * mom[1] - w * w * w
     return m1, m2, m3
 
 
@@ -100,25 +109,22 @@ def base_partials(state: UVWState, true: TrueModel) -> tuple[float, float, float
     eb = -ec
     c1 = 6.0 * v * v - 6.0 * v + 1.0
     c2 = v * (2.0 * v * v - 3.0 * v + 1.0)
-    with np.errstate(invalid="ignore"):
-        e_v = -0.5 * u * u * (2.0 * v - 1.0) * ea - 0.5 * u ** 3 * c1 * eb
+    with np.errstate(over="ignore", invalid="ignore"):
+        u3 = u * u * u
+        e_v = -0.5 * u * u * (2.0 * v - 1.0) * ea - 0.5 * u3 * c1 * eb
         e_u = u * v * (1.0 - v) * ea + 1.5 * u * u * c2 * ec
-        e_w = m1 * (1.0 - u * u * v * (1.0 - v)) - 1.5 * u ** 3 * c2 * ea
+        e_w = m1 * (1.0 - u * u * v * (1.0 - v)) - 1.5 * u3 * c2 * ea
     return e_v, e_u, e_w
 
 
 def _gram(jac: list) -> list:
-    """J J^T for a 3x3 J given as rows, each entry summed left to right.
-
-    Neither this nor _gram_times calls BLAS: the field CSV must not depend on
-    which OpenBLAS kernel runs.
-    """
+    """J J^T for a 3x3 J given as rows, each entry summed left to right."""
     return [[a[0] * b[0] + a[1] * b[1] + a[2] * b[2] for b in jac] for a in jac]
 
 
 def _gram_times(gram: list, grad, eta: float) -> tuple[float, float, float]:
-    """eta * gram @ grad, each row summed left to right in plain floats."""
-    g0, g1, g2 = (float(x) for x in grad)
+    """eta * gram @ grad, each row summed left to right."""
+    g0, g1, g2 = grad
     return tuple(eta * r[0] * g0 + eta * r[1] * g1 + eta * r[2] * g2 for r in gram)
 
 
@@ -130,6 +136,13 @@ def _original_jacobian(state: UVWState) -> list:
             [u, v, 1.0 - v]]
 
 
+def _relative_jacobian(v: float, delta) -> list:
+    """relative_jacobian as rows."""
+    return [[1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [-delta, 1.0, 1.0 - v]]
+
+
 def original_gram(state: UVWState) -> np.ndarray:
     """J J^T for J = d(v,u,w)/d(v,mu1,mu2)."""
     return np.array(_gram(_original_jacobian(state)))
@@ -137,13 +150,11 @@ def original_gram(state: UVWState) -> np.ndarray:
 
 def relative_jacobian(v: float, delta: float) -> np.ndarray:
     """J' = d(v, Delta, w')/d(v, mu1, Delta) with w' = mu1 + (1-v)*Delta."""
-    return np.array([[1.0, 0.0, 0.0],
-                     [0.0, 0.0, 1.0],
-                     [-delta, 1.0, 1.0 - v]])
+    return np.array(_relative_jacobian(v, delta))
 
 
 def relative_gram(v: float, delta: float) -> np.ndarray:
-    return np.array(_gram(relative_jacobian(v, delta).tolist()))
+    return np.array(_gram(_relative_jacobian(v, delta)))
 
 
 def expected_velocity_original(state: UVWState, true: TrueModel, eta: float = 1.0):
@@ -162,39 +173,8 @@ def expected_velocity_relative(state: UVWState, true: TrueModel, eta: float = 1.
     if state.parameterization != "relative":
         raise MixtureError("expected_velocity_relative needs relative coordinates")
     v, delta, w = state.v, state.u, state.w
-    base = UVWState(v=v, u=-delta, w=w)
-    e_v, e_u, e_w = base_partials(base, true)
-    gram = _gram(relative_jacobian(v, delta).tolist())
-    return _gram_times(gram, (e_v, -e_u, e_w), eta)
-
-
-def exact_partials_per_sample(state: UVWState, xs: np.ndarray) -> np.ndarray:
-    """Per-sample exact chain-rule partials of the log-density, shape (n, 3).
-
-    Columns are d/d(v, u, w) in original mode and d/d(v, Delta, w') in
-    relative mode. This is the independent route used by the Monte-Carlo
-    oracle; it never touches the series expressions above.
-    """
-    v = state.v
-    mu1, mu2 = means_from_uvw(state)
-    params = MixtureParams(weights=(v, 1.0 - v), means=(mu1, mu2), sigmas=(1.0, 1.0))
-    from .gmm import responsibilities_array
-
-    gam = responsibilities_array(params, xs)
-    dl_dm1 = gam[:, 0] * (xs - mu1)
-    dl_dm2 = gam[:, 1] * (xs - mu2)
-    dl_dv = gam[:, 0] / v - gam[:, 1] / (1.0 - v)
-    if state.parameterization == "original":
-        # mu1 = w + (1-v)u, mu2 = w - v*u
-        d_v = dl_dv - state.u * dl_dm1 - state.u * dl_dm2
-        d_u = (1.0 - v) * dl_dm1 - v * dl_dm2
-        d_w = dl_dm1 + dl_dm2
-    else:
-        # mu1 = w' - (1-v)*Delta, mu2 = w' + v*Delta
-        d_v = dl_dv + state.u * dl_dm1 + state.u * dl_dm2
-        d_u = -(1.0 - v) * dl_dm1 + v * dl_dm2
-        d_w = dl_dm1 + dl_dm2
-    return np.column_stack([d_v, d_u, d_w])
+    e_v, e_u, e_w = base_partials(UVWState(v=v, u=-delta, w=w), true)
+    return _gram_times(_gram(_relative_jacobian(v, delta)), (e_v, -e_u, e_w), eta)
 
 
 @dataclass(frozen=True)
@@ -214,34 +194,33 @@ class FlowField:
 
 def _axis(spec) -> np.ndarray:
     lo, hi, step = spec
-    if step <= 0 or hi < lo:
-        raise MixtureError("axis spec needs step > 0 and max >= min")
+    if not (0.0 < step < np.inf and 0.0 <= hi - lo < np.inf):
+        raise MixtureError("axis spec needs finite bounds, step > 0 and max >= min")
     n = int(round((hi - lo) / step)) + 1
     return lo + step * np.arange(n)
 
 
+def _relative_velocity(v: float, lo, hi, true: TrueModel, eta: float):
+    """Velocities (dlo, dDelta, dhi) of sorted means lo <= hi, v held fixed."""
+    state = UVWState(v=v, u=hi - lo, w=v * lo + (1.0 - v) * hi, parameterization="relative")
+    _, ddelta, dwp = expected_velocity_relative(state, true, eta)
+    return dwp - (1.0 - v) * ddelta, ddelta, dwp + v * ddelta
+
+
 def velocity_in_means(v: float, mu1: float, mu2: float, true: TrueModel,
                       parameterization: str, eta: float = 1.0):
-    """Expected velocity of (mu1, mu2) at a point, v held fixed.
+    """Expected velocity (dmu1, dmu2, reflected) at a point, v held fixed.
 
-    Relative mode sorts the means first (canonical ordering) and reports
-    whether the point was reflected across the diagonal.
+    mu1 and mu2 may be floats or same-shape arrays. Relative mode sorts the
+    means first (canonical ordering) and reports whether each point was
+    reflected across the diagonal.
     """
     if parameterization == "original":
-        state = uvw_from_means(v, mu1, mu2)
-        _, du, dw = expected_velocity_original(state, true, eta)
-        return dw + (1.0 - v) * du, dw - v * du, False
-    reflected = mu2 < mu1
-    lo, hi = (mu2, mu1) if reflected else (mu1, mu2)
-    delta = hi - lo
-    wprime = v * lo + (1.0 - v) * hi
-    state = UVWState(v=v, u=delta, w=wprime, parameterization="relative")
-    _, ddelta, dwp = expected_velocity_relative(state, true, eta)
-    dlo = dwp - (1.0 - v) * ddelta
-    dhi = dwp + v * ddelta
-    if reflected:
-        return dhi, dlo, True
-    return dlo, dhi, False
+        _, du, dw = expected_velocity_original(uvw_from_means(v, mu1, mu2), true, eta)
+        return dw + (1.0 - v) * du, dw - v * du, np.zeros(np.shape(du), dtype=bool)[()]
+    reflected = np.less(mu2, mu1)
+    dlo, _, dhi = _relative_velocity(v, np.minimum(mu1, mu2), np.maximum(mu1, mu2), true, eta)
+    return np.where(reflected, dhi, dlo)[()], np.where(reflected, dlo, dhi)[()], reflected
 
 
 def flow_field(mu1_spec, mu2_spec, v: float, true: TrueModel,
@@ -250,15 +229,7 @@ def flow_field(mu1_spec, mu2_spec, v: float, true: TrueModel,
     if not 0.0 < v < 1.0:
         raise MixtureError("v must lie in (0, 1)")
     ax1, ax2 = _axis(mu1_spec), _axis(mu2_spec)
-    if ax1.size == 0 or ax2.size == 0:
-        raise MixtureError("empty grid")
-    dmu1 = np.zeros((ax2.size, ax1.size))
-    dmu2 = np.zeros_like(dmu1)
-    refl = np.zeros_like(dmu1, dtype=bool)
-    for i, m2 in enumerate(ax2):
-        for j, m1 in enumerate(ax1):
-            d1, d2, r = velocity_in_means(v, float(m1), float(m2), true, parameterization, eta)
-            dmu1[i, j], dmu2[i, j], refl[i, j] = d1, d2, r
+    dmu1, dmu2, refl = velocity_in_means(v, *np.meshgrid(ax1, ax2), true, parameterization, eta)
     return FlowField(mu1_axis=ax1, mu2_axis=ax2, dmu1=dmu1, dmu2=dmu2,
                      reflected=refl, parameterization=parameterization, v=v,
                      eta=eta, true_model=true)
@@ -345,10 +316,7 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
             lo, hi = min(mu1, mu2), max(mu1, mu2)
             delta = hi - lo
             if gradient_source == "expected":
-                wprime = v * lo + (1.0 - v) * hi
-                state = UVWState(v=v, u=delta, w=wprime, parameterization="relative")
-                _, ddelta, dwp = expected_velocity_relative(state, true, eta)
-                dlo = dwp - (1.0 - v) * ddelta
+                dlo, ddelta, _ = _relative_velocity(v, lo, hi, true, eta)
             else:
                 params = MixtureParams(weights=(v, 1.0 - v), means=(lo, hi), sigmas=(1.0, 1.0))
                 g = np.mean(score_means(params, xs), axis=0)

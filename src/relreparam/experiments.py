@@ -165,6 +165,8 @@ def run_field(cfg: dict, out_dir: Path) -> RunManifest:
         spec = (float(grid["min"]), float(grid["max"]), float(grid["step"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid block {grid!r}: needs min/max/step") from exc
+    if not (0.0 < spec[2] < np.inf and 0.0 <= spec[1] - spec[0] < np.inf):
+        raise ConfigError(f"bad grid block {grid!r}: needs finite min <= max and step > 0")
     v, eta = float(cfg["v"]), float(cfg["eta"])
     true = _true_model(cfg, v)
     fields = {p: flow_field(spec, spec, v, true, parameterization=p, eta=eta)

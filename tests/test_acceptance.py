@@ -16,7 +16,6 @@ from scipy.optimize import minimize_scalar
 
 from relreparam.cli import EXIT_OK, main
 from relreparam.dynamics import (TrueModel, UVWState,
-                                 exact_partials_per_sample,
                                  expected_velocity_original,
                                  expected_velocity_relative, flow_field,
                                  original_gram, relative_gram)
@@ -31,6 +30,8 @@ from relreparam.nn import (MLPParams, decode_rows, detect_singularities,
                            forward, permute_hidden_units, reparameterize_rows)
 from relreparam.reparam import (RelativeParams, ReparamSpec, jacobian,
                                 to_absolute, to_relative)
+
+from oracles import exact_partials_per_sample
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

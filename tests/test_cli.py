@@ -43,6 +43,31 @@ def _cpu_has_avx2() -> bool:
     return bool(found & {"AVX2", "X86_V3", "X86_V4"})
 
 
+def _numpy_has_x86_v4() -> bool:
+    """numpy dispatches to its AVX-512 (X86_V4) kernels on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        return False
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+def _child_digest(out: Path, kind: str, csv: str, **env_vars) -> str:
+    """Digest of `csv` from `kind` at its defaults, run in a child interpreter
+    with `env_vars` set and the BLAS-kernel and SIMD-dispatch variables
+    otherwise cleared; these variables act only on the child."""
+    env = dict(os.environ)
+    for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
+        env.pop(name, None)
+    env.update(env_vars)
+    src = str(Path(relreparam.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "relreparam.cli", kind, "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return sha256(out / csv)
+
+
 def write_config(tmp_path, mapping, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(mapping))
@@ -91,10 +116,19 @@ class TestExitCodes:
 
     def test_config_error_on_bad_grid(self, tmp_path):
         cfg = default_config("field")
-        cfg["grid"] = {"min": 0.0, "max": 1.0}  # no step
-        path = write_config(tmp_path, cfg)
-        assert main(["field", "--config", str(path),
-                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        for grid in ({"min": 0.0, "max": 1.0},  # no step
+                     {"min": 0.0, "max": float("inf"), "step": 0.1},
+                     {"min": float("-inf"), "max": 1.0, "step": 0.1},
+                     {"min": float("nan"), "max": 1.0, "step": 0.1},
+                     {"min": 0.0, "max": 1.0, "step": float("nan")},
+                     {"min": 0.0, "max": 1.0, "step": float("inf")},
+                     {"min": 0.0, "max": 1.0, "step": 0.0},
+                     {"min": 0.0, "max": 1.0, "step": -0.1},
+                     {"min": 1.0, "max": 0.0, "step": 0.1}):
+            cfg["grid"] = grid
+            path = write_config(tmp_path, cfg)
+            assert main(["field", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == EXIT_CONFIG, grid
 
     def test_singular_fim_point_refused(self, tmp_path):
         cfg = default_config("fim")
@@ -179,20 +213,18 @@ class TestGoldenFixtures:
                              ids=["ecm", "field"])
     def test_digest_independent_of_openblas_kernel(self, tmp_path, kind, csv):
         coretypes = ["native", "Prescott"] + (["Haswell"] if _cpu_has_avx2() else [])
-        src = str(Path(relreparam.__file__).resolve().parents[1])
         digests = {}
         for coretype in coretypes:
-            env = dict(os.environ)
-            env.pop("OPENBLAS_CORETYPE", None)
-            if coretype != "native":
-                env["OPENBLAS_CORETYPE"] = coretype
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            out = tmp_path / coretype
-            proc = subprocess.run([sys.executable, "-m", "relreparam.cli", kind, "--out", str(out)],
-                                  env=env, capture_output=True, text=True)
-            assert proc.returncode == EXIT_OK, proc.stderr
-            digests[coretype] = sha256(out / csv)
+            env_vars = {} if coretype == "native" else {"OPENBLAS_CORETYPE": coretype}
+            digests[coretype] = _child_digest(tmp_path / coretype, kind, csv, **env_vars)
         assert set(digests.values()) == {GOLDEN[f"{kind}/{csv}"]}, digests
+
+    # ecm is left out: numpy's exp/log round differently without AVX-512
+    @pytest.mark.skipif(not _numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    def test_field_digest_under_reduced_numpy_simd(self, tmp_path):
+        digest = _child_digest(tmp_path / "field", "field", "flow_field.csv",
+                               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        assert digest == GOLDEN["field/flow_field.csv"]
 
 
 class TestRunField:

@@ -1,14 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from relreparam.gmm import MixtureError, make_rng, sample
 from relreparam.dynamics import (TrueModel, UVWState, base_partials,
-                                 exact_partials_per_sample,
                                  expected_velocity_original,
                                  expected_velocity_relative, flow_field,
                                  integrate_gd, means_from_uvw, original_gram,
                                  relative_gram, relative_jacobian,
                                  uvw_from_means, velocity_in_means)
+
+from oracles import exact_partials_per_sample
 
 TRUTH0 = TrueModel.from_means(0.0, 0.0)
 
@@ -143,14 +146,22 @@ class TestFlowField:
                 assert ff.dmu1[i, j] == pytest.approx(ff.dmu2[j, i], abs=1e-12)
 
     def test_pointwise_reevaluation(self):
-        for mode in ("original", "relative"):
-            ff = flow_field((-1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), 0.5, TRUTH0, mode)
-            for i, m2 in enumerate(ff.mu2_axis):
-                for j, m1 in enumerate(ff.mu1_axis):
-                    d1, d2, _ = velocity_in_means(0.5, float(m1), float(m2),
-                                                  TRUTH0, mode)
-                    assert ff.dmu1[i, j] == d1
-                    assert ff.dmu2[i, j] == d2
+        # the per-cell scalar calls are the oracle of the one-call grid:
+        # bit-identical, tolerance zero, on the default grid and the far one.
+        # v = 0.3 too: at v = 0.5 the u^3 term of e_w vanishes, and an array
+        # path that took its cubes with numpy's `**` still matched there.
+        for spec, truth in (((-2.0, 2.0, 0.1), (0.0, 0.0)),
+                            ((10.0, 30.0, 0.5), (20.0, 20.0))):
+            tm = TrueModel.from_means(*truth)
+            for v, mode in itertools.product((0.5, 0.3), ("original", "relative")):
+                ff = flow_field(spec, spec, v, tm, mode)
+                assert ff.dmu1.shape == (41, 41)
+                for i, m2 in enumerate(ff.mu2_axis):
+                    for j, m1 in enumerate(ff.mu1_axis):
+                        d1, d2, r = velocity_in_means(v, float(m1), float(m2), tm, mode)
+                        assert ff.dmu1[i, j] == d1
+                        assert ff.dmu2[i, j] == d2
+                        assert ff.reflected[i, j] == r
 
     def test_relative_reflection_marked(self):
         ff = flow_field((-1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), 0.5, TRUTH0, "relative")
