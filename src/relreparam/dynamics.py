@@ -34,6 +34,8 @@ import numpy as np
 from .gmm import (Dataset, MixtureParams, MixtureError, log_likelihood, mean_distance,
                   mixture_moments, normal_quadrature, score_means)
 
+PARAMETERIZATIONS = ("original", "relative")
+
 
 @dataclass(frozen=True)
 class TrueModel:
@@ -65,10 +67,14 @@ class UVWState:
     def __post_init__(self):
         if not 0.0 < self.v < 1.0:
             raise MixtureError("v must lie strictly inside (0, 1)")
-        if self.parameterization not in ("original", "relative"):
-            raise MixtureError("parameterization must be 'original' or 'relative'")
+        _check_parameterization(self.parameterization)
         if self.parameterization == "relative" and np.less(self.u, 0).any():
             raise MixtureError("relative coordinate Delta must be >= 0")
+
+
+def _check_parameterization(parameterization: str) -> None:
+    if parameterization not in PARAMETERIZATIONS:
+        raise MixtureError("parameterization must be 'original' or 'relative'")
 
 
 def uvw_from_means(v: float, mu1: float, mu2: float) -> UVWState:
@@ -215,6 +221,7 @@ def velocity_in_means(v: float, mu1: float, mu2: float, true: TrueModel,
     means first (canonical ordering) and reports whether each point was
     reflected across the diagonal.
     """
+    _check_parameterization(parameterization)
     if parameterization == "original":
         _, du, dw = expected_velocity_original(uvw_from_means(v, mu1, mu2), true, eta)
         return dw + (1.0 - v) * du, dw - v * du, np.zeros(np.shape(du), dtype=bool)[()]
@@ -272,6 +279,7 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
     needs a TrueModel; 'empirical' uses the sample-average score over a
     Dataset. Relative mode keeps Delta >= 0 at every step.
     """
+    _check_parameterization(parameterization)
     if eta <= 0:
         raise MixtureError("eta must be positive")
     if steps < 1:

@@ -13,8 +13,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gmm import (Dataset, MixtureParams, MixtureError, log_likelihood,
-                  log_component_densities, mean_distance, responsibilities_array)
+# e_step fuses log_likelihood and responsibilities_array into one pass; both
+# stay importable from this module, where perfbench/tracer.py wraps them.
+from .gmm import (Dataset, MixtureParams, MixtureError, log_component_densities,
+                  log_likelihood, mean_distance, responsibilities_and_log_density,
+                  responsibilities_array)
 from .reparam import (RelativeParams, ReparamSpec, decoded_gaps, to_absolute,
                       to_relative)
 
@@ -25,9 +28,19 @@ class DegenerateComponentError(ValueError):
 
 @dataclass(frozen=True)
 class Responsibilities:
-    """Posterior assignment matrix gamma(z_nk), rows summing to one."""
+    """Posterior assignment matrix gamma(z_nk), rows summing to one.
+
+    Held component-major: ``gamma`` is the (N, K) transposed view of a
+    C-contiguous (K, N) array, so ``gamma.T[k]`` is component k's contiguous
+    row. ``loglik`` is the log-likelihood of the mixture an E-step computed
+    gamma from, and None for a matrix handed in directly.
+
+    A matrix handed in is validated once, here; ``e_step`` builds its result
+    without re-checking its own log-sum-exp.
+    """
 
     gamma: np.ndarray
+    loglik: float | None = None
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=float)
@@ -37,12 +50,25 @@ class Responsibilities:
             raise MixtureError("gamma entries must lie in [0, 1]")
         if np.max(np.abs(g.sum(axis=1) - 1.0)) > 1e-12:
             raise MixtureError("gamma rows must sum to 1")
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", np.ascontiguousarray(g.T).T)
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray, loglik: float) -> "Responsibilities":
+        """Wrap a C-contiguous (K, N) E-step result without validating it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "gamma", rows.T)
+        object.__setattr__(self, "loglik", loglik)
+        return self
 
 
 @dataclass(frozen=True)
 class ECMConfig:
-    """Stopping rule and frozen blocks for the fit loops."""
+    """Stopping rule and frozen blocks for the fit loops.
+
+    The rule |loglik_k - loglik_{k-1}| <= epsilon is absolute: the
+    log-likelihood is a sum over the n points, so at a fixed epsilon the
+    iteration count grows with n.
+    """
 
     epsilon: float = 1e-8
     max_iters: int = 10000
@@ -58,7 +84,13 @@ class ECMConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Final parameters plus the per-iteration trajectory of the fit."""
+    """Final parameters, the per-iteration trajectory, and how the fit stopped.
+
+    ``stop_reason`` is "converged" (the stop rule held) or "max_iters".
+    ``kkt_active_steps`` counts the ECM gap steps that the constraint
+    Delta >= 0 clamped to zero, and ``max_kkt_multiplier`` is the largest
+    KKT multiplier among them; both are 0 for EM.
+    """
 
     params: MixtureParams
     relative: RelativeParams | None
@@ -66,13 +98,24 @@ class FitResult:
     loglik: np.ndarray
     dist_to_true: np.ndarray
     iterations: int
-    converged: bool
+    stop_reason: str
     algorithm: str
+    kkt_active_steps: int = 0
+    max_kkt_multiplier: float = 0.0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def e_step(params: MixtureParams, data: Dataset) -> Responsibilities:
-    """gamma(z_nk) = pi_k N(x_n|mu_k, sigma_k) / sum_j ..., in log space."""
-    return Responsibilities(gamma=responsibilities_array(params, data.as_array()))
+    """gamma(z_nk) = pi_k N(x_n|mu_k, sigma_k) / sum_j ..., in log space.
+
+    The same log-sum-exp pass gives the log-likelihood of params, kept as
+    the result's ``loglik``.
+    """
+    rows, log_p = responsibilities_and_log_density(params, data.as_array())
+    return Responsibilities._from_rows(rows, float(np.sum(log_p)))
 
 
 def m_step_standard(gamma: Responsibilities, data: Dataset,
@@ -80,14 +123,15 @@ def m_step_standard(gamma: Responsibilities, data: Dataset,
                     config: ECMConfig | None = None) -> MixtureParams:
     """Weighted-mean / weight-fraction / weighted-variance updates.
 
-    Blocks frozen via config keep their values from `old`.
+    Blocks frozen via config keep their values from `old`. Sums run along
+    each component's contiguous row (numpy's pairwise sum).
     """
-    g = gamma.gamma
+    g = gamma.gamma.T
     xs = data.as_array()
-    nk = g.sum(axis=0)
+    nk = g.sum(axis=1)
     if np.any(nk <= 0):
         raise DegenerateComponentError("a component has zero responsibility mass")
-    mu = (g * xs[:, None]).sum(axis=0) / nk
+    mu = (g * xs).sum(axis=1) / nk
     config = config or ECMConfig(fix_weights=False, fix_sigmas=False)
     if config.fix_weights and old is not None:
         pi = np.asarray(old.weights)
@@ -96,9 +140,16 @@ def m_step_standard(gamma: Responsibilities, data: Dataset,
     if config.fix_sigmas and old is not None:
         sig = np.asarray(old.sigmas)
     else:
-        var = (g * (xs[:, None] - mu) ** 2).sum(axis=0) / nk
+        var = (g * (xs - mu[:, None]) ** 2).sum(axis=1) / nk
         sig = np.sqrt(np.maximum(var, 1e-300))
     return MixtureParams(weights=tuple(pi), means=tuple(mu), sigmas=tuple(sig))
+
+
+def _two_component_rows(gamma: Responsibilities) -> np.ndarray:
+    g = gamma.gamma.T
+    if g.shape[0] != 2:
+        raise MixtureError("CM-steps are defined for the 2-component model")
+    return g
 
 
 def cm_step_reference_mean(gamma: Responsibilities, data: Dataset, delta: float) -> float:
@@ -107,17 +158,15 @@ def cm_step_reference_mean(gamma: Responsibilities, data: Dataset, delta: float)
     Solves the stationarity condition
     sum_n (2 mu1 - 2 x_n) z_n1 + (2 Delta + 2 mu1 - 2 x_n) z_n2 = 0.
     """
-    g = gamma.gamma
-    if g.shape[1] != 2:
-        raise MixtureError("CM-steps are defined for the 2-component model")
+    g1, g2 = _two_component_rows(gamma)
     xs = data.as_array()
-    n1, n2 = g[:, 0].sum(), g[:, 1].sum()
+    n1, n2 = g1.sum(), g2.sum()
     if n1 + n2 <= 0:
         raise DegenerateComponentError("zero total responsibility")
     # numpy's pairwise sum, not a BLAS dot: the result (and so the pinned
     # ECM CSV) must not depend on which OpenBLAS kernel runs
-    s1x = float(np.sum(g[:, 0] * xs))
-    s2x = float(np.sum(g[:, 1] * xs))
+    s1x = float(np.sum(g1 * xs))
+    s2x = float(np.sum(g2 * xs))
     return (s1x + s2x - delta * n2) / (n1 + n2)
 
 
@@ -128,14 +177,12 @@ def cm_step_delta(gamma: Responsibilities, data: Dataset, mu1: float) -> tuple[f
     responsibility-weighted mean of component 2 minus mu1; when negative the
     constraint is active, Delta = 0 and the multiplier turns positive.
     """
-    g = gamma.gamma
-    if g.shape[1] != 2:
-        raise MixtureError("CM-steps are defined for the 2-component model")
+    _, g2 = _two_component_rows(gamma)
     xs = data.as_array()
-    n2 = g[:, 1].sum()
+    n2 = g2.sum()
     if n2 <= 0:
         raise DegenerateComponentError("zero responsibility mass on component 2")
-    delta_hat = float(np.sum(g[:, 1] * xs)) / n2 - mu1
+    delta_hat = float(np.sum(g2 * xs)) / n2 - mu1
     if delta_hat >= 0.0:
         return delta_hat, 0.0
     return 0.0, -2.0 * n2 * delta_hat
@@ -143,30 +190,32 @@ def cm_step_delta(gamma: Responsibilities, data: Dataset, mu1: float) -> tuple[f
 
 def q_function(params: MixtureParams, gamma: Responsibilities, data: Dataset) -> float:
     """Q(theta | gamma) = sum_nk gamma_nk [ln pi_k + ln N(x_n|mu_k, sigma_k)]."""
-    g = gamma.gamma
-    xs = data.as_array()
-    logc = log_component_densities(params, xs)
+    logc = log_component_densities(params, data.as_array())
     logw = np.log(np.asarray(params.weights) + np.finfo(float).tiny)
-    return float(np.sum(g * (logc + logw)))
+    return float(np.sum(gamma.gamma.T * (logc + logw[:, None])))
 
 
 def _fit(data: Dataset, params: MixtureParams, step, config: ECMConfig,
          truth: MixtureParams | None, algorithm: str) -> FitResult:
-    """Iterate params = step(params) from the initial mixture.
+    """Iterate params = step(gamma, params) from the initial mixture.
 
-    Records every iterate and its log-likelihood, and stops once the
-    log-likelihood changes by at most config.epsilon or after max_iters steps.
+    Each iteration makes one density pass: the E-step of the current iterate,
+    which also gives that iterate's log-likelihood. The loop records every
+    iterate and its log-likelihood, and stops once the log-likelihood changes
+    by at most config.epsilon or after max_iters steps.
     """
     traj = [params]
-    lls = [log_likelihood(params, data)]
-    converged = False
+    gamma = e_step(params, data)
+    lls = [gamma.loglik]
+    stop_reason = "max_iters"
     iters = 0
     for iters in range(1, config.max_iters + 1):
-        params = step(params)
+        params = step(gamma, params)
         traj.append(params)
-        lls.append(log_likelihood(params, data))
+        gamma = e_step(params, data)
+        lls.append(gamma.loglik)
         if abs(lls[-1] - lls[-2]) <= config.epsilon:
-            converged = True
+            stop_reason = "converged"
             break
     if truth is None:
         dist = np.full(len(traj), np.nan)
@@ -175,15 +224,15 @@ def _fit(data: Dataset, params: MixtureParams, step, config: ECMConfig,
     return FitResult(
         params=params, relative=None, trajectory_params=tuple(traj),
         loglik=np.asarray(lls), dist_to_true=dist,
-        iterations=iters, converged=converged, algorithm=algorithm,
+        iterations=iters, stop_reason=stop_reason, algorithm=algorithm,
     )
 
 
 def fit_em_standard(data: Dataset, init: MixtureParams, config: ECMConfig,
                     truth: MixtureParams | None = None) -> FitResult:
     """Standard EM loop; blocks frozen per config keep their init values."""
-    def step(params):
-        return m_step_standard(e_step(params, data), data, old=params, config=config)
+    def step(gamma, params):
+        return m_step_standard(gamma, data, old=params, config=config)
 
     return _fit(data, init, step, config, truth, "em")
 
@@ -203,15 +252,18 @@ def fit_ecm_relative(data: Dataset, init: RelativeParams, config: ECMConfig,
     # Delta is carried between iterations rather than re-read from the means:
     # (mu1 + Delta) - mu1 need not round back to Delta
     delta = float(decoded_gaps(init, spec)[0])
+    multipliers = []
 
-    def step(params):
+    def step(gamma, params):
         nonlocal delta
-        gamma = e_step(params, data)
         mu1 = cm_step_reference_mean(gamma, data, delta)
-        delta, _ = cm_step_delta(gamma, data, mu1)
+        delta, lam = cm_step_delta(gamma, data, mu1)
+        multipliers.append(lam)
         return MixtureParams(weights=params.weights, means=(mu1, mu1 + delta),
                              sigmas=params.sigmas)
 
     res = _fit(data, to_absolute(init, spec), step, config, truth, "ecm_relative")
     return replace(res, relative=to_relative(
-        res.params, ReparamSpec(delta_encoding="raw_constrained")))
+        res.params, ReparamSpec(delta_encoding="raw_constrained")),
+        kkt_active_steps=sum(lam > 0.0 for lam in multipliers),
+        max_kkt_multiplier=max(multipliers, default=0.0))

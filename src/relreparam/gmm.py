@@ -164,22 +164,43 @@ def _check_x(x) -> np.ndarray:
     return xs
 
 
+def _components_first(v: np.ndarray, ndim: int) -> np.ndarray:
+    """A length-K vector shaped (K, 1, ...) to broadcast against ndim-d x."""
+    return v.reshape((-1,) + (1,) * ndim)
+
+
 def log_component_densities(params: MixtureParams, x) -> np.ndarray:
-    """ln N(x | mu_k, sigma_k^2) for each component; shape (..., K)."""
-    xs = _check_x(x)[..., None]
-    mu = np.asarray(params.means)
-    sig = np.asarray(params.sigmas)
+    """ln N(x | mu_k, sigma_k^2) for each component; shape (K, ...).
+
+    Component-major: row k is contiguous, so sums and maxima over the
+    components are elementwise operations between rows.
+    """
+    xs = _check_x(x)
+    mu = _components_first(np.asarray(params.means), xs.ndim)
+    sig = _components_first(np.asarray(params.sigmas), xs.ndim)
     z = (xs - mu) / sig
     return -0.5 * z * z - np.log(sig) - 0.5 * LOG_2PI
 
 
+def _log_sum_exp_terms(params: MixtureParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(a_k - m), sum_k exp(a_k - m) and m = max_k a_k for a_k = ln pi_k N_k(x).
+
+    Shapes (K, ...), (...) and (...); the one log-sum-exp behind the density
+    and the responsibilities.
+    """
+    logw = np.log(np.asarray(params.weights) + np.finfo(float).tiny)
+    a = log_component_densities(params, x)
+    a += _components_first(logw, a.ndim - 1)
+    amax = np.max(a, axis=0)
+    a -= amax
+    e = np.exp(a, out=a)
+    return e, np.sum(e, axis=0), amax
+
+
 def log_density(params: MixtureParams, x):
     """ln sum_k pi_k N(x | mu_k, sigma_k^2) via log-sum-exp."""
-    logc = log_component_densities(params, x)
-    logw = np.log(np.asarray(params.weights) + np.finfo(float).tiny)
-    a = logc + logw
-    amax = np.max(a, axis=-1, keepdims=True)
-    out = amax[..., 0] + np.log(np.sum(np.exp(a - amax), axis=-1))
+    _, total, amax = _log_sum_exp_terms(params, x)
+    out = amax + np.log(total)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -193,13 +214,46 @@ def log_likelihood(params: MixtureParams, data: Dataset) -> float:
     return float(np.sum(log_density(params, data.as_array())))
 
 
+def responsibilities_and_log_density(params: MixtureParams, x) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior probabilities gamma(z_k | x), shape (K, ...), and ln p(x), shape (...).
+
+    Both come from one log-sum-exp pass and carry the same bits as
+    ``responsibilities_array`` and ``log_density``.
+    """
+    e, total, amax = _log_sum_exp_terms(params, x)
+    log_p = amax + np.log(total)
+    e /= total
+    return e, log_p
+
+
+def _responsibilities(params: MixtureParams, x) -> np.ndarray:
+    e, total, _ = _log_sum_exp_terms(params, x)
+    e /= total
+    return e
+
+
+def _components_last(a: np.ndarray) -> np.ndarray:
+    """View of a component-major (K, ...) array with the components last."""
+    return np.moveaxis(a, 0, -1)
+
+
+def _row_major(a: np.ndarray) -> np.ndarray:
+    """C-contiguous copy of a component-major (K, ...) array as (..., K).
+
+    For the scores: callers reduce them over the sample axis (np.mean over
+    axis 0, einsum), and numpy's summation order, so the rounding of the
+    Fisher matrices and empirical gradients, follows the memory layout.
+    """
+    return np.ascontiguousarray(_components_last(a))
+
+
 def responsibilities_array(params: MixtureParams, x) -> np.ndarray:
-    """Posterior component probabilities gamma(z_k | x); shape (..., K)."""
-    logw = np.log(np.asarray(params.weights) + np.finfo(float).tiny)
-    a = log_component_densities(params, x) + logw
-    amax = np.max(a, axis=-1, keepdims=True)
-    e = np.exp(a - amax)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    """Posterior component probabilities gamma(z_k | x); shape (..., K).
+
+    A view of the component-major array: for 1-D x, ``.T`` gives its
+    contiguous (K, n) rows.
+    """
+    return _components_last(_responsibilities(params, x))
 
 
 def score(params: MixtureParams, x) -> np.ndarray:
@@ -209,25 +263,25 @@ def score(params: MixtureParams, x) -> np.ndarray:
     pi_K = 1 - sum of the others, so the gradient has length 3K - 1.
     """
     xs = _check_x(x)
-    gam = responsibilities_array(params, xs)  # (..., K)
-    mu = np.asarray(params.means)
-    sig = np.asarray(params.sigmas)
-    z = (xs[..., None] - mu) / sig
+    gam = _responsibilities(params, xs)  # (K, ...)
+    mu = _components_first(np.asarray(params.means), xs.ndim)
+    sig = _components_first(np.asarray(params.sigmas), xs.ndim)
+    z = (xs - mu) / sig
     # d ln p / d pi_k (free coords): (N_k - N_K) / p = gam_k/pi_k - gam_K/pi_K
-    w = np.asarray(params.weights)
-    d_pi = gam[..., :-1] / w[:-1] - gam[..., -1:] / w[-1]
+    w = _components_first(np.asarray(params.weights), xs.ndim)
+    d_pi = gam[:-1] / w[:-1] - gam[-1:] / w[-1]
     d_mu = gam * z / sig
     d_sigma = gam * (z * z - 1.0) / sig
-    return np.concatenate([d_pi, d_mu, d_sigma], axis=-1)
+    return _row_major(np.concatenate([d_pi, d_mu, d_sigma], axis=0))
 
 
 def score_means(params: MixtureParams, x) -> np.ndarray:
     """Gradient of ln density with respect to the means only; shape (..., K)."""
     xs = _check_x(x)
-    gam = responsibilities_array(params, xs)
-    mu = np.asarray(params.means)
-    sig = np.asarray(params.sigmas)
-    return gam * (xs[..., None] - mu) / (sig * sig)
+    gam = _responsibilities(params, xs)
+    mu = _components_first(np.asarray(params.means), xs.ndim)
+    sig = _components_first(np.asarray(params.sigmas), xs.ndim)
+    return _row_major(gam * (xs - mu) / (sig * sig))
 
 
 def make_rng(seed: int) -> np.random.Generator:

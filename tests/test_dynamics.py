@@ -249,6 +249,28 @@ class TestIntegrateGd:
             integrate_gd((0.0, 1.0), TRUTH0, eta=0.1, steps=0)
 
 
+@pytest.mark.parametrize("name", ["Original", "orig", "RELATIVE", ""])
+class TestRejectsUnknownParameterization:
+    """Only the exact names select a mode; anything else must not fall
+    through to relative mode under the given label."""
+
+    def test_flow_field(self, name):
+        with pytest.raises(MixtureError):
+            flow_field((-1.0, 1.0, 0.5), (-1.0, 1.0, 0.5), 0.5, TRUTH0, name)
+
+    def test_velocity_in_means(self, name):
+        with pytest.raises(MixtureError):
+            velocity_in_means(0.5, -1.0, 1.0, TRUTH0, name)
+
+    def test_integrate_gd(self, name):
+        with pytest.raises(MixtureError):
+            integrate_gd((-1.0, 1.0), TRUTH0, eta=0.1, steps=5, parameterization=name)
+        data = sample(TRUTH0.params, 50, seed=1)
+        with pytest.raises(MixtureError):
+            integrate_gd((-1.0, 1.0), data, eta=0.1, steps=5, parameterization=name,
+                         gradient_source="empirical")
+
+
 def test_mc_oracle_random_states_both_modes():
     """Closed forms vs Monte-Carlo chain rule near the singularity (small gap)."""
     xs = sample(TRUTH0.params, 10 ** 6, seed=999).as_array()

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from oracles import rowmajor_fit, rowmajor_log_sum_exp
+from relreparam import ecm as ecm_module
+from relreparam import gmm
+
 from relreparam.ecm import (DegenerateComponentError, ECMConfig,
                             Responsibilities, cm_step_delta,
                             cm_step_reference_mean, e_step, fit_ecm_relative,
                             fit_em_standard, m_step_standard, q_function)
 from relreparam.gmm import (Dataset, MixtureError, MixtureParams,
-                            log_likelihood, make_rng, sample)
-from relreparam.reparam import (RelativeParams, ReparamSpec, to_absolute,
-                                to_relative)
+                            log_likelihood, make_rng, mean_distance, sample)
+from relreparam.reparam import (RelativeParams, ReparamSpec, decoded_gaps,
+                                to_absolute, to_relative)
 
 FIG_TRUTH = MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0))
 
@@ -373,3 +377,147 @@ def test_ecm_config_validation():
         ECMConfig(epsilon=0.0)
     with pytest.raises(MixtureError):
         ECMConfig(max_iters=0)
+
+
+# The paper's figure setup (the CLI's default ecm config) and the benchmark's
+# large-n fit: EM with every block free against the relative ECM, from the
+# relative coordinates the CLI builds with its default squared-gap encoding.
+ORACLE_CASES = {
+    "default": (FIG_TRUTH, 200),
+    "n1e4": (MixtureParams((0.5, 0.5), (-6.5, -3.5), (1.0, 1.0)), 10_000),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
+def oracle_case(request):
+    truth, n = ORACLE_CASES[request.param]
+    data = sample(truth, n, seed=12)
+    init = MixtureParams((0.5, 0.5), (-2.5, 2.0), (1.0, 1.0))
+    spec = ReparamSpec(delta_encoding="squared")
+    rel = to_relative(init, spec)
+    em_cfg = ECMConfig(fix_weights=False, fix_sigmas=False)
+    em = fit_em_standard(data, init, em_cfg, truth=truth)
+    ecm = fit_ecm_relative(data, rel, ECMConfig(), truth=truth, spec=spec)
+    em_oracle = rowmajor_fit(data, init, em_cfg)
+    ecm_oracle = rowmajor_fit(data, to_absolute(rel, spec), ECMConfig(),
+                              delta=float(decoded_gaps(rel, spec)[0]))
+    return data, truth, {"em": (em, em_oracle), "ecm_relative": (ecm, ecm_oracle)}
+
+
+class TestComponentMajorMatchesRowMajorOracle:
+    """The component-major kernels and one-pass loop against the row-major
+    oracle: same iteration counts, and values within 1e-12 (the oracle's
+    EM M-step sums run sequentially down columns, the kernels' pairwise
+    along rows; both ECM paths sum pairwise, so ECM matches exactly)."""
+
+    @pytest.mark.parametrize("algorithm", ["em", "ecm_relative"])
+    def test_iterations_means_loglik_distance(self, oracle_case, algorithm):
+        _, truth, fits = oracle_case
+        res, (iters, traj, lls) = fits[algorithm]
+        assert res.iterations == iters
+        assert len(res.trajectory_params) == len(traj)
+        got = np.array([p.means for p in res.trajectory_params])
+        want = np.array([p.means for p in traj])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res.loglik, lls, rtol=1e-12, atol=0.0)
+        dist = [mean_distance(p, truth) for p in traj]
+        np.testing.assert_allclose(res.dist_to_true, dist, rtol=0.0, atol=1e-12)
+
+    def test_relative_ecm_trajectory_exact(self, oracle_case):
+        res, (_, traj, lls) = oracle_case[2]["ecm_relative"]
+        assert [p.means for p in res.trajectory_params] == [p.means for p in traj]
+        assert res.loglik.tolist() == lls.tolist()
+
+    def test_rowmajor_e_step_matches_component_major(self, oracle_case):
+        data, *_ = oracle_case
+        params = MixtureParams((0.3, 0.7), (-6.0, -4.0), (0.8, 1.3))
+        g, log_p = rowmajor_log_sum_exp(params, data.as_array())
+        gamma = e_step(params, data)
+        assert np.array_equal(gamma.gamma, g)
+        assert gamma.loglik == float(np.sum(log_p))
+
+
+class TestOnePassPerIteration:
+    @pytest.mark.parametrize("algorithm", ["em", "ecm_relative"])
+    def test_loglik_belongs_to_its_iterate(self, algorithm):
+        data = sample(FIG_TRUTH, 200, seed=12)
+        if algorithm == "em":
+            res = fit_em_standard(data, MixtureParams((0.5, 0.5), (-2.5, 2.0), (1.0, 1.0)),
+                                  ECMConfig(fix_weights=False, fix_sigmas=False))
+        else:
+            res = fit_ecm_relative(data, relative_init(-2.5, 2.0), ECMConfig())
+        assert len(res.loglik) == len(res.trajectory_params) == res.iterations + 1
+        for k, p in enumerate(res.trajectory_params):
+            assert res.loglik[k] == log_likelihood(p, data), k
+
+    @pytest.mark.parametrize("max_iters", [3, 10000])
+    @pytest.mark.parametrize("algorithm", ["em", "ecm_relative"])
+    def test_one_density_pass_per_iteration(self, monkeypatch, algorithm, max_iters):
+        calls = []
+        original = gmm.log_component_densities
+
+        def counting(params, x):
+            calls.append(np.size(x))
+            return original(params, x)
+
+        monkeypatch.setattr(gmm, "log_component_densities", counting)
+        data = sample(FIG_TRUTH, 200, seed=12)
+        cfg = ECMConfig(max_iters=max_iters)
+        if algorithm == "em":
+            res = fit_em_standard(data, MixtureParams((0.5, 0.5), (-2.5, 2.0), (1.0, 1.0)), cfg)
+        else:
+            res = fit_ecm_relative(data, relative_init(-2.5, 2.0), cfg)
+        assert len(calls) == res.iterations + 1
+        assert set(calls) == {200}
+
+
+class TestFitObservability:
+    def test_converged_fit_reports_stop_and_kkt(self):
+        data = sample(FIG_TRUTH, 200, seed=12)
+        res = fit_ecm_relative(data, relative_init(-2.5, 2.0), ECMConfig())
+        assert res.stop_reason == "converged" and res.converged
+        assert res.iterations < ECMConfig().max_iters
+        # recompute every gap step's KKT multiplier from the recorded iterates
+        lams = []
+        for prev, cur in zip(res.trajectory_params, res.trajectory_params[1:]):
+            delta, lam = cm_step_delta(e_step(prev, data), data, cur.means[0])
+            assert cur.means == (cur.means[0], cur.means[0] + delta)
+            lams.append(lam)
+        assert res.kkt_active_steps == sum(lam > 0.0 for lam in lams)
+        assert res.max_kkt_multiplier == max(lams)
+
+    def test_kkt_bookkeeping_follows_gap_steps(self, monkeypatch):
+        # exact gap steps from an ECM E-step are clamped only by rounding
+        # (gamma_2 grows with x, so the weighted mean of component 2 is never
+        # below mu1 in exact arithmetic); scripted multipliers check the count
+        scripted = iter([(0.0, 2.5), (0.0, 0.5), (1.0, 0.0)])
+        monkeypatch.setattr(ecm_module, "cm_step_delta", lambda gamma, data, mu1: next(scripted))
+        data = sample(FIG_TRUTH, 200, seed=12)
+        res = fit_ecm_relative(data, relative_init(-2.5, 2.0), ECMConfig(max_iters=3))
+        assert res.kkt_active_steps == 2
+        assert res.max_kkt_multiplier == 2.5
+        gaps = [p.means[1] - p.means[0] for p in res.trajectory_params[1:]]
+        assert gaps[:2] == [0.0, 0.0] and gaps[2] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("algorithm", ["em", "ecm_relative"])
+    def test_max_iters_stop(self, algorithm):
+        data = sample(FIG_TRUTH, 200, seed=12)
+        cfg = ECMConfig(max_iters=3)
+        if algorithm == "em":
+            res = fit_em_standard(data, MixtureParams((0.5, 0.5), (-2.5, 2.0), (1.0, 1.0)), cfg)
+        else:
+            res = fit_ecm_relative(data, relative_init(-2.5, 2.0), cfg)
+        assert res.stop_reason == "max_iters" and not res.converged
+        assert res.iterations == 3
+        assert len(res.trajectory_params) == len(res.loglik) == 4
+        if algorithm == "em":
+            assert (res.kkt_active_steps, res.max_kkt_multiplier) == (0, 0.0)
+
+
+def test_responsibilities_store_component_rows():
+    gamma = Responsibilities(np.array([[0.2, 0.8], [0.6, 0.4], [1.0, 0.0]]))
+    assert gamma.gamma.shape == (3, 2)
+    assert gamma.gamma.T.flags.c_contiguous
+    assert gamma.loglik is None
+    e = e_step(MixtureParams((0.5, 0.5), (0.0, 1.0), (1.0, 1.0)), Dataset((0.0, 1.0, 2.0)))
+    assert e.gamma.shape == (3, 2) and e.gamma.T.flags.c_contiguous
