@@ -7,8 +7,8 @@ for toy feed-forward networks, plus a CLI experiment runner.
 
 __version__ = "0.1.0"
 
-from .gmm import (Dataset, MixtureParams, MomentTable, density, log_density,
-                  log_likelihood, make_rng, mixture_moments, sample, score)
+from .gmm import (Dataset, MixtureParams, density, log_density, log_likelihood,
+                  make_rng, mixture_moments, sample, score)
 from .reparam import (RelativeParams, ReparamSpec, SingularityReport,
                       SingularPointError, classify_singularities, jacobian,
                       to_absolute, to_relative)

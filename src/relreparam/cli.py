@@ -84,8 +84,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    log.info("run complete; %d files in %s", len(manifest.files), out_dir)
-    print(f"wrote {len(manifest.files)} files to {out_dir}")
+    n_files = len(manifest["files"])
+    log.info("run complete; %d files in %s", n_files, out_dir)
+    print(f"wrote {n_files} files to {out_dir}")
     return EXIT_OK
 
 

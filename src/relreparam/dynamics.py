@@ -35,6 +35,7 @@ from .gmm import (Dataset, MixtureParams, MixtureError, log_likelihood, mean_dis
                   mixture_moments, normal_quadrature, score_means)
 
 PARAMETERIZATIONS = ("original", "relative")
+GRADIENT_SOURCES = ("expected", "empirical")
 
 
 @dataclass(frozen=True)
@@ -284,6 +285,8 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
         raise MixtureError("eta must be positive")
     if steps < 1:
         raise MixtureError("need at least one step")
+    if gradient_source not in GRADIENT_SOURCES:
+        raise MixtureError(f"gradient_source must be one of {GRADIENT_SOURCES}")
     if gradient_source == "expected" and not isinstance(true, TrueModel):
         raise MixtureError("expected mode needs a TrueModel")
     if gradient_source == "empirical" and not isinstance(true, Dataset):

@@ -10,17 +10,16 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .dynamics import TrueModel, flow_field, integrate_gd
+from .dynamics import GRADIENT_SOURCES, TrueModel, flow_field, integrate_gd
 from .ecm import ECMConfig, fit_ecm_relative, fit_em_standard
 from .fim import PSD_TOL, SYMMETRY_TOL, SingularFimError, fim_estimate, transform_fim
-from .gmm import MixtureParams, MixtureError, sample
+from .gmm import MixtureParams, MixtureError, make_rng, sample
 from .nn import MLPParams, detect_singularities, report_lines
 from .reparam import ReparamSpec, SingularPointError, jacobian, to_relative
 from .svgplot import SvgCanvas, Viewport, draw_axes, draw_quiver, map_polyline, MARGIN
@@ -91,72 +90,53 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
 
 
 def _reparam_spec(cfg: dict) -> ReparamSpec:
-    rp = cfg.get("reparam", {})
+    """The run's ReparamSpec; keys its reparam block leaves out take the kind's defaults."""
+    rp = {**DEFAULTS[cfg["kind"]]["reparam"], **cfg.get("reparam", {})}
     try:
         return ReparamSpec(
-            ordering_coordinate=rp.get("order_by", "mean"),
-            clearance=float(rp.get("clearance", 0.0)),
-            delta_encoding=rp.get("encoding", "squared"),
+            ordering_coordinate=rp["order_by"],
+            clearance=float(rp["clearance"]),
+            delta_encoding=rp["encoding"],
         )
     except MixtureError as exc:
         raise ConfigError(f"bad reparam block: {exc}") from exc
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
+def write_csv(path: Path, header_cols: list[str], columns) -> None:
+    """Write equal-length columns (arrays, lists or ranges) under a schema line.
 
-
-def write_csv(path: Path, header_cols: list[str], rows) -> None:
+    Each cell is ``str`` of the element ``.tolist()`` gives, so a float is
+    written as its ``repr`` and reads back to the same bits.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError(f"columns of unequal length for {path.name}")
     lines = [f"# schema={SCHEMA_VERSION}", ",".join(header_cols)]
-    for row in rows:
-        lines.append(",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in row))
+    lines += [",".join(map(str, cells)) for cells in zip(*cols)]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-@dataclass
-class RunManifest:
-    """Digest record of one experiment run."""
-
-    config_digest: str
-    tool_version: str
-    wall_time_s: float
-    files: dict[str, str]
-
-    def write(self, out_dir: Path) -> Path:
-        path = out_dir / "run_manifest.json"
-        path.write_text(json.dumps({
-            "config_digest": self.config_digest,
-            "tool_version": self.tool_version,
-            "wall_time_s": round(self.wall_time_s, 3),
-            "files": self.files,
-        }, indent=2, sort_keys=True) + "\n")
-        return path
-
-
-def _finish(cfg: dict, out_dir: Path, started: float, emitted: list[Path]) -> RunManifest:
-    cfg_digest = hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode()).hexdigest()
-    manifest = RunManifest(
-        config_digest=cfg_digest, tool_version=__version__,
-        wall_time_s=time.monotonic() - started,
-        files={p.name: _digest(p) for p in emitted},
-    )
-    manifest.write(out_dir)
+def _finish(cfg: dict, out_dir: Path, started: float, emitted: list[Path]) -> dict:
+    """Write run_manifest.json (config digest, tool version, wall time, file
+    digests) and return its contents."""
+    manifest = {
+        "config_digest": hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
+        "tool_version": __version__,
+        "wall_time_s": round(time.monotonic() - started, 3),
+        "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in emitted},
+    }
+    (out_dir / "run_manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
-def _true_model(cfg: dict, v: float) -> TrueModel:
-    m = cfg["true_means"]
-    return TrueModel(MixtureParams(weights=(v, 1.0 - v),
-                                   means=(float(m[0]), float(m[1])),
-                                   sigmas=(1.0, 1.0)))
+def _mixture(means, v: float) -> MixtureParams:
+    """Unit-variance two-component mixture with weights (v, 1 - v)."""
+    return MixtureParams(weights=(v, 1.0 - v), means=(float(means[0]), float(means[1])),
+                         sigmas=(1.0, 1.0))
 
 
-def run_field(cfg: dict, out_dir: Path) -> RunManifest:
+def run_field(cfg: dict, out_dir: Path) -> dict:
     """Flow fields for both parameterizations on one grid: CSV + quiver SVG."""
     started = time.monotonic()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,25 +148,30 @@ def run_field(cfg: dict, out_dir: Path) -> RunManifest:
     if not (0.0 < spec[2] < np.inf and 0.0 <= spec[1] - spec[0] < np.inf):
         raise ConfigError(f"bad grid block {grid!r}: needs finite min <= max and step > 0")
     v, eta = float(cfg["v"]), float(cfg["eta"])
-    true = _true_model(cfg, v)
+    true = TrueModel(_mixture(cfg["true_means"], v))
     fields = {p: flow_field(spec, spec, v, true, parameterization=p, eta=eta)
               for p in ("original", "relative")}
+    # (mu2, mu1)-shaped grids: raveled, each field's cells run mu2-major
+    grids = {p: np.meshgrid(ff.mu1_axis, ff.mu2_axis) for p, ff in fields.items()}
 
-    rows = []
-    for pname, ff in fields.items():
-        for i, m2 in enumerate(ff.mu2_axis):
-            for j, m1 in enumerate(ff.mu1_axis):
-                rows.append((float(m1), float(m2), float(ff.dmu1[i, j]),
-                             float(ff.dmu2[i, j]), pname))
+    def stacked(arrays):
+        return np.concatenate([a.ravel() for a in arrays])
+
     csv_path = out_dir / "flow_field.csv"
-    write_csv(csv_path, ["mu1", "mu2", "dmu1_dt", "dmu2_dt", "parameterization"], rows)
+    write_csv(csv_path, ["mu1", "mu2", "dmu1_dt", "dmu2_dt", "parameterization"], [
+        stacked([g1 for g1, _ in grids.values()]),
+        stacked([g2 for _, g2 in grids.values()]),
+        stacked([ff.dmu1 for ff in fields.values()]),
+        stacked([ff.dmu2 for ff in fields.values()]),
+        [p for p, ff in fields.items() for _ in range(ff.dmu1.size)],
+    ])
 
     vp = Viewport(spec[0], spec[1], spec[0], spec[1])
     canvas = SvgCanvas(2 * (vp.width + 2 * MARGIN), vp.height + 2 * MARGIN)
     for idx, (pname, ff) in enumerate(fields.items()):
         off = idx * (vp.width + 2 * MARGIN)
         draw_axes(canvas, vp, "mu1", "mu2", title=pname, x_offset=off)
-        g1, g2 = np.meshgrid(ff.mu1_axis, ff.mu2_axis)
+        g1, g2 = grids[pname]
         draw_quiver(canvas, vp, g1, g2, ff.dmu1, ff.dmu2, x_offset=off)
         canvas.marker(vp.px(true.params.means[0]) + off, vp.py(true.params.means[1]))
     svg_path = out_dir / "flow_field.svg"
@@ -194,29 +179,30 @@ def run_field(cfg: dict, out_dir: Path) -> RunManifest:
     return _finish(cfg, out_dir, started, [csv_path, svg_path])
 
 
-def run_gd(cfg: dict, out_dir: Path) -> RunManifest:
+def run_gd(cfg: dict, out_dir: Path) -> dict:
     """Gradient-descent trajectories under both parameterizations."""
     started = time.monotonic()
+    source = cfg["gradient_source"]
+    if source not in GRADIENT_SOURCES:
+        raise ConfigError(f"gradient_source must be one of {GRADIENT_SOURCES}, got {source!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     v, eta, steps = float(cfg["v"]), float(cfg["eta"]), int(cfg["steps"])
     init = (float(cfg["init_means"][0]), float(cfg["init_means"][1]))
-    source = cfg["gradient_source"]
+    truth = _mixture(cfg["true_means"], v)
     if source == "expected":
-        data_or_true = _true_model(cfg, v)
+        data_or_true = TrueModel(truth)
     else:
-        truth = _true_model(cfg, v)
-        data_or_true = sample(truth.params, int(cfg.get("n_samples", 200)), int(cfg["seed"]))
+        data_or_true = sample(truth, int(cfg.get("n_samples", 200)), int(cfg["seed"]))
     emitted = []
     trajs = {}
     for pname in ("original", "relative"):
         traj = integrate_gd(init, data_or_true, eta, steps, parameterization=pname,
                             gradient_source=source, v=v)
         trajs[pname] = traj
-        rows = [(s, float(traj.mu1[s]), float(traj.mu2[s]), float(traj.delta[s]),
-                 float(traj.loglik[s]), float(traj.dist_to_true[s]))
-                for s in range(len(traj.mu1))]
         path = out_dir / f"gd_trajectory_{pname}.csv"
-        write_csv(path, ["step", "mu1", "mu2", "delta", "loglik", "dist_to_true"], rows)
+        write_csv(path, ["step", "mu1", "mu2", "delta", "loglik", "dist_to_true"],
+                  [range(len(traj.mu1)), traj.mu1, traj.mu2, traj.delta, traj.loglik,
+                   traj.dist_to_true])
         emitted.append(path)
     diverged = [pname for pname, traj in trajs.items() if traj.diverged]
     if diverged:
@@ -236,17 +222,13 @@ def run_gd(cfg: dict, out_dir: Path) -> RunManifest:
     return _finish(cfg, out_dir, started, emitted)
 
 
-def run_ecm(cfg: dict, out_dir: Path) -> RunManifest:
+def run_ecm(cfg: dict, out_dir: Path) -> dict:
     """Standard EM vs relative ECM on identical data; comparison CSV + 4-panel SVG."""
     started = time.monotonic()
     out_dir.mkdir(parents=True, exist_ok=True)
-    truth = MixtureParams(weights=(0.5, 0.5),
-                          means=(float(cfg["true_means"][0]), float(cfg["true_means"][1])),
-                          sigmas=(1.0, 1.0))
+    truth = _mixture(cfg["true_means"], 0.5)
     data = sample(truth, int(cfg["n_samples"]), int(cfg["seed"]))
-    init = MixtureParams(weights=(0.5, 0.5),
-                         means=(float(cfg["init_means"][0]), float(cfg["init_means"][1])),
-                         sigmas=(1.0, 1.0))
+    init = _mixture(cfg["init_means"], 0.5)
     config = ECMConfig(epsilon=float(cfg["epsilon"]), max_iters=int(cfg["max_iters"]))
     spec = _reparam_spec(cfg)
     # baseline is vanilla EM with every block free; the relative ECM keeps
@@ -256,16 +238,19 @@ def run_ecm(cfg: dict, out_dir: Path) -> RunManifest:
     em = fit_em_standard(data, init, em_config, truth=truth)
     ecm = fit_ecm_relative(data, to_relative(init, spec), config, truth=truth, spec=spec)
 
-    rows = []
-    for res in (em, ecm):
-        for s, p in enumerate(res.trajectory_params):
-            rows.append((s, float(p.means[0]), float(p.means[1]),
-                         float(abs(p.means[1] - p.means[0])),
-                         float(res.loglik[s]), float(res.dist_to_true[s]),
-                         res.algorithm))
+    # per fit, in the order (em, ecm): each series read once, for the CSV and the panels
+    fits = (em, ecm)
+    means = [np.array([p.means for p in res.trajectory_params]) for res in fits]
+    mu1 = [m[:, 0] for m in means]
+    mu2 = [m[:, 1] for m in means]
+    delta = [np.abs(b - a) for a, b in zip(mu1, mu2)]
+    steps = [np.arange(len(m)) for m in means]
+    loglik = [res.loglik for res in fits]
+    dist = [res.dist_to_true for res in fits]
     csv_path = out_dir / "ecm_trajectories.csv"
-    write_csv(csv_path, ["step", "mu1", "mu2", "delta", "loglik",
-                         "dist_to_true", "algorithm"], rows)
+    write_csv(csv_path, ["step", "mu1", "mu2", "delta", "loglik", "dist_to_true", "algorithm"],
+              [np.concatenate(series) for series in (steps, mu1, mu2, delta, loglik, dist)]
+              + [[res.algorithm for res in fits for _ in res.trajectory_params]])
 
     panel_w, gap = 320.0, 2 * MARGIN
 
@@ -278,44 +263,25 @@ def run_ecm(cfg: dict, out_dir: Path) -> RunManifest:
                         ys.min() - pad_y, ys.max() + pad_y,
                         width=panel_w, height=panel_w)
 
-    def means_arrays(res):
-        m1 = np.asarray([p.means[0] for p in res.trajectory_params])
-        m2 = np.asarray([p.means[1] for p in res.trajectory_params])
-        return m1, m2
-
-    em_m1, em_m2 = means_arrays(em)
-    ecm_m1, ecm_m2 = means_arrays(ecm)
+    iteration = [s.astype(float) for s in steps]
+    panels = (
+        (mu1, mu2, "mu1", "mu2", "a) original coords"),
+        ([np.minimum(a, b) for a, b in zip(mu1, mu2)], delta, "mu1", "delta",
+         "b) relative coords"),
+        (iteration, loglik, "iteration", "loglik", "c) log likelihood"),
+        (iteration, dist, "iteration", "distance", "d) distance to truth"),
+    )
     canvas = SvgCanvas(4 * (panel_w + gap), panel_w + 2 * MARGIN)
-
-    vp_a = panel_vp([em_m1, ecm_m1], [em_m2, ecm_m2])
-    draw_axes(canvas, vp_a, "mu1", "mu2", title="a) original coords", x_offset=0)
-    canvas.polyline(map_polyline(vp_a, em_m1, em_m2), stroke="red")
-    canvas.polyline(map_polyline(vp_a, ecm_m1, ecm_m2), stroke="blue")
-    diag = [(vp_a.px(vp_a.xmin), vp_a.py(vp_a.xmin)), (vp_a.px(vp_a.xmax), vp_a.py(vp_a.xmax))]
-    canvas.polyline(diag, stroke="black", width=0.8)
-    canvas.marker(vp_a.px(truth.means[0]), vp_a.py(truth.means[1]))
-
-    off = panel_w + gap
-    em_ref, em_delta = np.minimum(em_m1, em_m2), np.abs(em_m2 - em_m1)
-    ecm_ref, ecm_delta = np.minimum(ecm_m1, ecm_m2), np.abs(ecm_m2 - ecm_m1)
-    vp_b = panel_vp([em_ref, ecm_ref], [em_delta, ecm_delta])
-    draw_axes(canvas, vp_b, "mu1", "delta", title="b) relative coords", x_offset=off)
-    canvas.polyline(map_polyline(vp_b, em_ref, em_delta, x_offset=off), stroke="red")
-    canvas.polyline(map_polyline(vp_b, ecm_ref, ecm_delta, x_offset=off), stroke="blue")
-
-    off = 2 * (panel_w + gap)
-    it_em = np.arange(len(em.loglik), dtype=float)
-    it_ecm = np.arange(len(ecm.loglik), dtype=float)
-    vp_c = panel_vp([it_em, it_ecm], [em.loglik, ecm.loglik])
-    draw_axes(canvas, vp_c, "iteration", "loglik", title="c) log likelihood", x_offset=off)
-    canvas.polyline(map_polyline(vp_c, it_em, em.loglik, x_offset=off), stroke="red")
-    canvas.polyline(map_polyline(vp_c, it_ecm, ecm.loglik, x_offset=off), stroke="blue")
-
-    off = 3 * (panel_w + gap)
-    vp_d = panel_vp([it_em, it_ecm], [em.dist_to_true, ecm.dist_to_true])
-    draw_axes(canvas, vp_d, "iteration", "distance", title="d) distance to truth", x_offset=off)
-    canvas.polyline(map_polyline(vp_d, it_em, em.dist_to_true, x_offset=off), stroke="red")
-    canvas.polyline(map_polyline(vp_d, it_ecm, ecm.dist_to_true, x_offset=off), stroke="blue")
+    for idx, (xs, ys, xlabel, ylabel, title) in enumerate(panels):
+        off = idx * (panel_w + gap)
+        vp = panel_vp(xs, ys)
+        draw_axes(canvas, vp, xlabel, ylabel, title=title, x_offset=off)
+        for x, y, stroke in zip(xs, ys, ("red", "blue")):
+            canvas.polyline(map_polyline(vp, x, y, x_offset=off), stroke=stroke)
+        if idx == 0:  # the mu1 = mu2 diagonal and the truth, over panel a's paths
+            canvas.polyline([(vp.px(vp.xmin), vp.py(vp.xmin)), (vp.px(vp.xmax), vp.py(vp.xmax))],
+                            stroke="black", width=0.8)
+            canvas.marker(vp.px(truth.means[0]), vp.py(truth.means[1]))
 
     svg_path = out_dir / "ecm_comparison.svg"
     svg_path.write_text(canvas.render())
@@ -325,12 +291,10 @@ def run_ecm(cfg: dict, out_dir: Path) -> RunManifest:
     return manifest
 
 
-def run_fim(cfg: dict, out_dir: Path) -> RunManifest:
+def run_fim(cfg: dict, out_dir: Path) -> dict:
     """Direct vs transformed Fisher matrices, residuals, symmetry/PSD report."""
     started = time.monotonic()
-    means = (float(cfg["means"][0]), float(cfg["means"][1]))
-    v = float(cfg["v"])
-    params = MixtureParams(weights=(v, 1.0 - v), means=means, sigmas=(1.0, 1.0))
+    params = _mixture(cfg["means"], float(cfg["v"]))
     spec = _reparam_spec(cfg)
     rel = to_relative(params, spec)
     jac = jacobian(rel, spec)
@@ -372,8 +336,6 @@ def run_fim(cfg: dict, out_dir: Path) -> RunManifest:
 
 
 def _build_nn(cfg: dict) -> MLPParams:
-    from .gmm import make_rng
-
     sizes = [int(s) for s in cfg["sizes"]]
     if len(sizes) < 2:
         raise ConfigError("nn sizes needs at least input and output widths")
@@ -391,7 +353,7 @@ def _build_nn(cfg: dict) -> MLPParams:
     return MLPParams(weights=tuple(ws), biases=tuple(bs), activation=cfg["activation"])
 
 
-def run_nn(cfg: dict, out_dir: Path) -> RunManifest:
+def run_nn(cfg: dict, out_dir: Path) -> dict:
     """Singularity report for a (possibly constructed-singular) toy network."""
     started = time.monotonic()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -399,15 +361,19 @@ def run_nn(cfg: dict, out_dir: Path) -> RunManifest:
     report = detect_singularities(mlp, tol=float(cfg["tol"]))
     txt_path = out_dir / "nn_report.txt"
     txt_path.write_text("\n".join(report_lines(report)) + "\n")
-    rows = []
-    for layer, unit, norm in report.elimination:
-        rows.append(("elimination", layer, unit, -1, float(norm)))
-    for layer, i, j, sign, gap in report.overlap:
-        rows.append((f"overlap{'+' if sign > 0 else '-'}", layer, i, j, float(gap)))
-    for layer, triple, resid in report.linear_dependence:
-        rows.append(("linear_dependence", layer, triple[0], triple[1], float(resid)))
+    # hits are (layer, unit, norm), (layer, i, j, sign, gap) and (layer, triple, resid)
+    elim, over, dep = report.elimination, report.overlap, report.linear_dependence
+    hits = (*elim, *over, *dep)
     csv_path = out_dir / "nn_report.csv"
-    write_csv(csv_path, ["kind", "layer", "index_a", "index_b", "value"], rows)
+    write_csv(csv_path, ["kind", "layer", "index_a", "index_b", "value"], [
+        ["elimination"] * len(elim)
+        + [f"overlap{'+' if sign > 0 else '-'}" for _, _, _, sign, _ in over]
+        + ["linear_dependence"] * len(dep),
+        [h[0] for h in hits],
+        [h[1] for h in elim] + [h[1] for h in over] + [h[1][0] for h in dep],
+        [-1] * len(elim) + [h[2] for h in over] + [h[1][1] for h in dep],
+        [float(h[-1]) for h in hits],
+    ])
     return _finish(cfg, out_dir, started, [txt_path, csv_path])
 
 

@@ -140,23 +140,6 @@ class Dataset:
         return cls(points=vals, seed=seed)
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Raw moments E[x^0..x^3] of a distribution."""
-
-    raw: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        if len(self.raw) != 4:
-            raise MixtureError("MomentTable holds exactly E[x^0..x^3]")
-        if abs(self.raw[0] - 1.0) > 1e-12:
-            raise MixtureError("E[x^0] must equal 1")
-        object.__setattr__(self, "raw", tuple(float(x) for x in self.raw))
-
-    def __getitem__(self, m: int) -> float:
-        return self.raw[m]
-
-
 def _check_x(x) -> np.ndarray:
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
@@ -318,15 +301,13 @@ def gaussian_raw_moments(mu: float, sigma: float) -> tuple[float, float, float, 
     return (1.0, mu, mu * mu + sigma * sigma, mu ** 3 + 3.0 * mu * sigma * sigma)
 
 
-def mixture_moments(params: MixtureParams, order: int = 3) -> MomentTable:
-    """Raw moments E[x^m], m <= order <= 3, of the mixture.
+def mixture_moments(params: MixtureParams) -> tuple[float, float, float, float]:
+    """Raw moments E[x^0..x^3] of the mixture, as Python floats.
 
-    Orders above 3 are unsupported: the averaged-dynamics integrands are cubic.
+    Order 3 is enough: the averaged-dynamics integrands are cubic.
     """
-    if order not in (0, 1, 2, 3):
-        raise MixtureError("moment order must be in {0,1,2,3}")
     raw = np.zeros(4)
     for pi, mu, sig in zip(params.weights, params.means, params.sigmas):
         raw += pi * np.asarray(gaussian_raw_moments(mu, sig))
     raw[0] = 1.0
-    return MomentTable(raw=tuple(raw))
+    return tuple(raw.tolist())

@@ -33,7 +33,6 @@ class ReparamSpec:
     ordering_coordinate: str = "mean"
     clearance: float = 0.0
     delta_encoding: str = "squared"
-    reference_index: int = 1  # after sorting the reference is always component 1
 
     def __post_init__(self):
         if self.ordering_coordinate not in ORDER_COORDS:
@@ -42,8 +41,6 @@ class ReparamSpec:
             raise MixtureError(f"delta_encoding must be one of {ENCODINGS}")
         if self.clearance < 0:
             raise MixtureError("clearance must be >= 0")
-        if self.reference_index != 1:
-            raise MixtureError("the reference is always the first sorted component")
 
 
 @dataclass(frozen=True)

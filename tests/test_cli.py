@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import relreparam
+from relreparam import experiments
 from relreparam.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_SINGULAR, main)
 from relreparam.experiments import (ConfigError, default_config, load_config,
@@ -139,6 +140,14 @@ class TestExitCodes:
         # guarded precondition: nothing was emitted
         assert not out.exists()
 
+    def test_config_error_on_unknown_gradient_source(self, tmp_path):
+        cfg = default_config("gd")
+        cfg["gradient_source"] = "bogus"
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["gd", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_divergent_gd_is_numerical_failure(self, tmp_path):
         cfg = default_config("gd")
         cfg["init_means"] = [-1.5, 1.2]
@@ -190,6 +199,7 @@ class TestManifest:
                 assert sha256(out / name) == digest
             assert manifest["tool_version"]
             assert manifest["config_digest"]
+            assert set(manifest) == {"config_digest", "tool_version", "wall_time_s", "files"}
 
 
 class TestGoldenFixtures:
@@ -204,6 +214,13 @@ class TestGoldenFixtures:
         assert sha256(out / "ecm_trajectories.csv") == GOLDEN["ecm/ecm_trajectories.csv"]
         expected = (FIXTURES / "ecm_trajectories_golden.csv").read_bytes()
         assert (out / "ecm_trajectories.csv").read_bytes() == expected
+
+    def test_partial_reparam_block_takes_kind_defaults(self, tmp_path):
+        # the left-out encoding is ecm's raw_constrained, so this is the default run
+        path = write_config(tmp_path, {"kind": "ecm", "reparam": {"clearance": 0.0}})
+        out = tmp_path / "ecm"
+        assert main(["ecm", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert sha256(out / "ecm_trajectories.csv") == GOLDEN["ecm/ecm_trajectories.csv"]
 
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
                         or not _dynamic_arch_openblas(),
@@ -225,6 +242,96 @@ class TestGoldenFixtures:
         digest = _child_digest(tmp_path / "field", "field", "flow_field.csv",
                                NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
         assert digest == GOLDEN["field/flow_field.csv"]
+
+
+def assert_csv_cells(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """Every CSV cell equals its in-memory value exactly: text cells as
+    strings, numeric cells through float() (NaN matching NaN)."""
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["# schema=1", ",".join(header)]
+    cells = [line.split(",") for line in lines[2:]]
+    assert len(cells) == len(rows)
+    for r, (got, want) in enumerate(zip(cells, rows)):
+        assert len(got) == len(want), (path.name, r)
+        for cell, value in zip(got, want):
+            if isinstance(value, str):
+                assert cell == value, (path.name, r)
+            else:
+                parsed = float(cell)
+                assert parsed == value or (np.isnan(parsed) and np.isnan(value)), (path.name, r)
+
+
+class TestCsvCells:
+    """Each runner's CSV against the results it computed, captured by
+    wrapping the library calls it makes; the expected rows are built cell
+    by cell, so a transposed or misordered writer fails."""
+
+    @staticmethod
+    def capture(monkeypatch, name: str) -> list:
+        results = []
+        fn = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            results.append(fn(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(experiments, name, wrapper)
+        return results
+
+    def test_field(self, tmp_path, monkeypatch):
+        fields = self.capture(monkeypatch, "flow_field")
+        assert main(["field", "--out", str(tmp_path)]) == EXIT_OK
+        assert [ff.parameterization for ff in fields] == ["original", "relative"]
+        rows = [(m1, m2, ff.dmu1[i, j], ff.dmu2[i, j], ff.parameterization)
+                for ff in fields
+                for i, m2 in enumerate(ff.mu2_axis)
+                for j, m1 in enumerate(ff.mu1_axis)]
+        assert_csv_cells(tmp_path / "flow_field.csv",
+                         ["mu1", "mu2", "dmu1_dt", "dmu2_dt", "parameterization"], rows)
+
+    def test_gd(self, tmp_path, monkeypatch):
+        trajs = self.capture(monkeypatch, "integrate_gd")
+        assert main(["gd", "--out", str(tmp_path)]) == EXIT_OK
+        assert [t.parameterization for t in trajs] == ["original", "relative"]
+        for t in trajs:
+            rows = [(s, t.mu1[s], t.mu2[s], t.delta[s], t.loglik[s], t.dist_to_true[s])
+                    for s in range(t.n_steps + 1)]
+            assert_csv_cells(tmp_path / f"gd_trajectory_{t.parameterization}.csv",
+                             ["step", "mu1", "mu2", "delta", "loglik", "dist_to_true"], rows)
+
+    def test_ecm(self, tmp_path, monkeypatch):
+        em = self.capture(monkeypatch, "fit_em_standard")
+        ecm = self.capture(monkeypatch, "fit_ecm_relative")
+        assert main(["ecm", "--out", str(tmp_path)]) == EXIT_OK
+        rows = [(s, p.means[0], p.means[1], abs(p.means[1] - p.means[0]),
+                 res.loglik[s], res.dist_to_true[s], res.algorithm)
+                for res in (*em, *ecm)
+                for s, p in enumerate(res.trajectory_params)]
+        assert len(ecm[0].trajectory_params) > 1  # so its step column restarts at 0 mid-file
+        assert_csv_cells(tmp_path / "ecm_trajectories.csv",
+                         ["step", "mu1", "mu2", "delta", "loglik", "dist_to_true",
+                          "algorithm"], rows)
+
+    @pytest.mark.parametrize("inject, activation", [
+        (["elimination", "overlap", "linear_dependence"], "identity"), ([], "tanh")],
+        ids=["injected", "clean"])
+    def test_nn(self, tmp_path, monkeypatch, inject, activation):
+        reports = self.capture(monkeypatch, "detect_singularities")
+        cfg = default_config("nn")
+        cfg.update(inject=inject, activation=activation)
+        out = tmp_path / "o"
+        assert main(["nn", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == EXIT_OK
+        (report,) = reports
+        rows = ([("elimination", layer, unit, -1, norm)
+                 for layer, unit, norm in report.elimination]
+                + [(f"overlap{'+' if sign > 0 else '-'}", layer, i, j, gap)
+                   for layer, i, j, sign, gap in report.overlap]
+                + [("linear_dependence", layer, triple[0], triple[1], resid)
+                   for layer, triple, resid in report.linear_dependence])
+        assert (len(rows) > 0) == bool(inject)
+        assert_csv_cells(out / "nn_report.csv",
+                         ["kind", "layer", "index_a", "index_b", "value"], rows)
 
 
 class TestRunField:

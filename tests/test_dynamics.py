@@ -248,6 +248,13 @@ class TestIntegrateGd:
         with pytest.raises(MixtureError):
             integrate_gd((0.0, 1.0), TRUTH0, eta=0.1, steps=0)
 
+    def test_rejects_unknown_gradient_source(self):
+        # anything but the two exact names used to run empirical mode
+        data = sample(TRUTH0.params, 50, seed=1)
+        for truth in (TRUTH0, data):
+            with pytest.raises(MixtureError):
+                integrate_gd((0.0, 1.0), truth, eta=0.1, steps=5, gradient_source="bogus")
+
 
 @pytest.mark.parametrize("name", ["Original", "orig", "RELATIVE", ""])
 class TestRejectsUnknownParameterization:
