@@ -91,11 +91,19 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
 
 def _reparam_spec(cfg: dict) -> ReparamSpec:
     """The run's ReparamSpec; keys its reparam block leaves out take the kind's defaults."""
-    rp = {**DEFAULTS[cfg["kind"]]["reparam"], **cfg.get("reparam", {})}
+    block = cfg.get("reparam", {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"bad reparam block {block!r}: must be a mapping")
+    rp = {**DEFAULTS[cfg["kind"]]["reparam"], **block}
+    try:
+        clearance = float(rp["clearance"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"bad reparam block: clearance {rp['clearance']!r} is not a number") from exc
     try:
         return ReparamSpec(
             ordering_coordinate=rp["order_by"],
-            clearance=float(rp["clearance"]),
+            clearance=clearance,
             delta_encoding=rp["encoding"],
         )
     except MixtureError as exc:
@@ -139,7 +147,6 @@ def _mixture(means, v: float) -> MixtureParams:
 def run_field(cfg: dict, out_dir: Path) -> dict:
     """Flow fields for both parameterizations on one grid: CSV + quiver SVG."""
     started = time.monotonic()
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = cfg["grid"]
     try:
         spec = (float(grid["min"]), float(grid["max"]), float(grid["step"]))
@@ -157,6 +164,7 @@ def run_field(cfg: dict, out_dir: Path) -> dict:
     def stacked(arrays):
         return np.concatenate([a.ravel() for a in arrays])
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "flow_field.csv"
     write_csv(csv_path, ["mu1", "mu2", "dmu1_dt", "dmu2_dt", "parameterization"], [
         stacked([g1 for g1, _ in grids.values()]),
@@ -225,12 +233,12 @@ def run_gd(cfg: dict, out_dir: Path) -> dict:
 def run_ecm(cfg: dict, out_dir: Path) -> dict:
     """Standard EM vs relative ECM on identical data; comparison CSV + 4-panel SVG."""
     started = time.monotonic()
-    out_dir.mkdir(parents=True, exist_ok=True)
     truth = _mixture(cfg["true_means"], 0.5)
     data = sample(truth, int(cfg["n_samples"]), int(cfg["seed"]))
     init = _mixture(cfg["init_means"], 0.5)
     config = ECMConfig(epsilon=float(cfg["epsilon"]), max_iters=int(cfg["max_iters"]))
     spec = _reparam_spec(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     # baseline is vanilla EM with every block free; the relative ECM keeps
     # weights and sigmas fixed at their configured values
     em_config = ECMConfig(epsilon=config.epsilon, max_iters=config.max_iters,
@@ -356,8 +364,8 @@ def _build_nn(cfg: dict) -> MLPParams:
 def run_nn(cfg: dict, out_dir: Path) -> dict:
     """Singularity report for a (possibly constructed-singular) toy network."""
     started = time.monotonic()
-    out_dir.mkdir(parents=True, exist_ok=True)
     mlp = _build_nn(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = detect_singularities(mlp, tol=float(cfg["tol"]))
     txt_path = out_dir / "nn_report.txt"
     txt_path.write_text("\n".join(report_lines(report)) + "\n")

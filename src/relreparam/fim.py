@@ -20,6 +20,10 @@ from .gmm import (MixtureParams, MixtureError, normal_quadrature, sample, score,
 
 COORD_SETS = ("means", "relative_means", "full")
 QUADRATURE_NODES = 201
+# Draws per slice of the Monte-Carlo accumulation. A slice's (k, k, c) score
+# products are the only temporaries that grow with k, so memory stays at a
+# few sample-sized arrays whatever the budget.
+_MC_CHUNK = 1 << 16
 # Largest |F - F^T| entry and most negative eigenvalue a FisherMatrix accepts.
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-8
@@ -71,24 +75,48 @@ def _score_in_coords(params: MixtureParams, xs: np.ndarray, coords: str) -> np.n
     raise MixtureError(f"coords must be one of {COORD_SETS}")
 
 
+def _mc_moments(params: MixtureParams, xs: np.ndarray, coords: str):
+    """Mean and M2 (summed squared deviations) of the score outer products over xs.
+
+    Streams over slices of _MC_CHUNK draws: each slice's mean and M2 about
+    that mean are merged into the running pair with the pairwise update of
+    Chan, Golub & LeVeque (1979).
+    """
+    n, mean, m2 = 0, 0.0, 0.0  # the first merge takes the first slice's pair as is
+    for start in range(0, len(xs), _MC_CHUNK):
+        s = np.ascontiguousarray(_score_in_coords(params, xs[start:start + _MC_CHUNK], coords).T)
+        outer = s[:, None, :] * s[None, :, :]  # (k, k, c), each entry's draws contiguous
+        c = outer.shape[-1]
+        c_mean = outer.mean(axis=-1)
+        outer -= c_mean[..., None]
+        outer *= outer
+        total = n + c
+        d = c_mean - mean
+        mean = mean + d * (c / total)
+        m2 = m2 + outer.sum(axis=-1) + d * d * (n * c / total)
+        n = total
+    return mean, m2
+
+
 def fim_estimate(params: MixtureParams, coords: str = "means",
                  method: str = "quadrature", budget: int = 10 ** 6,
                  seed: int = 0) -> FisherMatrix:
     """Estimate E[s s^T] under the mixture, s the score in the chosen coordinates.
 
-    monte_carlo averages outer products over `budget` draws and reports
-    entrywise standard errors; quadrature integrates per mixture component
-    with a 201-node Gauss-Hermite rule whose nodes span past +-10 sigma
-    (budget ignored).
+    monte_carlo averages outer products over `budget` draws from one
+    ``sample`` call and reports entrywise standard errors sqrt(M2 / (n - 1)
+    / n); the products are accumulated in fixed-size slices of the drawn
+    sample whose means and M2 are merged pairwise (Chan, Golub & LeVeque),
+    so memory does not grow with budget * k^2. quadrature integrates per
+    mixture component with a 201-node Gauss-Hermite rule whose nodes span
+    past +-10 sigma (budget ignored).
     Symmetrized after accumulation.
     """
     if method == "monte_carlo":
         if budget < 100:
             raise MixtureError("monte_carlo budget must be at least 100")
-        s = _score_in_coords(params, sample(params, budget, seed).as_array(), coords)
-        outer = s[:, :, None] * s[:, None, :]
-        mean = outer.mean(axis=0)
-        se = outer.std(axis=0, ddof=1) / np.sqrt(budget)
+        mean, m2 = _mc_moments(params, sample(params, budget, seed).as_array(), coords)
+        se = np.sqrt(m2 / (budget - 1)) / np.sqrt(budget)
         mat = 0.5 * (mean + mean.T)
         return FisherMatrix(entries=mat, coordinates=coords, estimator="monte_carlo",
                             budget=budget, std_errors=0.5 * (se + se.T))

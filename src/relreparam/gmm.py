@@ -279,10 +279,12 @@ def sample(params: MixtureParams, n: int, seed: int) -> Dataset:
     rng = make_rng(seed)
     cum = np.cumsum(params.weights)
     comp = np.searchsorted(cum, rng.random(n), side="right")
-    comp = np.minimum(comp, params.n_components - 1)
-    mu = np.asarray(params.means)[comp]
-    sig = np.asarray(params.sigmas)[comp]
-    return Dataset(points=mu + sig * rng.standard_normal(n), seed=int(seed))
+    np.minimum(comp, params.n_components - 1, out=comp)
+    # in place, so at most three n-sized arrays are alive at once
+    z = rng.standard_normal(n)
+    z *= np.asarray(params.sigmas)[comp]
+    z += np.asarray(params.means)[comp]
+    return Dataset(points=z, seed=int(seed))
 
 
 def mean_distance(params: MixtureParams, truth: MixtureParams) -> float:

@@ -1,9 +1,11 @@
-"""Test-only oracles shared by more than one test module."""
+"""Test-only oracles: independent or earlier, slower paths the fast kernels are checked against."""
 
 import numpy as np
 
+from relreparam import fim
 from relreparam.dynamics import UVWState, means_from_uvw
-from relreparam.gmm import LOG_2PI, Dataset, MixtureParams, responsibilities_array
+from relreparam.gmm import (LOG_2PI, Dataset, MixtureParams, make_rng,
+                            responsibilities_array, sample)
 
 
 def exact_partials_per_sample(state: UVWState, xs: np.ndarray) -> np.ndarray:
@@ -90,3 +92,31 @@ def rowmajor_fit(data: Dataset, params: MixtureParams, config, delta=None):
         if abs(lls[-1] - lls[-2]) <= config.epsilon:
             break
     return iters, traj, np.asarray(lls)
+
+
+def sample_points(params: MixtureParams, n: int, seed: int) -> np.ndarray:
+    """The draws of ``gmm.sample`` as the out-of-place formula mu + sig * z.
+
+    Same Philox calls in the same order: uniforms pick the components, then
+    one standard-normal draw per point.
+    """
+    rng = make_rng(seed)
+    comp = np.searchsorted(np.cumsum(params.weights), rng.random(n), side="right")
+    comp = np.minimum(comp, params.n_components - 1)
+    mu = np.asarray(params.means)[comp]
+    sig = np.asarray(params.sigmas)[comp]
+    return mu + sig * rng.standard_normal(n)
+
+
+def one_shot_mc_fim(params: MixtureParams, coords: str, budget: int, seed: int):
+    """Monte-Carlo FIM entries and standard errors from one (budget, k, k) tensor.
+
+    The unchunked reference for ``fim_estimate``'s streamed accumulation:
+    the same draws and scores, then a mean and a ddof=1 std over axis 0,
+    each symmetrized.
+    """
+    s = fim._score_in_coords(params, sample(params, budget, seed).as_array(), coords)
+    outer = s[:, :, None] * s[:, None, :]
+    mean = outer.mean(axis=0)
+    se = outer.std(axis=0, ddof=1) / np.sqrt(budget)
+    return 0.5 * (mean + mean.T), 0.5 * (se + se.T)

@@ -131,6 +131,28 @@ class TestExitCodes:
             assert main(["field", "--config", str(path),
                          "--out", str(tmp_path / "o")]) == EXIT_CONFIG, grid
 
+    @pytest.mark.parametrize("kind, bad", [
+        ("field", {"grid": {"min": 0.0, "max": 1.0}}),
+        ("ecm", {"reparam": {"encoding": "bogus"}}),
+        ("fim", {"reparam": {"order_by": "bogus"}}),
+        ("nn", {"sizes": [3]}),
+    ], ids=["field", "ecm", "fim", "nn"])
+    def test_config_error_leaves_no_out_dir(self, tmp_path, kind, bad):
+        """gd's case is test_config_error_on_unknown_gradient_source."""
+        path = write_config(tmp_path, {**default_config(kind), **bad})
+        out = tmp_path / "o"
+        assert main([kind, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["ecm", "fim"])
+    @pytest.mark.parametrize("block", [None, ["clearance", 0.0], {"clearance": "abc"}],
+                             ids=["null", "list", "abc"])
+    def test_malformed_reparam_block_is_config_error(self, tmp_path, kind, block):
+        path = write_config(tmp_path, {**default_config(kind), "reparam": block})
+        out = tmp_path / "o"
+        assert main([kind, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_singular_fim_point_refused(self, tmp_path):
         cfg = default_config("fim")
         cfg["means"] = [1.0, 1.0]

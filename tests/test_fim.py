@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from relreparam.fim import (FisherMatrix, SingularFimError, bernoulli_family,
+from oracles import one_shot_mc_fim
+from relreparam.fim import (_MC_CHUNK, FisherMatrix, SingularFimError, bernoulli_family,
                             crouzeix_check, fim_estimate,
                             gaussian_natural_family, length_element,
                             transform_fim)
@@ -69,6 +72,35 @@ class TestFimEstimate:
         a = fim_estimate(p, method="monte_carlo", budget=1000, seed=5)
         b = fim_estimate(p, method="monte_carlo", budget=1000, seed=5)
         assert np.array_equal(a.entries, b.entries)
+
+
+P2 = MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0))
+P3 = MixtureParams((0.2, 0.5, 0.3), (-1.0, 0.5, 2.0), (0.7, 1.0, 1.3))
+
+
+class TestStreamedMonteCarlo:
+    """The slice-by-slice accumulation against the one-shot tensor oracle."""
+
+    @pytest.mark.parametrize("budget", [100, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 200000])
+    @pytest.mark.parametrize("params, coords", [
+        (P2, "means"), (P2, "relative_means"), (P2, "full"), (P3, "means"), (P3, "full"),
+    ], ids=["K2-means", "K2-relative_means", "K2-full", "K3-means", "K3-full"])
+    def test_matches_one_shot_oracle(self, params, coords, budget):
+        m = fim_estimate(params, coords=coords, method="monte_carlo", budget=budget, seed=7)
+        entries, se = one_shot_mc_fim(params, coords, budget, 7)
+        assert np.max(np.abs(m.entries - entries) / np.abs(entries)) < 1e-12
+        assert np.max(np.abs(m.std_errors - se) / np.abs(se)) < 1e-12
+
+    def test_peak_memory_bounded_by_a_few_sample_arrays(self):
+        budget = 10 ** 6
+        tracemalloc.start()
+        try:
+            fim_estimate(P2, coords="means", method="monte_carlo", budget=budget, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a one-shot (budget, 2, 2) product tensor alone is 4 * 8 * budget bytes
+        assert peak < 4 * 8 * budget
 
 
 class TestTransformFim:

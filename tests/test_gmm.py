@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import sample_points
+
 from relreparam.gmm import (Dataset, MixtureParams, MixtureError, density,
                             log_likelihood, make_rng, mixture_moments, sample,
                             score)
@@ -153,6 +155,14 @@ class TestSample:
         p = MixtureParams((1.0,), (0.0,), (1.0,))
         with pytest.raises(MixtureError):
             sample(p, 0, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 1234, 200000, 10 ** 6])
+    @pytest.mark.parametrize("params", [
+        MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0)),
+        MixtureParams((0.2, 0.5, 0.3), (-1.0, 0.5, 2.0), (0.7, 1.0, 1.3)),
+    ], ids=["K2", "K3"])
+    def test_in_place_draws_match_formula_oracle(self, params, n):
+        assert np.array_equal(sample(params, n, seed=31).points, sample_points(params, n, 31))
 
 
 class TestDataset:
