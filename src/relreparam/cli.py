@@ -1,8 +1,8 @@
 """Command-line experiment runner.
 
-Subcommands map one-to-one onto experiment kinds: field, gd, ecm, fim, nn.
-Exit codes: 0 success, 2 config error, 3 numerical failure or
-non-convergence, 4 singularity guard. Verbosity via RELREPARAM_LOG.
+Subcommands map one-to-one onto experiment kinds (field, gd, ecm, fim, nn),
+each run by ``experiments.run``. Exit codes: 0 success, 2 config error, 3
+numerical failure or non-convergence, 4 singularity guard. Verbosity via RELREPARAM_LOG.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from pathlib import Path
 
 import yaml
 
-from .experiments import (KINDS, RUNNERS, ConfigError, ConvergenceError,
-                          default_config, load_config)
+from .experiments import (KINDS, ConfigError, ConvergenceError, default_config,
+                          load_config, run)
 from .fim import SingularFimError
 from .reparam import SingularPointError
 
@@ -70,17 +70,14 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        manifest = RUNNERS[args.kind](cfg, out_dir)
+        manifest = run(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SingularFimError, SingularPointError) as exc:
         print(f"singularity guard: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except ConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (FloatingPointError, ValueError) as exc:
+    except (ConvergenceError, FloatingPointError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,12 +1,16 @@
 """Experiment runners: config loading, CSV/SVG artifacts, run manifests.
 
-Each experiment kind (field, gd, ecm, fim, nn) reads one YAML config, writes
-deterministic CSVs (schema version stamped in a header comment) plus an SVG,
-and records every emitted file with a sha256 digest in run_manifest.json.
+Each kind's runner ``run_<kind>(cfg)`` (field, gd, ecm, fim, nn) builds its
+config-derived values, computes in memory and returns ``(files, failure)``:
+file names mapped to text or to a CSV's ``(header, columns)``, and None or the
+ConvergenceError of a diverged or unconverged run. ``run`` alone writes: after
+the runner returns it creates the directory, writes the deterministic files
+(CSVs under a schema header comment) and run_manifest.json of their sha256s.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import time
@@ -18,15 +22,13 @@ import yaml
 from . import __version__
 from .dynamics import GRADIENT_SOURCES, TrueModel, flow_field, integrate_gd
 from .ecm import ECMConfig, fit_ecm_relative, fit_em_standard
-from .fim import PSD_TOL, SYMMETRY_TOL, SingularFimError, fim_estimate, transform_fim
+from .fim import MIN_MC_BUDGET, PSD_TOL, SYMMETRY_TOL, fim_estimate, transform_fim
 from .gmm import MixtureParams, MixtureError, make_rng, sample
 from .nn import MLPParams, detect_singularities, report_lines
-from .reparam import ReparamSpec, SingularPointError, jacobian, to_relative
+from .reparam import ReparamSpec, jacobian, to_relative
 from .svgplot import SvgCanvas, Viewport, draw_axes, draw_quiver, map_polyline, MARGIN
 
 SCHEMA_VERSION = 1
-
-KINDS = ("field", "gd", "ecm", "fim", "nn")
 
 
 class ConfigError(ValueError):
@@ -100,14 +102,17 @@ def _reparam_spec(cfg: dict) -> ReparamSpec:
     except (TypeError, ValueError) as exc:
         raise ConfigError(
             f"bad reparam block: clearance {rp['clearance']!r} is not a number") from exc
+    return ReparamSpec(ordering_coordinate=rp["order_by"], clearance=clearance,
+                       delta_encoding=rp["encoding"])
+
+
+@contextlib.contextmanager
+def _config_values():
+    """Report a MixtureError raised while building config-derived values as a ConfigError."""
     try:
-        return ReparamSpec(
-            ordering_coordinate=rp["order_by"],
-            clearance=clearance,
-            delta_encoding=rp["encoding"],
-        )
+        yield
     except MixtureError as exc:
-        raise ConfigError(f"bad reparam block: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def write_csv(path: Path, header_cols: list[str], columns) -> None:
@@ -124,17 +129,36 @@ def write_csv(path: Path, header_cols: list[str], columns) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _finish(cfg: dict, out_dir: Path, started: float, emitted: list[Path]) -> dict:
-    """Write run_manifest.json (config digest, tool version, wall time, file
-    digests) and return its contents."""
+def _finish(cfg: dict, out_dir: Path, started: float, names) -> dict:
+    """Write run_manifest.json (config digest, tool version, wall time, digests
+    of the named files) and return its contents."""
     manifest = {
         "config_digest": hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
-        "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in emitted},
+        "files": {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                  for name in names},
     }
     (out_dir / "run_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return manifest
+
+
+def run(cfg: dict, out_dir: Path) -> dict:
+    """Run ``cfg``'s experiment and write its files and manifest to ``out_dir``,
+    created only once the runner has returned; a failure the runner returns
+    is raised after the manifest is written. Returns the manifest."""
+    started = time.monotonic()
+    files, failure = RUNNERS[cfg["kind"]](cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if isinstance(content, str):
+            (out_dir / name).write_text(content)
+        else:
+            write_csv(out_dir / name, *content)
+    manifest = _finish(cfg, out_dir, started, files)
+    if failure is not None:
+        raise failure
     return manifest
 
 
@@ -144,9 +168,8 @@ def _mixture(means, v: float) -> MixtureParams:
                          sigmas=(1.0, 1.0))
 
 
-def run_field(cfg: dict, out_dir: Path) -> dict:
+def run_field(cfg: dict) -> tuple[dict, ConvergenceError | None]:
     """Flow fields for both parameterizations on one grid: CSV + quiver SVG."""
-    started = time.monotonic()
     grid = cfg["grid"]
     try:
         spec = (float(grid["min"]), float(grid["max"]), float(grid["step"]))
@@ -155,7 +178,8 @@ def run_field(cfg: dict, out_dir: Path) -> dict:
     if not (0.0 < spec[2] < np.inf and 0.0 <= spec[1] - spec[0] < np.inf):
         raise ConfigError(f"bad grid block {grid!r}: needs finite min <= max and step > 0")
     v, eta = float(cfg["v"]), float(cfg["eta"])
-    true = TrueModel(_mixture(cfg["true_means"], v))
+    with _config_values():
+        true = TrueModel(_mixture(cfg["true_means"], v))
     fields = {p: flow_field(spec, spec, v, true, parameterization=p, eta=eta)
               for p in ("original", "relative")}
     # (mu2, mu1)-shaped grids: raveled, each field's cells run mu2-major
@@ -164,9 +188,7 @@ def run_field(cfg: dict, out_dir: Path) -> dict:
     def stacked(arrays):
         return np.concatenate([a.ravel() for a in arrays])
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "flow_field.csv"
-    write_csv(csv_path, ["mu1", "mu2", "dmu1_dt", "dmu2_dt", "parameterization"], [
+    table = (["mu1", "mu2", "dmu1_dt", "dmu2_dt", "parameterization"], [
         stacked([g1 for g1, _ in grids.values()]),
         stacked([g2 for _, g2 in grids.values()]),
         stacked([ff.dmu1 for ff in fields.values()]),
@@ -182,40 +204,34 @@ def run_field(cfg: dict, out_dir: Path) -> dict:
         g1, g2 = grids[pname]
         draw_quiver(canvas, vp, g1, g2, ff.dmu1, ff.dmu2, x_offset=off)
         canvas.marker(vp.px(true.params.means[0]) + off, vp.py(true.params.means[1]))
-    svg_path = out_dir / "flow_field.svg"
-    svg_path.write_text(canvas.render())
-    return _finish(cfg, out_dir, started, [csv_path, svg_path])
+    return {"flow_field.csv": table, "flow_field.svg": canvas.render()}, None
 
 
-def run_gd(cfg: dict, out_dir: Path) -> dict:
+def run_gd(cfg: dict) -> tuple[dict, ConvergenceError | None]:
     """Gradient-descent trajectories under both parameterizations."""
-    started = time.monotonic()
     source = cfg["gradient_source"]
     if source not in GRADIENT_SOURCES:
         raise ConfigError(f"gradient_source must be one of {GRADIENT_SOURCES}, got {source!r}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     v, eta, steps = float(cfg["v"]), float(cfg["eta"]), int(cfg["steps"])
-    init = (float(cfg["init_means"][0]), float(cfg["init_means"][1]))
-    truth = _mixture(cfg["true_means"], v)
-    if source == "expected":
-        data_or_true = TrueModel(truth)
-    else:
-        data_or_true = sample(truth, int(cfg.get("n_samples", 200)), int(cfg["seed"]))
-    emitted = []
-    trajs = {}
-    for pname in ("original", "relative"):
-        traj = integrate_gd(init, data_or_true, eta, steps, parameterization=pname,
-                            gradient_source=source, v=v)
-        trajs[pname] = traj
-        path = out_dir / f"gd_trajectory_{pname}.csv"
-        write_csv(path, ["step", "mu1", "mu2", "delta", "loglik", "dist_to_true"],
-                  [range(len(traj.mu1)), traj.mu1, traj.mu2, traj.delta, traj.loglik,
-                   traj.dist_to_true])
-        emitted.append(path)
+    if not (eta > 0 and steps >= 1):
+        raise ConfigError(f"need eta > 0 and steps >= 1, got eta={eta!r}, steps={steps!r}")
+    with _config_values():
+        init = (float(cfg["init_means"][0]), float(cfg["init_means"][1]))
+        truth = _mixture(cfg["true_means"], v)
+        if source == "expected":
+            data_or_true = TrueModel(truth)
+        else:
+            data_or_true = sample(truth, int(cfg.get("n_samples", 200)), int(cfg["seed"]))
+    trajs = {pname: integrate_gd(init, data_or_true, eta, steps, parameterization=pname,
+                                 gradient_source=source, v=v)
+             for pname in ("original", "relative")}
+    files = {f"gd_trajectory_{pname}.csv": (
+        ["step", "mu1", "mu2", "delta", "loglik", "dist_to_true"],
+        [range(len(t.mu1)), t.mu1, t.mu2, t.delta, t.loglik, t.dist_to_true])
+        for pname, t in trajs.items()}
     diverged = [pname for pname, traj in trajs.items() if traj.diverged]
     if diverged:
-        _finish(cfg, out_dir, started, emitted)
-        raise ConvergenceError(f"{', '.join(diverged)} gradient-descent run diverged")
+        return files, ConvergenceError(f"{', '.join(diverged)} gradient-descent run diverged")
 
     lo = min(min(t.mu1.min(), t.mu2.min()) for t in trajs.values())
     hi = max(max(t.mu1.max(), t.mu2.max()) for t in trajs.values())
@@ -224,21 +240,18 @@ def run_gd(cfg: dict, out_dir: Path) -> dict:
     draw_axes(canvas, vp, "mu1", "mu2", title="gradient descent")
     canvas.polyline(map_polyline(vp, trajs["original"].mu1, trajs["original"].mu2), stroke="red")
     canvas.polyline(map_polyline(vp, trajs["relative"].mu1, trajs["relative"].mu2), stroke="blue")
-    svg_path = out_dir / "gd_trajectory.svg"
-    svg_path.write_text(canvas.render())
-    emitted.append(svg_path)
-    return _finish(cfg, out_dir, started, emitted)
+    files["gd_trajectory.svg"] = canvas.render()
+    return files, None
 
 
-def run_ecm(cfg: dict, out_dir: Path) -> dict:
+def run_ecm(cfg: dict) -> tuple[dict, ConvergenceError | None]:
     """Standard EM vs relative ECM on identical data; comparison CSV + 4-panel SVG."""
-    started = time.monotonic()
-    truth = _mixture(cfg["true_means"], 0.5)
-    data = sample(truth, int(cfg["n_samples"]), int(cfg["seed"]))
-    init = _mixture(cfg["init_means"], 0.5)
-    config = ECMConfig(epsilon=float(cfg["epsilon"]), max_iters=int(cfg["max_iters"]))
-    spec = _reparam_spec(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _config_values():
+        truth = _mixture(cfg["true_means"], 0.5)
+        data = sample(truth, int(cfg["n_samples"]), int(cfg["seed"]))
+        init = _mixture(cfg["init_means"], 0.5)
+        config = ECMConfig(epsilon=float(cfg["epsilon"]), max_iters=int(cfg["max_iters"]))
+        spec = _reparam_spec(cfg)
     # baseline is vanilla EM with every block free; the relative ECM keeps
     # weights and sigmas fixed at their configured values
     em_config = ECMConfig(epsilon=config.epsilon, max_iters=config.max_iters,
@@ -255,10 +268,9 @@ def run_ecm(cfg: dict, out_dir: Path) -> dict:
     steps = [np.arange(len(m)) for m in means]
     loglik = [res.loglik for res in fits]
     dist = [res.dist_to_true for res in fits]
-    csv_path = out_dir / "ecm_trajectories.csv"
-    write_csv(csv_path, ["step", "mu1", "mu2", "delta", "loglik", "dist_to_true", "algorithm"],
-              [np.concatenate(series) for series in (steps, mu1, mu2, delta, loglik, dist)]
-              + [[res.algorithm for res in fits for _ in res.trajectory_params]])
+    table = (["step", "mu1", "mu2", "delta", "loglik", "dist_to_true", "algorithm"],
+             [np.concatenate(series) for series in (steps, mu1, mu2, delta, loglik, dist)]
+             + [[res.algorithm for res in fits for _ in res.trajectory_params]])
 
     panel_w, gap = 320.0, 2 * MARGIN
 
@@ -291,27 +303,23 @@ def run_ecm(cfg: dict, out_dir: Path) -> dict:
                             stroke="black", width=0.8)
             canvas.marker(vp.px(truth.means[0]), vp.py(truth.means[1]))
 
-    svg_path = out_dir / "ecm_comparison.svg"
-    svg_path.write_text(canvas.render())
-    manifest = _finish(cfg, out_dir, started, [csv_path, svg_path])
-    if not (em.converged and ecm.converged):
-        raise ConvergenceError("EM/ECM did not converge within the iteration budget")
-    return manifest
+    failure = None if em.converged and ecm.converged else ConvergenceError(
+        "EM/ECM did not converge within the iteration budget")
+    return {"ecm_trajectories.csv": table, "ecm_comparison.svg": canvas.render()}, failure
 
 
-def run_fim(cfg: dict, out_dir: Path) -> dict:
+def run_fim(cfg: dict) -> tuple[dict, ConvergenceError | None]:
     """Direct vs transformed Fisher matrices, residuals, symmetry/PSD report."""
-    started = time.monotonic()
-    params = _mixture(cfg["means"], float(cfg["v"]))
-    spec = _reparam_spec(cfg)
+    with _config_values():
+        params = _mixture(cfg["means"], float(cfg["v"]))
+        spec = _reparam_spec(cfg)
+    budget, seed = int(cfg["budget"]), int(cfg["seed"])
+    if budget < MIN_MC_BUDGET:
+        raise ConfigError(f"budget must be at least {MIN_MC_BUDGET}, got {budget!r}")
     rel = to_relative(params, spec)
     jac = jacobian(rel, spec)
-    budget, seed = int(cfg["budget"]), int(cfg["seed"])
-
-    # raises SingularFimError before anything is written
     direct = fim_estimate(params, coords="relative_means", method="monte_carlo",
                           budget=budget, seed=seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
     absolute = fim_estimate(params, coords="means", method="monte_carlo",
                             budget=budget, seed=seed + 1)
     transformed = transform_fim(absolute, jac)
@@ -319,17 +327,12 @@ def run_fim(cfg: dict, out_dir: Path) -> dict:
     bound = 4.0 * np.sqrt(direct.std_errors ** 2 + transformed.std_errors ** 2)
     ok = bool(np.all(residual <= bound))
 
-    emitted = []
     matrices = (("fim_direct_relative", direct), ("fim_absolute", absolute),
                 ("fim_transformed", transformed))
-    for name, fm in matrices:
-        path = out_dir / f"{name}.csv"
-        path.write_text(fm.to_csv())
-        emitted.append(path)
+    files = {f"{name}.csv": fm.to_csv() for name, fm in matrices}
     asymmetry = max(float(np.max(np.abs(fm.entries - fm.entries.T))) for _, fm in matrices)
     min_eig = min(float(np.min(np.linalg.eigvalsh(fm.entries))) for _, fm in matrices)
-    report = out_dir / "fim_report.txt"
-    lines = [
+    files["fim_report.txt"] = "\n".join([
         f"residual_max: {float(residual.max())!r}",
         f"bound_max: {float(bound.max())!r}",
         f"covariance_law: {'PASS' if ok else 'FAIL'}",
@@ -337,10 +340,8 @@ def run_fim(cfg: dict, out_dir: Path) -> dict:
         f"min_eigenvalue: {min_eig!r}",
         f"symmetry: {'PASS' if asymmetry <= SYMMETRY_TOL else 'FAIL'}",
         f"psd: {'PASS' if min_eig >= -PSD_TOL else 'FAIL'}",
-    ]
-    report.write_text("\n".join(lines) + "\n")
-    emitted.append(report)
-    return _finish(cfg, out_dir, started, emitted)
+    ]) + "\n"
+    return files, None
 
 
 def _build_nn(cfg: dict) -> MLPParams:
@@ -361,28 +362,28 @@ def _build_nn(cfg: dict) -> MLPParams:
     return MLPParams(weights=tuple(ws), biases=tuple(bs), activation=cfg["activation"])
 
 
-def run_nn(cfg: dict, out_dir: Path) -> dict:
+def run_nn(cfg: dict) -> tuple[dict, ConvergenceError | None]:
     """Singularity report for a (possibly constructed-singular) toy network."""
-    started = time.monotonic()
-    mlp = _build_nn(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = detect_singularities(mlp, tol=float(cfg["tol"]))
-    txt_path = out_dir / "nn_report.txt"
-    txt_path.write_text("\n".join(report_lines(report)) + "\n")
+    with _config_values():
+        mlp = _build_nn(cfg)
+    tol = float(cfg["tol"])
+    if not tol > 0:
+        raise ConfigError(f"tol must be positive, got {tol!r}")
+    report = detect_singularities(mlp, tol=tol)
     # hits are (layer, unit, norm), (layer, i, j, sign, gap) and (layer, triple, resid)
     elim, over, dep = report.elimination, report.overlap, report.linear_dependence
     hits = (*elim, *over, *dep)
-    csv_path = out_dir / "nn_report.csv"
-    write_csv(csv_path, ["kind", "layer", "index_a", "index_b", "value"], [
-        ["elimination"] * len(elim)
-        + [f"overlap{'+' if sign > 0 else '-'}" for _, _, _, sign, _ in over]
-        + ["linear_dependence"] * len(dep),
-        [h[0] for h in hits],
-        [h[1] for h in elim] + [h[1] for h in over] + [h[1][0] for h in dep],
-        [-1] * len(elim) + [h[2] for h in over] + [h[1][1] for h in dep],
-        [float(h[-1]) for h in hits],
-    ])
-    return _finish(cfg, out_dir, started, [txt_path, csv_path])
+    return {"nn_report.txt": "\n".join(report_lines(report)) + "\n",
+            "nn_report.csv": (["kind", "layer", "index_a", "index_b", "value"], [
+                ["elimination"] * len(elim)
+                + [f"overlap{'+' if sign > 0 else '-'}" for _, _, _, sign, _ in over]
+                + ["linear_dependence"] * len(dep),
+                [h[0] for h in hits],
+                [h[1] for h in elim] + [h[1] for h in over] + [h[1][0] for h in dep],
+                [-1] * len(elim) + [h[2] for h in over] + [h[1][1] for h in dep],
+                [float(h[-1]) for h in hits],
+            ])}, None
 
 
 RUNNERS = {"field": run_field, "gd": run_gd, "ecm": run_ecm, "fim": run_fim, "nn": run_nn}
+KINDS = tuple(RUNNERS)

@@ -20,6 +20,7 @@ from .gmm import (MixtureParams, MixtureError, normal_quadrature, sample, score,
 
 COORD_SETS = ("means", "relative_means", "full")
 QUADRATURE_NODES = 201
+MIN_MC_BUDGET = 100
 # Draws per slice of the Monte-Carlo accumulation. A slice's (k, k, c) score
 # products are the only temporaries that grow with k, so memory stays at a
 # few sample-sized arrays whatever the budget.
@@ -113,8 +114,8 @@ def fim_estimate(params: MixtureParams, coords: str = "means",
     Symmetrized after accumulation.
     """
     if method == "monte_carlo":
-        if budget < 100:
-            raise MixtureError("monte_carlo budget must be at least 100")
+        if budget < MIN_MC_BUDGET:
+            raise MixtureError(f"monte_carlo budget must be at least {MIN_MC_BUDGET}")
         mean, m2 = _mc_moments(params, sample(params, budget, seed).as_array(), coords)
         se = np.sqrt(m2 / (budget - 1)) / np.sqrt(budget)
         mat = 0.5 * (mean + mean.T)

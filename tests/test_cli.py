@@ -14,8 +14,8 @@ import relreparam
 from relreparam import experiments
 from relreparam.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_SINGULAR, main)
-from relreparam.experiments import (ConfigError, default_config, load_config,
-                                    run_ecm)
+from relreparam.experiments import (DEFAULTS, KINDS, ConfigError, default_config,
+                                    load_config, run)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = json.loads((FIXTURES / "golden_digests.json").read_text())
@@ -90,6 +90,7 @@ class TestConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             default_config("banana")
+        assert tuple(DEFAULTS) == KINDS
 
     def test_override_wins(self, tmp_path):
         path = write_config(tmp_path, {"kind": "fim", "seed": 3})
@@ -136,9 +137,25 @@ class TestExitCodes:
         ("ecm", {"reparam": {"encoding": "bogus"}}),
         ("fim", {"reparam": {"order_by": "bogus"}}),
         ("nn", {"sizes": [3]}),
-    ], ids=["field", "ecm", "fim", "nn"])
+        ("ecm", {"epsilon": 0}),
+        ("ecm", {"max_iters": 0}),
+        ("ecm", {"n_samples": 0}),
+        ("fim", {"budget": 10}),
+        ("fim", {"v": 1.5}),
+        ("gd", {"steps": 0}),
+        ("gd", {"eta": 0}),
+        ("gd", {"v": 1.5}),
+        ("gd", {"gradient_source": "empirical", "n_samples": 0}),
+        ("field", {"v": 1.5}),
+        ("nn", {"tol": 0}),
+        ("nn", {"activation": "sigmoid"}),
+    ], ids=["field", "ecm", "fim", "nn", "ecm-epsilon", "ecm-max_iters", "ecm-n_samples",
+            "fim-budget", "fim-v", "gd-steps", "gd-eta", "gd-v", "gd-empirical-n_samples",
+            "field-v", "nn-tol", "nn-activation"])
     def test_config_error_leaves_no_out_dir(self, tmp_path, kind, bad):
-        """gd's case is test_config_error_on_unknown_gradient_source."""
+        """Malformed blocks and out-of-range values: exit 2 before anything is
+        written. An unknown gd gradient_source is
+        test_config_error_on_unknown_gradient_source."""
         path = write_config(tmp_path, {**default_config(kind), **bad})
         out = tmp_path / "o"
         assert main([kind, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
@@ -168,6 +185,15 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         out = tmp_path / "o"
         assert main(["gd", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_failure_while_computing_leaves_no_out_dir(self, tmp_path, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("overflow in quiver")
+
+        monkeypatch.setattr(experiments, "draw_quiver", overflow)
+        out = tmp_path / "o"
+        assert main(["field", "--out", str(out)]) == EXIT_NUMERICAL
         assert not out.exists()
 
     def test_divergent_gd_is_numerical_failure(self, tmp_path):
@@ -461,5 +487,5 @@ class TestRunNn:
 
 def test_run_ecm_creates_missing_out_dir(tmp_path):
     out = tmp_path / "deep" / "nested" / "dir"
-    run_ecm(default_config("ecm"), out)
+    run(default_config("ecm"), out)
     assert (out / "run_manifest.json").exists()
