@@ -108,10 +108,13 @@ def _reparam_spec(cfg: dict) -> ReparamSpec:
 
 @contextlib.contextmanager
 def _config_values():
-    """Report a MixtureError raised while building config-derived values as a ConfigError."""
+    """Report a value that fails its cast, a numpy argument check or a model
+    check (MixtureError) while building config-derived values as a ConfigError."""
     try:
         yield
-    except MixtureError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -163,7 +166,9 @@ def run(cfg: dict, out_dir: Path) -> dict:
 
 
 def _mixture(means, v: float) -> MixtureParams:
-    """Unit-variance two-component mixture with weights (v, 1 - v)."""
+    """Unit-variance two-component mixture with weights (v, 1 - v), 0 < v < 1."""
+    if not 0.0 < v < 1.0:
+        raise MixtureError(f"v must lie in (0, 1), got {v!r}")
     return MixtureParams(weights=(v, 1.0 - v), means=(float(means[0]), float(means[1])),
                          sigmas=(1.0, 1.0))
 
@@ -177,8 +182,8 @@ def run_field(cfg: dict) -> tuple[dict, ConvergenceError | None]:
         raise ConfigError(f"bad grid block {grid!r}: needs min/max/step") from exc
     if not (0.0 < spec[2] < np.inf and 0.0 <= spec[1] - spec[0] < np.inf):
         raise ConfigError(f"bad grid block {grid!r}: needs finite min <= max and step > 0")
-    v, eta = float(cfg["v"]), float(cfg["eta"])
     with _config_values():
+        v, eta = float(cfg["v"]), float(cfg["eta"])
         true = TrueModel(_mixture(cfg["true_means"], v))
     fields = {p: flow_field(spec, spec, v, true, parameterization=p, eta=eta)
               for p in ("original", "relative")}
@@ -212,10 +217,10 @@ def run_gd(cfg: dict) -> tuple[dict, ConvergenceError | None]:
     source = cfg["gradient_source"]
     if source not in GRADIENT_SOURCES:
         raise ConfigError(f"gradient_source must be one of {GRADIENT_SOURCES}, got {source!r}")
-    v, eta, steps = float(cfg["v"]), float(cfg["eta"]), int(cfg["steps"])
-    if not (eta > 0 and steps >= 1):
-        raise ConfigError(f"need eta > 0 and steps >= 1, got eta={eta!r}, steps={steps!r}")
     with _config_values():
+        v, eta, steps = float(cfg["v"]), float(cfg["eta"]), int(cfg["steps"])
+        if not (eta > 0 and steps >= 1):
+            raise ConfigError(f"need eta > 0 and steps >= 1, got eta={eta!r}, steps={steps!r}")
         init = (float(cfg["init_means"][0]), float(cfg["init_means"][1]))
         truth = _mixture(cfg["true_means"], v)
         if source == "expected":
@@ -313,9 +318,11 @@ def run_fim(cfg: dict) -> tuple[dict, ConvergenceError | None]:
     with _config_values():
         params = _mixture(cfg["means"], float(cfg["v"]))
         spec = _reparam_spec(cfg)
-    budget, seed = int(cfg["budget"]), int(cfg["seed"])
+        budget, seed = int(cfg["budget"]), int(cfg["seed"])
     if budget < MIN_MC_BUDGET:
         raise ConfigError(f"budget must be at least {MIN_MC_BUDGET}, got {budget!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed!r}")
     rel = to_relative(params, spec)
     jac = jacobian(rel, spec)
     direct = fim_estimate(params, coords="relative_means", method="monte_carlo",
@@ -366,7 +373,7 @@ def run_nn(cfg: dict) -> tuple[dict, ConvergenceError | None]:
     """Singularity report for a (possibly constructed-singular) toy network."""
     with _config_values():
         mlp = _build_nn(cfg)
-    tol = float(cfg["tol"])
+        tol = float(cfg["tol"])
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol!r}")
     report = detect_singularities(mlp, tol=tol)

@@ -104,14 +104,13 @@ class MixtureParams:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """One-dimensional dataset, optionally tagged with its generation seed.
+    """One-dimensional dataset.
 
     ``points`` is a read-only float64 copy of the input, validated once here.
     ``==`` compares identity only; compare ``points`` with ``np.array_equal``.
     """
 
     points: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -135,9 +134,9 @@ class Dataset:
         return "\n".join(repr(float(x)) for x in self.points) + "\n"
 
     @classmethod
-    def from_text(cls, text: str, seed: int | None = None) -> "Dataset":
+    def from_text(cls, text: str) -> "Dataset":
         vals = [float(line) for line in text.splitlines() if line.strip()]
-        return cls(points=vals, seed=seed)
+        return cls(points=vals)
 
 
 def _check_x(x) -> np.ndarray:
@@ -284,7 +283,7 @@ def sample(params: MixtureParams, n: int, seed: int) -> Dataset:
     z = rng.standard_normal(n)
     z *= np.asarray(params.sigmas)[comp]
     z += np.asarray(params.means)[comp]
-    return Dataset(points=z, seed=int(seed))
+    return Dataset(points=z)
 
 
 def mean_distance(params: MixtureParams, truth: MixtureParams) -> float:

@@ -12,11 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 MARGIN = 50.0
+# arrows per formatted string in draw_quiver, so its text is built in bounded pieces
+QUIVER_BLOCK = 4096
 
 
 @dataclass
 class Viewport:
-    """Linear data-to-pixel transform for one panel."""
+    """Linear data-to-pixel transform for one panel; px and py also map arrays elementwise."""
 
     xmin: float
     xmax: float
@@ -38,6 +40,14 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _line_template(stroke, width, dash=None) -> str:
+    """A <line> whose four coordinates are ``%.2f`` fields; ``'%.2f' % x`` and
+    ``_fmt(x)`` give the same bytes."""
+    d = f' stroke-dasharray="{dash}"' if dash else ""
+    attrs = f' stroke="{stroke}" stroke-width="{width}"{d}/>'.replace("%", "%%")
+    return '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"' + attrs
+
+
 class SvgCanvas:
     """Accumulates SVG elements; render() returns the full document."""
 
@@ -47,14 +57,12 @@ class SvgCanvas:
         self.elements: list[str] = []
 
     def line(self, x1, y1, x2, y2, stroke="black", width=1.0, dash=None):
-        d = f' stroke-dasharray="{dash}"' if dash else ""
-        self.elements.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"'
-            f' stroke="{stroke}" stroke-width="{width}"{d}/>'
-        )
+        self.elements.append(_line_template(stroke, width, dash) % (x1, y1, x2, y2))
 
     def polyline(self, pts, stroke="blue", width=1.5):
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+        """One polyline through pts, an (n, 2) array or a sequence of (x, y) pairs."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        coords = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
         self.elements.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="{width}"/>'
         )
@@ -104,27 +112,33 @@ def draw_quiver(canvas: SvgCanvas, vp: Viewport, xs, ys, us, vs,
     """Arrows at (xs, ys) with direction (us, vs), lengths capped at norm_cap cells.
 
     Arrow length is proportional to the vector norm, saturating at norm_cap
-    times the grid pitch so dense fields stay readable.
+    times the grid pitch so dense fields stay readable. Zero vectors draw
+    nothing. The geometry is computed in array passes over all arrows, and
+    each block of QUIVER_BLOCK arrows (a shaft and two arrowhead strokes
+    each) is appended to the canvas as one string of ``<line>`` elements.
     """
     xs, ys, us, vs = (np.asarray(a, dtype=float).ravel() for a in (xs, ys, us, vs))
     norms = np.hypot(us, vs)
     vmax = norms.max() if norms.size and norms.max() > 0 else 1.0
     pitch = min(vp.width, vp.height) / max(np.sqrt(norms.size), 1.0)
-    for x, y, u, v, n in zip(xs, ys, us, vs, norms):
-        if n == 0:
-            continue
-        frac = min(n / vmax, 1.0) * norm_cap
-        length = frac * pitch
-        dx, dy = u / n * length, -v / n * length
-        px, py = vp.px(x) + x_offset, vp.py(y)
-        canvas.line(px, py, px + dx, py + dy, stroke=stroke, width=1.0)
-        # arrowhead: two short back-strokes
-        hx, hy = px + dx, py + dy
-        ang = np.arctan2(dy, dx)
-        for da in (+2.6, -2.6):
-            canvas.line(hx, hy, hx + 0.3 * length * np.cos(ang + da),
-                        hy + 0.3 * length * np.sin(ang + da), stroke=stroke, width=1.0)
+    drawn = norms != 0
+    xs, ys, us, vs, n = xs[drawn], ys[drawn], us[drawn], vs[drawn], norms[drawn]
+    length = np.minimum(n / vmax, 1.0) * norm_cap * pitch
+    dx, dy = us / n * length, -vs / n * length
+    px, py = vp.px(xs) + x_offset, vp.py(ys)
+    hx, hy = px + dx, py + dy
+    ang = np.arctan2(dy, dx)
+    # arrowhead: two short back-strokes from the tip
+    heads = [(hx + 0.3 * length * np.cos(ang + da), hy + 0.3 * length * np.sin(ang + da))
+             for da in (+2.6, -2.6)]
+    coords = np.column_stack([px, py, hx, hy, hx, hy, *heads[0], hx, hy, *heads[1]])
+    arrow = "\n".join([_line_template(stroke, 1.0)] * 3)
+    for start in range(0, len(coords), QUIVER_BLOCK):
+        block = coords[start:start + QUIVER_BLOCK]
+        canvas.elements.append("\n".join([arrow] * len(block)) % tuple(block.ravel().tolist()))
 
 
-def map_polyline(vp: Viewport, xs, ys, x_offset: float = 0.0):
-    return [(vp.px(float(x)) + x_offset, vp.py(float(y))) for x, y in zip(xs, ys)]
+def map_polyline(vp: Viewport, xs, ys, x_offset: float = 0.0) -> np.ndarray:
+    """Pixel coordinates of the points (xs, ys) as an (n, 2) array."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    return np.column_stack([vp.px(xs) + x_offset, vp.py(ys)])

@@ -6,6 +6,7 @@ from relreparam import fim
 from relreparam.dynamics import UVWState, means_from_uvw
 from relreparam.gmm import (LOG_2PI, Dataset, MixtureParams, make_rng,
                             responsibilities_array, sample)
+from relreparam.svgplot import SvgCanvas, Viewport
 
 
 def exact_partials_per_sample(state: UVWState, xs: np.ndarray) -> np.ndarray:
@@ -120,3 +121,53 @@ def one_shot_mc_fim(params: MixtureParams, coords: str, budget: int, seed: int):
     mean = outer.mean(axis=0)
     se = outer.std(axis=0, ddof=1) / np.sqrt(budget)
     return 0.5 * (mean + mean.T), 0.5 * (se + se.T)
+
+
+# The slow SVG path: one formatted string per coordinate, one element per stroke.
+
+def _fmt(x: float) -> str:
+    return f"{x:.2f}"
+
+
+def line_per_stroke(canvas: SvgCanvas, x1, y1, x2, y2, stroke="black", width=1.0):
+    """One <line> element, each coordinate formatted on its own."""
+    canvas.elements.append(
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"'
+        f' stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
+def polyline_per_point(canvas: SvgCanvas, pts, stroke="blue", width=1.5):
+    """One <polyline> element from (x, y) pairs, formatted point by point."""
+    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+    canvas.elements.append(
+        f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
+def map_polyline_per_point(vp: Viewport, xs, ys, x_offset: float = 0.0):
+    """Pixel coordinates of (xs, ys) as a list of tuples, mapped point by point."""
+    return [(vp.px(float(x)) + x_offset, vp.py(float(y))) for x, y in zip(xs, ys)]
+
+
+def quiver_per_arrow(canvas: SvgCanvas, vp: Viewport, xs, ys, us, vs,
+                     norm_cap: float = 0.8, stroke="#1f4e9c", x_offset: float = 0.0):
+    """``svgplot.draw_quiver`` arrow by arrow on numpy scalars: a shaft and
+    two arrowhead strokes per non-zero vector, three elements each."""
+    xs, ys, us, vs = (np.asarray(a, dtype=float).ravel() for a in (xs, ys, us, vs))
+    norms = np.hypot(us, vs)
+    vmax = norms.max() if norms.size and norms.max() > 0 else 1.0
+    pitch = min(vp.width, vp.height) / max(np.sqrt(norms.size), 1.0)
+    for x, y, u, v, n in zip(xs, ys, us, vs, norms):
+        if n == 0:
+            continue
+        frac = min(n / vmax, 1.0) * norm_cap
+        length = frac * pitch
+        dx, dy = u / n * length, -v / n * length
+        px, py = vp.px(x) + x_offset, vp.py(y)
+        line_per_stroke(canvas, px, py, px + dx, py + dy, stroke=stroke)
+        hx, hy = px + dx, py + dy
+        ang = np.arctan2(dy, dx)
+        for da in (+2.6, -2.6):
+            line_per_stroke(canvas, hx, hy, hx + 0.3 * length * np.cos(ang + da),
+                            hy + 0.3 * length * np.sin(ang + da), stroke=stroke)

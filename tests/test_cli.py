@@ -53,10 +53,10 @@ def _numpy_has_x86_v4() -> bool:
     return bool(__cpu_features__.get("X86_V4"))
 
 
-def _child_digest(out: Path, kind: str, csv: str, **env_vars) -> str:
-    """Digest of `csv` from `kind` at its defaults, run in a child interpreter
-    with `env_vars` set and the BLAS-kernel and SIMD-dispatch variables
-    otherwise cleared; these variables act only on the child."""
+def _child_digest(out: Path, kind: str, filename: str, **env_vars) -> str:
+    """Digest of the file `filename` from `kind` at its defaults, run in a
+    child interpreter with `env_vars` set and the BLAS-kernel and SIMD-dispatch
+    variables otherwise cleared; these variables act only on the child."""
     env = dict(os.environ)
     for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
         env.pop(name, None)
@@ -66,7 +66,7 @@ def _child_digest(out: Path, kind: str, csv: str, **env_vars) -> str:
     proc = subprocess.run([sys.executable, "-m", "relreparam.cli", kind, "--out", str(out)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == EXIT_OK, proc.stderr
-    return sha256(out / csv)
+    return sha256(out / filename)
 
 
 def write_config(tmp_path, mapping, name="cfg.yaml"):
@@ -149,13 +149,23 @@ class TestExitCodes:
         ("field", {"v": 1.5}),
         ("nn", {"tol": 0}),
         ("nn", {"activation": "sigmoid"}),
+        ("field", {"v": 0.0}),
+        ("gd", {"v": 0.0}),
+        ("fim", {"v": 0.0}),
+        ("fim", {"v": 1.0}),
+        ("ecm", {"epsilon": "abc"}),
+        ("nn", {"seed": -1}),
+        ("fim", {"seed": -1}),
+        ("gd", {"steps": "many"}),
     ], ids=["field", "ecm", "fim", "nn", "ecm-epsilon", "ecm-max_iters", "ecm-n_samples",
             "fim-budget", "fim-v", "gd-steps", "gd-eta", "gd-v", "gd-empirical-n_samples",
-            "field-v", "nn-tol", "nn-activation"])
+            "field-v", "nn-tol", "nn-activation", "field-v-zero", "gd-v-zero", "fim-v-zero",
+            "fim-v-one", "ecm-epsilon-cast", "nn-seed-negative", "fim-seed-negative",
+            "gd-steps-cast"])
     def test_config_error_leaves_no_out_dir(self, tmp_path, kind, bad):
-        """Malformed blocks and out-of-range values: exit 2 before anything is
-        written. An unknown gd gradient_source is
-        test_config_error_on_unknown_gradient_source."""
+        """Malformed blocks, out-of-range values and values that fail their
+        cast or a numpy argument check: exit 2 before anything is written. An
+        unknown gd gradient_source is test_config_error_on_unknown_gradient_source."""
         path = write_config(tmp_path, {**default_config(kind), **bad})
         out = tmp_path / "o"
         assert main([kind, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
@@ -287,9 +297,13 @@ class TestGoldenFixtures:
     # ecm is left out: numpy's exp/log round differently without AVX-512
     @pytest.mark.skipif(not _numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
     def test_field_digest_under_reduced_numpy_simd(self, tmp_path):
-        digest = _child_digest(tmp_path / "field", "field", "flow_field.csv",
+        reduced = tmp_path / "field"
+        digest = _child_digest(reduced, "field", "flow_field.csv",
                                NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
         assert digest == GOLDEN["field/flow_field.csv"]
+        # the quiver's arctan2/cos/sin run over arrays, so through numpy's SIMD kernels
+        native = _child_digest(tmp_path / "native", "field", "flow_field.svg")
+        assert sha256(reduced / "flow_field.svg") == native
 
 
 def assert_csv_cells(path: Path, header: list[str], rows: list[tuple]) -> None:

@@ -1,0 +1,114 @@
+"""The array-pass quiver and polylines against the per-arrow, per-point oracles: same bytes."""
+
+import numpy as np
+import pytest
+
+from oracles import map_polyline_per_point, polyline_per_point, quiver_per_arrow
+from relreparam import svgplot
+from relreparam.dynamics import TrueModel, flow_field
+from relreparam.gmm import MixtureParams
+from relreparam.svgplot import SvgCanvas, Viewport, draw_quiver, map_polyline
+
+TRUTH = TrueModel(MixtureParams(weights=(0.5, 0.5), means=(0.0, 0.0), sigmas=(1.0, 1.0)))
+
+
+def field_cells(step: float, parameterization: str):
+    """Grid points and velocities of the default field's grid at `step`, raveled as run_field draws them."""
+    spec = (-2.0, 2.0, step)
+    ff = flow_field(spec, spec, 0.5, TRUTH, parameterization=parameterization)
+    g1, g2 = np.meshgrid(ff.mu1_axis, ff.mu2_axis)
+    return Viewport(-2.0, 2.0, -2.0, 2.0), g1, g2, ff.dmu1, ff.dmu2
+
+
+def assert_same_document(fast: str, slow: str) -> None:
+    """Equal documents, reporting the first differing line (a full text diff
+    of two quiver documents would take minutes)."""
+    if fast != slow:
+        a, b = fast.splitlines(), slow.splitlines()
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"line {i} of {len(a)} vs {len(b)}: "
+                    f"{a[i] if i < len(a) else None!r} != {b[i] if i < len(b) else None!r}")
+
+
+def both_quivers(vp, xs, ys, us, vs, **kw):
+    """Rendered documents of draw_quiver and of the per-arrow oracle, and the fast canvas."""
+    fast, slow = SvgCanvas(1040.0, 520.0), SvgCanvas(1040.0, 520.0)
+    draw_quiver(fast, vp, xs, ys, us, vs, **kw)
+    quiver_per_arrow(slow, vp, xs, ys, us, vs, **kw)
+    return fast.render(), slow.render(), fast
+
+
+@pytest.mark.parametrize("parameterization", ["original", "relative"])
+@pytest.mark.parametrize("step", [0.1, 0.05], ids=["41x41", "81x81"])
+def test_field_quiver_matches_oracle(step, parameterization):
+    fast, slow, canvas = both_quivers(*field_cells(step, parameterization))
+    assert_same_document(fast, slow)
+    arrows = slow.count("<line") // 3
+    assert len(canvas.elements) == -(-arrows // svgplot.QUIVER_BLOCK)
+
+
+def test_quiver_blocks_split_anywhere(monkeypatch):
+    monkeypatch.setattr(svgplot, "QUIVER_BLOCK", 7)
+    fast, slow, canvas = both_quivers(*field_cells(0.5, "original"))
+    assert_same_document(fast, slow)
+    assert len(canvas.elements) > 1
+
+
+def test_zero_norm_cells_are_skipped():
+    vp, g1, g2, us, vs = field_cells(0.1, "relative")
+    us, vs = us.copy(), vs.copy()
+    us[::3, ::2] = 0.0
+    vs[::3, ::2] = 0.0
+    vs[1::4] = 0.0  # horizontal arrows stay drawn
+    fast, slow, _ = both_quivers(vp, g1, g2, us, vs)
+    assert_same_document(fast, slow)
+
+
+def test_all_zero_field_adds_no_element():
+    vp, g1, g2, us, _ = field_cells(0.5, "original")
+    zeros = np.zeros_like(us)
+    canvas = SvgCanvas(520.0, 520.0)
+    canvas.marker(100.0, 100.0)
+    draw_quiver(canvas, vp, g1, g2, zeros, zeros)
+    canvas.marker(200.0, 200.0)
+    assert len(canvas.elements) == 4  # the markers' strokes only
+    assert "\n\n" not in canvas.render()
+
+
+def test_one_cell_grid_with_zero_span():
+    vp = Viewport(1.0, 1.0, 1.0, 1.0)
+    fast, slow, _ = both_quivers(vp, [1.0], [1.0], [0.3], [-0.2])
+    assert_same_document(fast, slow)
+    assert fast.count("<line") == 3
+
+
+def test_x_offset_and_style():
+    vp, g1, g2, us, vs = field_cells(0.1, "original")
+    fast, slow, _ = both_quivers(vp, g1, g2, us, vs, x_offset=520.0, norm_cap=0.6,
+                                 stroke="#ff0000")
+    assert_same_document(fast, slow)
+
+
+@pytest.mark.parametrize("x_offset", [0.0, 420.0])
+def test_polyline_matches_oracle(x_offset):
+    rng = np.random.default_rng(3)
+    xs, ys = rng.normal(size=301).cumsum(), rng.normal(size=301).cumsum()
+    vp = Viewport(xs.min(), xs.max(), ys.min(), ys.max(), width=320.0, height=320.0)
+    pts = map_polyline(vp, xs, ys, x_offset=x_offset)
+    oracle_pts = map_polyline_per_point(vp, xs, ys, x_offset=x_offset)
+    assert pts.shape == (301, 2)
+    assert np.array_equal(pts, np.array(oracle_pts))
+    fast, slow = SvgCanvas(800.0, 420.0), SvgCanvas(800.0, 420.0)
+    fast.polyline(pts, stroke="red")
+    polyline_per_point(slow, oracle_pts, stroke="red")
+    assert fast.render() == slow.render()
+
+
+def test_polyline_from_list_of_tuples():
+    vp = Viewport(-1.0, 2.0, -1.0, 2.0)
+    pts = [(vp.px(vp.xmin), vp.py(vp.xmin)), (vp.px(vp.xmax), vp.py(vp.xmax))]
+    fast, slow = SvgCanvas(520.0, 520.0), SvgCanvas(520.0, 520.0)
+    fast.polyline(pts, stroke="black", width=0.8)
+    polyline_per_point(slow, pts, stroke="black", width=0.8)
+    assert fast.elements == slow.elements
+    assert fast.elements[0].startswith('<polyline points="50.00,470.00 470.00,50.00"')
