@@ -15,8 +15,8 @@ from pathlib import Path
 
 import yaml
 
-from .experiments import (KINDS, ConfigError, ConvergenceError, default_config,
-                          load_config, run)
+from .experiments import (KINDS, ConfigError, ConvergenceError, check_config,
+                          default_config, load_config, run)
 from .fim import SingularFimError
 from .reparam import SingularPointError
 
@@ -63,17 +63,14 @@ def main(argv=None) -> int:
         if cfg["kind"] != args.kind:
             raise ConfigError(
                 f"config kind {cfg['kind']!r} does not match subcommand {args.kind!r}")
-        out_dir = args.out or Path(cfg.get("out_dir", f"out/{args.kind}"))
+        values = check_config(cfg)  # before out_dir is resolved; run checks it again
+        out_dir = args.out or Path(values["out_dir"])
     except ConfigError as exc:
-        log.error("config error: %s", exc)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
         manifest = run(cfg, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (SingularFimError, SingularPointError) as exc:
         print(f"singularity guard: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

@@ -1,7 +1,9 @@
 """Experiment runners: config loading, CSV/SVG artifacts, run manifests.
 
-Each kind's runner ``run_<kind>(cfg)`` (field, gd, ecm, fim, nn) builds its
-config-derived values, computes in memory and returns ``(files, failure)``:
+A config is checked whole by ``check_config`` against one schema per kind,
+declared below from DEFAULTS. Each kind's runner ``run_<kind>(values)`` (field,
+gd, ecm, fim, nn) takes the checked values, computes in memory and returns
+``(files, failure)``:
 file names mapped to text or to a CSV's ``(header, columns)``, and None or the
 ConvergenceError of a diverged or unconverged run. ``run`` alone writes: after
 the runner returns it creates the directory, writes the deterministic files
@@ -10,7 +12,6 @@ the runner returns it creates the directory, writes the deterministic files
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import time
@@ -23,9 +24,9 @@ from . import __version__
 from .dynamics import GRADIENT_SOURCES, TrueModel, flow_field, integrate_gd
 from .ecm import ECMConfig, fit_ecm_relative, fit_em_standard
 from .fim import MIN_MC_BUDGET, PSD_TOL, SYMMETRY_TOL, fim_estimate, transform_fim
-from .gmm import MixtureParams, MixtureError, make_rng, sample
-from .nn import MLPParams, detect_singularities, report_lines
-from .reparam import ReparamSpec, jacobian, to_relative
+from .gmm import MixtureParams, make_rng, sample
+from .nn import ACTIVATIONS, MLPParams, detect_singularities, report_lines
+from .reparam import ENCODINGS, ORDER_COORDS, ReparamSpec, jacobian, to_relative
 from .svgplot import SvgCanvas, Viewport, draw_axes, draw_quiver, map_polyline, MARGIN
 
 SCHEMA_VERSION = 1
@@ -78,6 +79,8 @@ def default_config(kind: str) -> dict:
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> dict:
+    """The kind's defaults updated by the YAML file and the non-None overrides,
+    as loaded; ``check_config`` checks it."""
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except (OSError, yaml.YAMLError) as exc:
@@ -91,31 +94,95 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
     return cfg
 
 
-def _reparam_spec(cfg: dict) -> ReparamSpec:
-    """The run's ReparamSpec; keys its reparam block leaves out take the kind's defaults."""
-    block = cfg.get("reparam", {})
+# The config schema. A key's type is that of its DEFAULTS value: a float takes
+# any finite number, an int any integral one (2.0, not 2.7), neither a bool; a
+# string one of CHOICES[key], if the key has choices; a list is checked item by
+# item and a block key by key. RANGES has the other rules. Unknown keys are
+# errors; OPTIONAL keys, and any key of a reparam block, fall back to a value.
+INJECTIONS = ("elimination", "overlap", "linear_dependence")
+CHOICES = {"gradient_source": GRADIENT_SOURCES, "activation": ACTIVATIONS,
+           "order_by": ORDER_COORDS, "encoding": ENCODINGS, "inject": INJECTIONS}
+_PAIR = (lambda xs: len(xs) == 2, "must hold two numbers")
+RANGES = {
+    "seed": (lambda x: x >= 0, "must be >= 0"),
+    "eta": (lambda x: x > 0, "must be > 0"),
+    "v": (lambda x: 0 < x < 1, "must lie in (0, 1)"),
+    "steps": (lambda x: x >= 1, "must be >= 1"),
+    "n_samples": (lambda x: x >= 1, "must be >= 1"),
+    "max_iters": (lambda x: x >= 1, "must be >= 1"),
+    "epsilon": (lambda x: x > 0, "must be > 0"),
+    "tol": (lambda x: x > 0, "must be > 0"),
+    "budget": (lambda x: x >= MIN_MC_BUDGET, f"must be >= {MIN_MC_BUDGET}"),
+    "clearance": (lambda x: x >= 0, "must be >= 0"),
+    "step": (lambda x: x > 0, "must be > 0"),
+    "grid": (lambda g: 0 <= g["max"] - g["min"] < np.inf, "needs min <= max"),
+    "true_means": _PAIR, "init_means": _PAIR, "means": _PAIR,
+    "sizes": (lambda s: len(s) >= 2 and min(s) >= 1, "needs two or more widths, each >= 1"),
+}
+OPTIONAL = {kind: {"out_dir": f"out/{kind}"} for kind in DEFAULTS}
+OPTIONAL["gd"]["n_samples"] = 200
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _scalar(path: str, key: str, value, default):
+    if isinstance(default, str):
+        ok = isinstance(value, str) and (key not in CHOICES or value in CHOICES[key])
+        expected = f"one of {CHOICES[key]}" if key in CHOICES else "a string"
+    elif isinstance(default, int):
+        ok = type(value) is int or type(value) is float and value.is_integer()
+        expected = "an integer"
+    else:
+        ok = type(value) in (int, float) and abs(value) <= _FLOAT_MAX
+        expected = "a finite number"
+    if not ok:
+        raise ConfigError(f"{path} must be {expected}, got {value!r}")
+    return type(default)(value)
+
+
+def _block(prefix: str, block, schema: dict, fallback: dict) -> dict:
     if not isinstance(block, dict):
-        raise ConfigError(f"bad reparam block {block!r}: must be a mapping")
-    rp = {**DEFAULTS[cfg["kind"]]["reparam"], **block}
-    try:
-        clearance = float(rp["clearance"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"bad reparam block: clearance {rp['clearance']!r} is not a number") from exc
-    return ReparamSpec(ordering_coordinate=rp["order_by"], clearance=clearance,
+        raise ConfigError(f"{prefix[:-1]} must be a mapping, got {block!r}")
+    for key in block:
+        if key not in schema:
+            raise ConfigError(f"unknown key {prefix}{key}")
+    values = {**fallback, **block}
+    for key in schema:
+        if key not in values:
+            raise ConfigError(f"missing key {prefix}{key}")
+    return {key: _typed(prefix + key, key, values[key], default)
+            for key, default in schema.items()}
+
+
+def _typed(path: str, key: str, value, default):
+    """``value`` cast to the type of ``default`` and checked against RANGES."""
+    if isinstance(default, dict):
+        typed = _block(path + ".", value, default, default if key == "reparam" else {})
+    elif isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        typed = [_scalar(f"{path}[{i}]", key, x, default[0]) for i, x in enumerate(value)]
+    else:
+        typed = _scalar(path, key, value, default)
+    rule, problem = RANGES.get(key, (None, ""))
+    if rule is not None and not rule(typed):
+        raise ConfigError(f"{path} {problem}, got {value!r}")
+    return typed
+
+
+def check_config(cfg: dict) -> dict:
+    """The checked values of ``cfg``, cast to their declared types, with every
+    OPTIONAL key and reparam key it leaves out filled in. ``cfg`` is left as
+    loaded, for its digest. Raises ConfigError naming the first bad key."""
+    kind = cfg.get("kind")
+    if kind not in KINDS:
+        raise ConfigError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
+    return _block("", cfg, {**DEFAULTS[kind], **OPTIONAL[kind]}, OPTIONAL[kind])
+
+
+def _reparam_spec(values: dict) -> ReparamSpec:
+    rp = values["reparam"]
+    return ReparamSpec(ordering_coordinate=rp["order_by"], clearance=rp["clearance"],
                        delta_encoding=rp["encoding"])
-
-
-@contextlib.contextmanager
-def _config_values():
-    """Report a value that fails its cast, a numpy argument check or a model
-    check (MixtureError) while building config-derived values as a ConfigError."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def write_csv(path: Path, header_cols: list[str], columns) -> None:
@@ -148,11 +215,12 @@ def _finish(cfg: dict, out_dir: Path, started: float, names) -> dict:
 
 
 def run(cfg: dict, out_dir: Path) -> dict:
-    """Run ``cfg``'s experiment and write its files and manifest to ``out_dir``,
-    created only once the runner has returned; a failure the runner returns
-    is raised after the manifest is written. Returns the manifest."""
+    """Run ``cfg``'s experiment on its checked values and write its files and
+    manifest to ``out_dir``, created only once the runner has returned; a
+    failure the runner returns is raised after the manifest is written.
+    Returns the manifest."""
     started = time.monotonic()
-    files, failure = RUNNERS[cfg["kind"]](cfg)
+    files, failure = RUNNERS[cfg["kind"]](check_config(cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         if isinstance(content, str):
@@ -165,27 +233,16 @@ def run(cfg: dict, out_dir: Path) -> dict:
     return manifest
 
 
-def _mixture(means, v: float) -> MixtureParams:
-    """Unit-variance two-component mixture with weights (v, 1 - v), 0 < v < 1."""
-    if not 0.0 < v < 1.0:
-        raise MixtureError(f"v must lie in (0, 1), got {v!r}")
-    return MixtureParams(weights=(v, 1.0 - v), means=(float(means[0]), float(means[1])),
-                         sigmas=(1.0, 1.0))
+def _mixture(means: list, v: float) -> MixtureParams:
+    """Unit-variance two-component mixture with weights (v, 1 - v)."""
+    return MixtureParams(weights=(v, 1.0 - v), means=tuple(means), sigmas=(1.0, 1.0))
 
 
-def run_field(cfg: dict) -> tuple[dict, ConvergenceError | None]:
+def run_field(values: dict) -> tuple[dict, ConvergenceError | None]:
     """Flow fields for both parameterizations on one grid: CSV + quiver SVG."""
-    grid = cfg["grid"]
-    try:
-        spec = (float(grid["min"]), float(grid["max"]), float(grid["step"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid block {grid!r}: needs min/max/step") from exc
-    if not (0.0 < spec[2] < np.inf and 0.0 <= spec[1] - spec[0] < np.inf):
-        raise ConfigError(f"bad grid block {grid!r}: needs finite min <= max and step > 0")
-    with _config_values():
-        v, eta = float(cfg["v"]), float(cfg["eta"])
-        true = TrueModel(_mixture(cfg["true_means"], v))
-    fields = {p: flow_field(spec, spec, v, true, parameterization=p, eta=eta)
+    spec = (values["grid"]["min"], values["grid"]["max"], values["grid"]["step"])
+    true = TrueModel(_mixture(values["true_means"], values["v"]))
+    fields = {p: flow_field(spec, spec, values["v"], true, parameterization=p, eta=values["eta"])
               for p in ("original", "relative")}
     # (mu2, mu1)-shaped grids: raveled, each field's cells run mu2-major
     grids = {p: np.meshgrid(ff.mu1_axis, ff.mu2_axis) for p, ff in fields.items()}
@@ -212,22 +269,16 @@ def run_field(cfg: dict) -> tuple[dict, ConvergenceError | None]:
     return {"flow_field.csv": table, "flow_field.svg": canvas.render()}, None
 
 
-def run_gd(cfg: dict) -> tuple[dict, ConvergenceError | None]:
+def run_gd(values: dict) -> tuple[dict, ConvergenceError | None]:
     """Gradient-descent trajectories under both parameterizations."""
-    source = cfg["gradient_source"]
-    if source not in GRADIENT_SOURCES:
-        raise ConfigError(f"gradient_source must be one of {GRADIENT_SOURCES}, got {source!r}")
-    with _config_values():
-        v, eta, steps = float(cfg["v"]), float(cfg["eta"]), int(cfg["steps"])
-        if not (eta > 0 and steps >= 1):
-            raise ConfigError(f"need eta > 0 and steps >= 1, got eta={eta!r}, steps={steps!r}")
-        init = (float(cfg["init_means"][0]), float(cfg["init_means"][1]))
-        truth = _mixture(cfg["true_means"], v)
-        if source == "expected":
-            data_or_true = TrueModel(truth)
-        else:
-            data_or_true = sample(truth, int(cfg.get("n_samples", 200)), int(cfg["seed"]))
-    trajs = {pname: integrate_gd(init, data_or_true, eta, steps, parameterization=pname,
+    source, v = values["gradient_source"], values["v"]
+    truth = _mixture(values["true_means"], v)
+    if source == "expected":
+        data_or_true = TrueModel(truth)
+    else:
+        data_or_true = sample(truth, values["n_samples"], values["seed"])
+    trajs = {pname: integrate_gd(tuple(values["init_means"]), data_or_true, values["eta"],
+                                 values["steps"], parameterization=pname,
                                  gradient_source=source, v=v)
              for pname in ("original", "relative")}
     files = {f"gd_trajectory_{pname}.csv": (
@@ -249,14 +300,13 @@ def run_gd(cfg: dict) -> tuple[dict, ConvergenceError | None]:
     return files, None
 
 
-def run_ecm(cfg: dict) -> tuple[dict, ConvergenceError | None]:
+def run_ecm(values: dict) -> tuple[dict, ConvergenceError | None]:
     """Standard EM vs relative ECM on identical data; comparison CSV + 4-panel SVG."""
-    with _config_values():
-        truth = _mixture(cfg["true_means"], 0.5)
-        data = sample(truth, int(cfg["n_samples"]), int(cfg["seed"]))
-        init = _mixture(cfg["init_means"], 0.5)
-        config = ECMConfig(epsilon=float(cfg["epsilon"]), max_iters=int(cfg["max_iters"]))
-        spec = _reparam_spec(cfg)
+    truth = _mixture(values["true_means"], 0.5)
+    data = sample(truth, values["n_samples"], values["seed"])
+    init = _mixture(values["init_means"], 0.5)
+    config = ECMConfig(epsilon=values["epsilon"], max_iters=values["max_iters"])
+    spec = _reparam_spec(values)
     # baseline is vanilla EM with every block free; the relative ECM keeps
     # weights and sigmas fixed at their configured values
     em_config = ECMConfig(epsilon=config.epsilon, max_iters=config.max_iters,
@@ -313,22 +363,16 @@ def run_ecm(cfg: dict) -> tuple[dict, ConvergenceError | None]:
     return {"ecm_trajectories.csv": table, "ecm_comparison.svg": canvas.render()}, failure
 
 
-def run_fim(cfg: dict) -> tuple[dict, ConvergenceError | None]:
+def run_fim(values: dict) -> tuple[dict, ConvergenceError | None]:
     """Direct vs transformed Fisher matrices, residuals, symmetry/PSD report."""
-    with _config_values():
-        params = _mixture(cfg["means"], float(cfg["v"]))
-        spec = _reparam_spec(cfg)
-        budget, seed = int(cfg["budget"]), int(cfg["seed"])
-    if budget < MIN_MC_BUDGET:
-        raise ConfigError(f"budget must be at least {MIN_MC_BUDGET}, got {budget!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed!r}")
+    params = _mixture(values["means"], values["v"])
+    spec = _reparam_spec(values)
     rel = to_relative(params, spec)
     jac = jacobian(rel, spec)
     direct = fim_estimate(params, coords="relative_means", method="monte_carlo",
-                          budget=budget, seed=seed)
+                          budget=values["budget"], seed=values["seed"])
     absolute = fim_estimate(params, coords="means", method="monte_carlo",
-                            budget=budget, seed=seed + 1)
+                            budget=values["budget"], seed=values["seed"] + 1)
     transformed = transform_fim(absolute, jac)
     residual = np.abs(direct.entries - transformed.entries)
     bound = 4.0 * np.sqrt(direct.std_errors ** 2 + transformed.std_errors ** 2)
@@ -351,32 +395,27 @@ def run_fim(cfg: dict) -> tuple[dict, ConvergenceError | None]:
     return files, None
 
 
-def _build_nn(cfg: dict) -> MLPParams:
-    sizes = [int(s) for s in cfg["sizes"]]
-    if len(sizes) < 2:
-        raise ConfigError("nn sizes needs at least input and output widths")
-    rng = make_rng(int(cfg["seed"]))
+def _build_nn(values: dict) -> MLPParams:
+    """A network of the given widths; ``inject`` names, from INJECTIONS, the
+    singularities to build into its first hidden layer."""
+    sizes = values["sizes"]
+    rng = make_rng(values["seed"])
     ws = [rng.standard_normal((sizes[i], sizes[i + 1])) for i in range(len(sizes) - 1)]
     bs = [rng.standard_normal(sizes[i + 1]) for i in range(len(sizes) - 1)]
-    inject = cfg.get("inject", [])
+    elimination, overlap, dependence = (name in values["inject"] for name in INJECTIONS)
     if len(sizes) >= 3:
-        if "elimination" in inject:
+        if elimination:
             ws[0][:, 0] = 0.0
-        if "overlap" in inject and sizes[1] >= 3:
+        if overlap and sizes[1] >= 3:
             ws[0][:, 2] = ws[0][:, 1]
-        if "linear_dependence" in inject and sizes[1] >= 4:
+        if dependence and sizes[1] >= 4:
             ws[0][:, 3] = 2.0 * ws[0][:, 1] + 3.0 * ws[0][:, 2]
-    return MLPParams(weights=tuple(ws), biases=tuple(bs), activation=cfg["activation"])
+    return MLPParams(weights=tuple(ws), biases=tuple(bs), activation=values["activation"])
 
 
-def run_nn(cfg: dict) -> tuple[dict, ConvergenceError | None]:
+def run_nn(values: dict) -> tuple[dict, ConvergenceError | None]:
     """Singularity report for a (possibly constructed-singular) toy network."""
-    with _config_values():
-        mlp = _build_nn(cfg)
-        tol = float(cfg["tol"])
-    if not tol > 0:
-        raise ConfigError(f"tol must be positive, got {tol!r}")
-    report = detect_singularities(mlp, tol=tol)
+    report = detect_singularities(_build_nn(values), tol=values["tol"])
     # hits are (layer, unit, norm), (layer, i, j, sign, gap) and (layer, triple, resid)
     elim, over, dep = report.elimination, report.overlap, report.linear_dependence
     hits = (*elim, *over, *dep)

@@ -71,36 +71,6 @@ class MixtureParams:
             sigmas=tuple(self.sigmas[i] for i in perm),
         )
 
-    def to_text(self) -> str:
-        """Serialize as the flat key-value record: K, pi, mu, sigma."""
-        fmt = lambda xs: ",".join(repr(float(x)) for x in xs)
-        return (
-            f"K: {self.n_components}\n"
-            f"pi: {fmt(self.weights)}\n"
-            f"mu: {fmt(self.means)}\n"
-            f"sigma: {fmt(self.sigmas)}\n"
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "MixtureParams":
-        fields = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition(":")
-            fields[key.strip()] = val.strip()
-        for key in ("K", "pi", "mu", "sigma"):
-            if key not in fields:
-                raise MixtureError(f"missing field {key!r} in mixture record")
-        k = int(fields["K"])
-        parse = lambda s: tuple(float(v) for v in s.split(","))
-        params = cls(weights=parse(fields["pi"]), means=parse(fields["mu"]),
-                     sigmas=parse(fields["sigma"]))
-        if params.n_components != k:
-            raise MixtureError("K does not match vector lengths")
-        return params
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -129,14 +99,6 @@ class Dataset:
 
     def as_array(self) -> np.ndarray:
         return self.points
-
-    def to_text(self) -> str:
-        return "\n".join(repr(float(x)) for x in self.points) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Dataset":
-        vals = [float(line) for line in text.splitlines() if line.strip()]
-        return cls(points=vals)
 
 
 def _check_x(x) -> np.ndarray:

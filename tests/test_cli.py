@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +16,8 @@ import relreparam
 from relreparam import experiments
 from relreparam.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_SINGULAR, main)
-from relreparam.experiments import (DEFAULTS, KINDS, ConfigError, default_config,
-                                    load_config, run)
+from relreparam.experiments import (DEFAULTS, KINDS, ConfigError, check_config,
+                                    default_config, load_config, run)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = json.loads((FIXTURES / "golden_digests.json").read_text())
@@ -103,6 +105,68 @@ class TestConfig:
             load_config(path)
 
 
+class TestConfigSchema:
+    """Every config the project ships or benchmarks passes check_config, and
+    checking leaves the config, and so its digest, as loaded."""
+
+    DIGESTS = {"field": "af5ec70781f6", "gd": "fcb84a15c596", "ecm": "ee3f1c042dab",
+               "fim": "592663073c2f", "nn": "870c76fd1a74"}
+
+    @staticmethod
+    def workload_configs():
+        path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        return [workloads.config(kind, slot.overrides, seed)
+                for slots in workloads.WORKLOADS.values()
+                for kind, slot in slots.items() for seed in (None, 7)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_defaults_pass_and_keep_their_digest(self, tmp_path, kind, capsys):
+        cfg = default_config(kind)
+        check_config(cfg)
+        assert cfg == DEFAULTS[kind]
+        digest = experiments._finish(cfg, tmp_path, 0.0, ())["config_digest"]
+        assert digest.startswith(self.DIGESTS[kind])
+        assert main([kind, "--print-defaults"]) == EXIT_OK
+        printed = tmp_path / "printed.yaml"
+        printed.write_text(capsys.readouterr().out)
+        loaded = load_config(printed)
+        check_config(loaded)
+        assert loaded == cfg
+
+    def test_workload_configs_pass(self, tmp_path):
+        configs = self.workload_configs()
+        assert len(configs) == 20
+        for cfg in configs:
+            values = check_config(load_config(write_config(tmp_path, cfg)))
+            assert values["kind"] == cfg["kind"]
+
+    def test_values_are_typed_and_filled(self):
+        cfg = {**default_config("gd"), "steps": 3.0, "eta": 1, "true_means": [0, 0],
+               "reparam": {"clearance": 1}}
+        loaded = json.loads(json.dumps(cfg))
+        values = check_config(cfg)
+        assert cfg == loaded
+        assert type(values["steps"]) is int and type(values["eta"]) is float
+        assert [type(m) for m in values["true_means"]] == [float, float]
+        assert values["reparam"] == {**DEFAULTS["gd"]["reparam"], "clearance": 1.0}
+        assert (values["n_samples"], values["out_dir"]) == (200, "out/gd")
+
+    @pytest.mark.parametrize("kind, bad, named", [
+        ("ecm", {"n_sample": 5}, "unknown key n_sample"),
+        ("ecm", {"reparam": {"encodng": "raw"}}, "unknown key reparam.encodng"),
+        ("field", {"grid": {"min": 0.0, "max": 1.0}}, "missing key grid.step"),
+        ("nn", {"sizes": [3, 4.5, 1]}, "sizes[1] must be an integer"),
+        ("nn", {"inject": ["elimnation"]}, "inject[0] must be one of"),
+        ("nn", {"tol": float("nan")}, "tol must be a finite number"),
+    ])
+    def test_error_names_the_key(self, kind, bad, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            check_config({**default_config(kind), **bad})
+
+
 class TestExitCodes:
     def test_success(self, tmp_path):
         assert main(["nn", "--out", str(tmp_path / "o")]) == EXIT_OK
@@ -157,15 +221,38 @@ class TestExitCodes:
         ("nn", {"seed": -1}),
         ("fim", {"seed": -1}),
         ("gd", {"steps": "many"}),
+        ("gd", {"init_means": [1.0]}),
+        ("fim", {"means": [1.0]}),
+        ("field", {"out_dir": 5}),
+        ("field", {"out_dir": ["a"]}),
+        ("ecm", {"n_sample": 5000}),
+        ("gd", {"steps": 2.7}),
+        ("gd", {"steps": True}),
+        ("ecm", {"max_iters": 2.5}),
+        ("fim", {"seed": 1.9}),
+        ("nn", {"sizes": [3, 4.5, 1]}),
+        ("nn", {"sizes": [3, True, 1]}),
+        ("ecm", {"true_means": [0, 0, 7]}),
+        ("ecm", {"reparam": {"encodng": "squared"}}),
+        ("field", {"grid": {"min": -2.0, "max": 2.0, "step": 0.1, "extra": 3}}),
+        ("field", {"eta": -1}),
+        ("nn", {"inject": "overlap"}),
+        ("nn", {"inject": ["elimnation"]}),
     ], ids=["field", "ecm", "fim", "nn", "ecm-epsilon", "ecm-max_iters", "ecm-n_samples",
             "fim-budget", "fim-v", "gd-steps", "gd-eta", "gd-v", "gd-empirical-n_samples",
             "field-v", "nn-tol", "nn-activation", "field-v-zero", "gd-v-zero", "fim-v-zero",
             "fim-v-one", "ecm-epsilon-cast", "nn-seed-negative", "fim-seed-negative",
-            "gd-steps-cast"])
+            "gd-steps-cast", "gd-init_means-short", "fim-means-short", "out_dir-int",
+            "out_dir-list", "ecm-unknown-key", "gd-steps-fraction", "gd-steps-bool",
+            "ecm-max_iters-fraction", "fim-seed-fraction", "nn-sizes-fraction",
+            "nn-sizes-bool", "ecm-true_means-three", "ecm-reparam-unknown-key",
+            "field-grid-unknown-key", "field-eta-negative", "nn-inject-string",
+            "nn-inject-misspelled"])
     def test_config_error_leaves_no_out_dir(self, tmp_path, kind, bad):
-        """Malformed blocks, out-of-range values and values that fail their
-        cast or a numpy argument check: exit 2 before anything is written. An
-        unknown gd gradient_source is test_config_error_on_unknown_gradient_source."""
+        """Malformed blocks, unknown keys, out-of-range values and values of
+        the wrong type (a fraction or a bool for an int, a short list): exit 2
+        before anything is written. An unknown gd gradient_source is
+        test_config_error_on_unknown_gradient_source."""
         path = write_config(tmp_path, {**default_config(kind), **bad})
         out = tmp_path / "o"
         assert main([kind, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG

@@ -212,19 +212,6 @@ class TestMoments:
 
 
 class TestSerialization:
-    def test_mixture_roundtrip(self):
-        p = MixtureParams((0.3, 0.7), (-1.5, 2.25), (1.0, 2.5))
-        assert MixtureParams.from_text(p.to_text()) == p
-
-    def test_dataset_roundtrip(self):
-        d = Dataset((1.0, -2.5, 3.125))
-        assert np.array_equal(Dataset.from_text(d.to_text()).points, d.points)
-
-    def test_dataset_text_roundtrip_is_bit_exact(self):
-        d = sample(MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0)), 50, seed=3)
-        back = Dataset.from_text(d.to_text()).points
-        assert back.tobytes() == d.points.tobytes()
-
     def test_invalid_simplex_rejected(self):
         with pytest.raises(MixtureError):
             MixtureParams((0.5, 0.6), (0.0, 1.0), (1.0, 1.0))
