@@ -54,12 +54,9 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
-        if args.config is not None:
-            cfg = load_config(args.config, overrides={"seed": args.seed})
-        else:
-            cfg = default_config(args.kind)
-            if args.seed is not None:
-                cfg["seed"] = args.seed
+        cfg = load_config(args.config) if args.config is not None else default_config(args.kind)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
         if cfg["kind"] != args.kind:
             raise ConfigError(
                 f"config kind {cfg['kind']!r} does not match subcommand {args.kind!r}")

@@ -35,7 +35,6 @@ from .gmm import (Dataset, MixtureParams, MixtureError, log_likelihood, mean_dis
                   mixture_moments, normal_quadrature, score_means)
 
 PARAMETERIZATIONS = ("original", "relative")
-GRADIENT_SOURCES = ("expected", "empirical")
 
 
 @dataclass(frozen=True)
@@ -194,9 +193,6 @@ class FlowField:
     dmu2: np.ndarray
     reflected: np.ndarray
     parameterization: str
-    v: float
-    eta: float
-    true_model: TrueModel
 
 
 def _axis(spec) -> np.ndarray:
@@ -239,8 +235,7 @@ def flow_field(mu1_spec, mu2_spec, v: float, true: TrueModel,
     ax1, ax2 = _axis(mu1_spec), _axis(mu2_spec)
     dmu1, dmu2, refl = velocity_in_means(v, *np.meshgrid(ax1, ax2), true, parameterization, eta)
     return FlowField(mu1_axis=ax1, mu2_axis=ax2, dmu1=dmu1, dmu2=dmu2,
-                     reflected=refl, parameterization=parameterization, v=v,
-                     eta=eta, true_model=true)
+                     reflected=refl, parameterization=parameterization)
 
 
 @dataclass(frozen=True)
@@ -272,78 +267,70 @@ def _expected_loglik(params: MixtureParams, true: TrueModel, nodes_weights) -> f
 
 
 def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
-                 parameterization: str = "original",
-                 gradient_source: str = "expected", v: float = 0.5) -> Trajectory:
+                 parameterization: str = "original", v: float = 0.5) -> Trajectory:
     """Explicit Euler on the means with pi = v and unit sigmas held fixed.
 
-    gradient_source 'expected' uses the closed-form expected velocities and
-    needs a TrueModel; 'empirical' uses the sample-average score over a
-    Dataset. Relative mode keeps Delta >= 0 at every step.
+    ``true`` is the gradient source: a TrueModel gives the closed-form
+    expected velocities, a Dataset the sample-average score. Relative mode
+    keeps Delta >= 0 at every step. The loop records the means; each
+    iterate's log-likelihood (expected under the TrueModel, or of the
+    Dataset) and distance to the true means (NaN for a Dataset) follow it.
     """
     _check_parameterization(parameterization)
     if eta <= 0:
         raise MixtureError("eta must be positive")
     if steps < 1:
         raise MixtureError("need at least one step")
-    if gradient_source not in GRADIENT_SOURCES:
-        raise MixtureError(f"gradient_source must be one of {GRADIENT_SOURCES}")
-    if gradient_source == "expected" and not isinstance(true, TrueModel):
-        raise MixtureError("expected mode needs a TrueModel")
-    if gradient_source == "empirical" and not isinstance(true, Dataset):
-        raise MixtureError("empirical mode needs a Dataset")
 
-    if gradient_source == "expected":
+    def mixture(m1, m2):
+        return MixtureParams(weights=(v, 1.0 - v), means=(m1, m2), sigmas=(1.0, 1.0))
+
+    # original(mu1, mu2) gives (dmu1, dmu2); relative(lo, hi) gives (dlo, dDelta)
+    if isinstance(true, TrueModel):
         nodes_weights = normal_quadrature(101)
+
+        def original(m1, m2):
+            return velocity_in_means(v, m1, m2, true, "original", eta)[:2]
+
+        def relative(lo, hi):
+            return _relative_velocity(v, lo, hi, true, eta)[:2]
+
+        def diagnostics(params):
+            return (_expected_loglik(params, true, nodes_weights),
+                    mean_distance(params, true.params))
+    elif isinstance(true, Dataset):
+        def original(m1, m2):
+            g = np.mean(score_means(mixture(m1, m2), true.points), axis=0)
+            return eta * g[0], eta * g[1]
+
+        def relative(lo, hi):  # d l / d mu1 with mu2 = mu1 + Delta, and d l / d Delta
+            g = np.mean(score_means(mixture(lo, hi), true.points), axis=0)
+            return eta * (g[0] + g[1]), eta * g[1]
+
+        def diagnostics(params):
+            return log_likelihood(params, true), np.nan
     else:
-        xs = true.as_array()
+        raise MixtureError("the gradient source must be a TrueModel or a Dataset")
 
     mu1, mu2 = float(init_means[0]), float(init_means[1])
-    recs = {k: [] for k in ("mu1", "mu2", "delta", "loglik", "dist")}
-    diverged = False
-
-    def record(m1, m2):
-        params = MixtureParams(weights=(v, 1.0 - v), means=(m1, m2), sigmas=(1.0, 1.0))
-        recs["mu1"].append(m1)
-        recs["mu2"].append(m2)
-        recs["delta"].append(abs(m2 - m1))
-        if gradient_source == "expected":
-            recs["loglik"].append(_expected_loglik(params, true, nodes_weights))
-            recs["dist"].append(mean_distance(params, true.params))
-        else:
-            recs["loglik"].append(log_likelihood(params, true))
-            recs["dist"].append(np.nan)
-
-    record(mu1, mu2)
+    mu1s, mu2s = [mu1], [mu2]
     for _ in range(steps):
         if parameterization == "original":
-            if gradient_source == "expected":
-                d1, d2, _ = velocity_in_means(v, mu1, mu2, true, "original", eta)
-            else:
-                params = MixtureParams(weights=(v, 1.0 - v), means=(mu1, mu2), sigmas=(1.0, 1.0))
-                g = np.mean(score_means(params, xs), axis=0)
-                d1, d2 = eta * g[0], eta * g[1]
+            d1, d2 = original(mu1, mu2)
             mu1, mu2 = mu1 + d1, mu2 + d2
         else:
             lo, hi = min(mu1, mu2), max(mu1, mu2)
-            delta = hi - lo
-            if gradient_source == "expected":
-                dlo, ddelta, _ = _relative_velocity(v, lo, hi, true, eta)
-            else:
-                params = MixtureParams(weights=(v, 1.0 - v), means=(lo, hi), sigmas=(1.0, 1.0))
-                g = np.mean(score_means(params, xs), axis=0)
-                dlo = eta * (g[0] + g[1])      # d l / d mu1 with mu2 = mu1 + Delta
-                ddelta = eta * g[1]            # d l / d Delta
-            lo = lo + dlo
-            delta = max(delta + ddelta, 0.0)
-            mu1, mu2 = lo, lo + delta
+            dlo, ddelta = relative(lo, hi)
+            delta = max(hi - lo + ddelta, 0.0)
+            mu1 = lo + dlo
+            mu2 = mu1 + delta
         if not (np.isfinite(mu1) and np.isfinite(mu2)):
-            diverged = True
-            break
-        record(mu1, mu2)
+            break  # diverged: the non-finite iterate is not recorded
+        mu1s.append(mu1)
+        mu2s.append(mu2)
 
-    return Trajectory(
-        mu1=np.asarray(recs["mu1"]), mu2=np.asarray(recs["mu2"]),
-        delta=np.asarray(recs["delta"]), loglik=np.asarray(recs["loglik"]),
-        dist_to_true=np.asarray(recs["dist"]), diverged=diverged,
-        parameterization=parameterization,
-    )
+    loglik, dist = zip(*(diagnostics(mixture(m1, m2)) for m1, m2 in zip(mu1s, mu2s)))
+    mu1, mu2 = np.asarray(mu1s), np.asarray(mu2s)
+    return Trajectory(mu1=mu1, mu2=mu2, delta=np.abs(mu2 - mu1), loglik=np.asarray(loglik),
+                      dist_to_true=np.asarray(dist), diverged=len(mu1s) <= steps,
+                      parameterization=parameterization)

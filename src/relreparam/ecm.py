@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# e_step fuses log_likelihood and responsibilities_array into one pass; both
-# stay importable from this module, where perfbench/tracer.py wraps them.
+# e_step fuses log_likelihood and responsibilities_array into one pass, and
+# no fit re-encodes its result with to_relative; all three stay importable
+# from this module, where perfbench/tracer.py wraps them.
 from .gmm import (Dataset, MixtureParams, MixtureError, log_component_densities,
                   log_likelihood, mean_distance, responsibilities_and_log_density,
                   responsibilities_array)
@@ -93,7 +94,6 @@ class FitResult:
     """
 
     params: MixtureParams
-    relative: RelativeParams | None
     trajectory_params: tuple[MixtureParams, ...]
     loglik: np.ndarray
     dist_to_true: np.ndarray
@@ -114,7 +114,7 @@ def e_step(params: MixtureParams, data: Dataset) -> Responsibilities:
     The same log-sum-exp pass gives the log-likelihood of params, kept as
     the result's ``loglik``.
     """
-    rows, log_p = responsibilities_and_log_density(params, data.as_array())
+    rows, log_p = responsibilities_and_log_density(params, data.points)
     return Responsibilities._from_rows(rows, float(np.sum(log_p)))
 
 
@@ -127,7 +127,7 @@ def m_step_standard(gamma: Responsibilities, data: Dataset,
     each component's contiguous row (numpy's pairwise sum).
     """
     g = gamma.gamma.T
-    xs = data.as_array()
+    xs = data.points
     nk = g.sum(axis=1)
     if np.any(nk <= 0):
         raise DegenerateComponentError("a component has zero responsibility mass")
@@ -159,7 +159,7 @@ def cm_step_reference_mean(gamma: Responsibilities, data: Dataset, delta: float)
     sum_n (2 mu1 - 2 x_n) z_n1 + (2 Delta + 2 mu1 - 2 x_n) z_n2 = 0.
     """
     g1, g2 = _two_component_rows(gamma)
-    xs = data.as_array()
+    xs = data.points
     n1, n2 = g1.sum(), g2.sum()
     if n1 + n2 <= 0:
         raise DegenerateComponentError("zero total responsibility")
@@ -178,7 +178,7 @@ def cm_step_delta(gamma: Responsibilities, data: Dataset, mu1: float) -> tuple[f
     constraint is active, Delta = 0 and the multiplier turns positive.
     """
     _, g2 = _two_component_rows(gamma)
-    xs = data.as_array()
+    xs = data.points
     n2 = g2.sum()
     if n2 <= 0:
         raise DegenerateComponentError("zero responsibility mass on component 2")
@@ -190,7 +190,7 @@ def cm_step_delta(gamma: Responsibilities, data: Dataset, mu1: float) -> tuple[f
 
 def q_function(params: MixtureParams, gamma: Responsibilities, data: Dataset) -> float:
     """Q(theta | gamma) = sum_nk gamma_nk [ln pi_k + ln N(x_n|mu_k, sigma_k)]."""
-    logc = log_component_densities(params, data.as_array())
+    logc = log_component_densities(params, data.points)
     logw = np.log(np.asarray(params.weights) + np.finfo(float).tiny)
     return float(np.sum(gamma.gamma.T * (logc + logw[:, None])))
 
@@ -222,7 +222,7 @@ def _fit(data: Dataset, params: MixtureParams, step, config: ECMConfig,
     else:
         dist = np.asarray([mean_distance(p, truth) for p in traj])
     return FitResult(
-        params=params, relative=None, trajectory_params=tuple(traj),
+        params=params, trajectory_params=tuple(traj),
         loglik=np.asarray(lls), dist_to_true=dist,
         iterations=iters, stop_reason=stop_reason, algorithm=algorithm,
     )
@@ -244,11 +244,16 @@ def fit_ecm_relative(data: Dataset, init: RelativeParams, config: ECMConfig,
 
     Loop: E-step, then CM over the reference mean, then CM over Delta (KKT
     projected). Delta >= 0 at every iterate. The reparameterization is set up
-    once; trajectories are recorded in both coordinate systems.
+    once, from ``init`` ordered by mean; the weights and sigmas stay fixed, so
+    ``config`` must fix both.
     """
     spec = spec or ReparamSpec(delta_encoding="raw_constrained")
     if init.n_components != 2:
         raise MixtureError("relative ECM is defined for the 2-component model")
+    if spec.ordering_coordinate != "mean":
+        raise MixtureError("relative ECM needs a spec ordered by mean")
+    if not (config.fix_weights and config.fix_sigmas):
+        raise MixtureError("relative ECM keeps weights and sigmas fixed; config must fix both")
     # Delta is carried between iterations rather than re-read from the means:
     # (mu1 + Delta) - mu1 need not round back to Delta
     delta = float(decoded_gaps(init, spec)[0])
@@ -263,7 +268,5 @@ def fit_ecm_relative(data: Dataset, init: RelativeParams, config: ECMConfig,
                              sigmas=params.sigmas)
 
     res = _fit(data, to_absolute(init, spec), step, config, truth, "ecm_relative")
-    return replace(res, relative=to_relative(
-        res.params, ReparamSpec(delta_encoding="raw_constrained")),
-        kkt_active_steps=sum(lam > 0.0 for lam in multipliers),
-        max_kkt_multiplier=max(multipliers, default=0.0))
+    return replace(res, kkt_active_steps=sum(lam > 0.0 for lam in multipliers),
+                   max_kkt_multiplier=max(multipliers, default=0.0))

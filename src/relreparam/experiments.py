@@ -21,12 +21,12 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dynamics import GRADIENT_SOURCES, TrueModel, flow_field, integrate_gd
+from .dynamics import TrueModel, flow_field, integrate_gd
 from .ecm import ECMConfig, fit_ecm_relative, fit_em_standard
 from .fim import MIN_MC_BUDGET, PSD_TOL, SYMMETRY_TOL, fim_estimate, transform_fim
 from .gmm import MixtureParams, make_rng, sample
 from .nn import ACTIVATIONS, MLPParams, detect_singularities, report_lines
-from .reparam import ENCODINGS, ORDER_COORDS, ReparamSpec, jacobian, to_relative
+from .reparam import ENCODINGS, ReparamSpec, jacobian, to_relative
 from .svgplot import SvgCanvas, Viewport, draw_axes, draw_quiver, map_polyline, MARGIN
 
 SCHEMA_VERSION = 1
@@ -78,9 +78,9 @@ def default_config(kind: str) -> dict:
     return json.loads(json.dumps(DEFAULTS[kind]))
 
 
-def load_config(path: str | Path, overrides: dict | None = None) -> dict:
-    """The kind's defaults updated by the YAML file and the non-None overrides,
-    as loaded; ``check_config`` checks it."""
+def load_config(path: str | Path) -> dict:
+    """The kind's defaults updated by the YAML file, as loaded; ``check_config``
+    checks it."""
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except (OSError, yaml.YAMLError) as exc:
@@ -89,8 +89,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
         raise ConfigError("config must be a mapping with a 'kind' field")
     cfg = default_config(str(raw["kind"]))
     cfg.update(raw)
-    if overrides:
-        cfg.update({k: v for k, v in overrides.items() if v is not None})
     return cfg
 
 
@@ -99,9 +97,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
 # string one of CHOICES[key], if the key has choices; a list is checked item by
 # item and a block key by key. RANGES has the other rules. Unknown keys are
 # errors; OPTIONAL keys, and any key of a reparam block, fall back to a value.
+# order_by takes "mean" alone: ecm's fit is defined by the means' order, fim's
+# raw-gap jacobian does not depend on it, and field and gd never read reparam.
+GRADIENT_SOURCES = ("expected", "empirical")
 INJECTIONS = ("elimination", "overlap", "linear_dependence")
 CHOICES = {"gradient_source": GRADIENT_SOURCES, "activation": ACTIVATIONS,
-           "order_by": ORDER_COORDS, "encoding": ENCODINGS, "inject": INJECTIONS}
+           "order_by": ("mean",), "encoding": ENCODINGS, "inject": INJECTIONS}
 _PAIR = (lambda xs: len(xs) == 2, "must hold two numbers")
 RANGES = {
     "seed": (lambda x: x >= 0, "must be >= 0"),
@@ -176,7 +177,12 @@ def check_config(cfg: dict) -> dict:
     kind = cfg.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
-    return _block("", cfg, {**DEFAULTS[kind], **OPTIONAL[kind]}, OPTIONAL[kind])
+    values = _block("", cfg, {**DEFAULTS[kind], **OPTIONAL[kind]}, OPTIONAL[kind])
+    # fim's direct estimate is in raw (mu1, Delta) coordinates, so its jacobian must be too
+    if kind == "fim" and values["reparam"]["encoding"] != "raw_constrained":
+        raise ConfigError("reparam.encoding must be 'raw_constrained' for fim, "
+                          f"got {values['reparam']['encoding']!r}")
+    return values
 
 
 def _reparam_spec(values: dict) -> ReparamSpec:
@@ -271,15 +277,14 @@ def run_field(values: dict) -> tuple[dict, ConvergenceError | None]:
 
 def run_gd(values: dict) -> tuple[dict, ConvergenceError | None]:
     """Gradient-descent trajectories under both parameterizations."""
-    source, v = values["gradient_source"], values["v"]
+    v = values["v"]
     truth = _mixture(values["true_means"], v)
-    if source == "expected":
-        data_or_true = TrueModel(truth)
+    if values["gradient_source"] == "expected":
+        source = TrueModel(truth)
     else:
-        data_or_true = sample(truth, values["n_samples"], values["seed"])
-    trajs = {pname: integrate_gd(tuple(values["init_means"]), data_or_true, values["eta"],
-                                 values["steps"], parameterization=pname,
-                                 gradient_source=source, v=v)
+        source = sample(truth, values["n_samples"], values["seed"])
+    trajs = {pname: integrate_gd(tuple(values["init_means"]), source, values["eta"],
+                                 values["steps"], parameterization=pname, v=v)
              for pname in ("original", "relative")}
     files = {f"gd_trajectory_{pname}.csv": (
         ["step", "mu1", "mu2", "delta", "loglik", "dist_to_true"],

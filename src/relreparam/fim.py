@@ -116,7 +116,7 @@ def fim_estimate(params: MixtureParams, coords: str = "means",
     if method == "monte_carlo":
         if budget < MIN_MC_BUDGET:
             raise MixtureError(f"monte_carlo budget must be at least {MIN_MC_BUDGET}")
-        mean, m2 = _mc_moments(params, sample(params, budget, seed).as_array(), coords)
+        mean, m2 = _mc_moments(params, sample(params, budget, seed).points, coords)
         se = np.sqrt(m2 / (budget - 1)) / np.sqrt(budget)
         mat = 0.5 * (mean + mean.T)
         return FisherMatrix(entries=mat, coordinates=coords, estimator="monte_carlo",

@@ -97,9 +97,6 @@ class Dataset:
     def n(self) -> int:
         return len(self.points)
 
-    def as_array(self) -> np.ndarray:
-        return self.points
-
 
 def _check_x(x) -> np.ndarray:
     xs = np.asarray(x, dtype=float)
@@ -155,7 +152,7 @@ def density(params: MixtureParams, x):
 
 def log_likelihood(params: MixtureParams, data: Dataset) -> float:
     """Sum of log mixture densities over the dataset."""
-    return float(np.sum(log_density(params, data.as_array())))
+    return float(np.sum(log_density(params, data.points)))
 
 
 def responsibilities_and_log_density(params: MixtureParams, x) -> tuple[np.ndarray, np.ndarray]:

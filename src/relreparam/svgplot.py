@@ -40,11 +40,10 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _line_template(stroke, width, dash=None) -> str:
+def _line_template(stroke, width) -> str:
     """A <line> whose four coordinates are ``%.2f`` fields; ``'%.2f' % x`` and
     ``_fmt(x)`` give the same bytes."""
-    d = f' stroke-dasharray="{dash}"' if dash else ""
-    attrs = f' stroke="{stroke}" stroke-width="{width}"{d}/>'.replace("%", "%%")
+    attrs = f' stroke="{stroke}" stroke-width="{width}"/>'.replace("%", "%%")
     return '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"' + attrs
 
 
@@ -56,8 +55,8 @@ class SvgCanvas:
         self.height = height
         self.elements: list[str] = []
 
-    def line(self, x1, y1, x2, y2, stroke="black", width=1.0, dash=None):
-        self.elements.append(_line_template(stroke, width, dash) % (x1, y1, x2, y2))
+    def line(self, x1, y1, x2, y2, stroke="black", width=1.0):
+        self.elements.append(_line_template(stroke, width) % (x1, y1, x2, y2))
 
     def polyline(self, pts, stroke="blue", width=1.5):
         """One polyline through pts, an (n, 2) array or a sequence of (x, y) pairs."""

@@ -3,9 +3,11 @@
 import numpy as np
 
 from relreparam import fim
-from relreparam.dynamics import UVWState, means_from_uvw
-from relreparam.gmm import (LOG_2PI, Dataset, MixtureParams, make_rng,
-                            responsibilities_array, sample)
+from relreparam.dynamics import (Trajectory, UVWState, _expected_loglik, _relative_velocity,
+                                 means_from_uvw, velocity_in_means)
+from relreparam.gmm import (LOG_2PI, Dataset, MixtureParams, log_likelihood, make_rng,
+                            mean_distance, normal_quadrature, responsibilities_array,
+                            sample, score_means)
 from relreparam.svgplot import SvgCanvas, Viewport
 
 
@@ -62,7 +64,7 @@ def rowmajor_fit(data: Dataset, params: MixtureParams, config, delta=None):
     the relative ECM from that gap, carried between iterations. Returns
     (iterations, trajectory, log-likelihoods).
     """
-    xs = data.as_array()
+    xs = data.points
 
     def loglik(p):
         return float(np.sum(rowmajor_log_sum_exp(p, xs)[1]))
@@ -95,6 +97,70 @@ def rowmajor_fit(data: Dataset, params: MixtureParams, config, delta=None):
     return iters, traj, np.asarray(lls)
 
 
+def integrate_gd_per_step(init_means, true, eta: float, steps: int,
+                          parameterization: str, gradient_source: str,
+                          v: float = 0.5) -> Trajectory:
+    """The per-step GD loop: one branch per parameterization and gradient
+    source inside the loop, and each iterate's log-likelihood and distance to
+    the truth recorded as soon as it is made. ``gradient_source`` 'expected'
+    takes a TrueModel, 'empirical' a Dataset."""
+    if gradient_source == "expected":
+        nodes_weights = normal_quadrature(101)
+    else:
+        xs = true.points
+
+    mu1, mu2 = float(init_means[0]), float(init_means[1])
+    recs = {k: [] for k in ("mu1", "mu2", "delta", "loglik", "dist")}
+    diverged = False
+
+    def record(m1, m2):
+        params = MixtureParams(weights=(v, 1.0 - v), means=(m1, m2), sigmas=(1.0, 1.0))
+        recs["mu1"].append(m1)
+        recs["mu2"].append(m2)
+        recs["delta"].append(abs(m2 - m1))
+        if gradient_source == "expected":
+            recs["loglik"].append(_expected_loglik(params, true, nodes_weights))
+            recs["dist"].append(mean_distance(params, true.params))
+        else:
+            recs["loglik"].append(log_likelihood(params, true))
+            recs["dist"].append(np.nan)
+
+    record(mu1, mu2)
+    for _ in range(steps):
+        if parameterization == "original":
+            if gradient_source == "expected":
+                d1, d2, _ = velocity_in_means(v, mu1, mu2, true, "original", eta)
+            else:
+                params = MixtureParams(weights=(v, 1.0 - v), means=(mu1, mu2), sigmas=(1.0, 1.0))
+                g = np.mean(score_means(params, xs), axis=0)
+                d1, d2 = eta * g[0], eta * g[1]
+            mu1, mu2 = mu1 + d1, mu2 + d2
+        else:
+            lo, hi = min(mu1, mu2), max(mu1, mu2)
+            delta = hi - lo
+            if gradient_source == "expected":
+                dlo, ddelta, _ = _relative_velocity(v, lo, hi, true, eta)
+            else:
+                params = MixtureParams(weights=(v, 1.0 - v), means=(lo, hi), sigmas=(1.0, 1.0))
+                g = np.mean(score_means(params, xs), axis=0)
+                dlo = eta * (g[0] + g[1])      # d l / d mu1 with mu2 = mu1 + Delta
+                ddelta = eta * g[1]            # d l / d Delta
+            lo = lo + dlo
+            delta = max(delta + ddelta, 0.0)
+            mu1, mu2 = lo, lo + delta
+        if not (np.isfinite(mu1) and np.isfinite(mu2)):
+            diverged = True
+            break
+        record(mu1, mu2)
+
+    return Trajectory(
+        mu1=np.asarray(recs["mu1"]), mu2=np.asarray(recs["mu2"]),
+        delta=np.asarray(recs["delta"]), loglik=np.asarray(recs["loglik"]),
+        dist_to_true=np.asarray(recs["dist"]), diverged=diverged,
+        parameterization=parameterization,
+    )
+
+
 def sample_points(params: MixtureParams, n: int, seed: int) -> np.ndarray:
     """The draws of ``gmm.sample`` as the out-of-place formula mu + sig * z.
 
@@ -116,7 +182,7 @@ def one_shot_mc_fim(params: MixtureParams, coords: str, budget: int, seed: int):
     the same draws and scores, then a mean and a ddof=1 std over axis 0,
     each symmetrized.
     """
-    s = fim._score_in_coords(params, sample(params, budget, seed).as_array(), coords)
+    s = fim._score_in_coords(params, sample(params, budget, seed).points, coords)
     outer = s[:, :, None] * s[:, None, :]
     mean = outer.mean(axis=0)
     se = outer.std(axis=0, ddof=1) / np.sqrt(budget)

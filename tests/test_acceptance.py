@@ -142,7 +142,7 @@ def test_04_em_ecm_monotonicity(capsys):
 
 def test_05_dynamics_monte_carlo_oracle(capsys):
     truth = TrueModel.from_means(0.0, 0.0)
-    xs = sample(truth.params, 10 ** 6, seed=4242).as_array()
+    xs = sample(truth.params, 10 ** 6, seed=4242).points
     rng = make_rng(4243)
     ok = True
     for _ in range(20):

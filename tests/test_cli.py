@@ -95,9 +95,17 @@ class TestConfig:
         assert tuple(DEFAULTS) == KINDS
 
     def test_override_wins(self, tmp_path):
-        path = write_config(tmp_path, {"kind": "fim", "seed": 3})
-        cfg = load_config(path, overrides={"seed": 9})
-        assert cfg["seed"] == 9
+        """--seed replaces the seed of a config file and of the defaults alike."""
+        path = write_config(tmp_path, {"kind": "nn", "seed": 3})
+        runs = {"file": ["--config", str(path), "--seed", "9"], "default": ["--seed", "9"],
+                "file-9": ["--config", str(write_config(tmp_path, {"kind": "nn", "seed": 9},
+                                                        "nine.yaml"))]}
+        manifests = []
+        for name, args in runs.items():
+            assert main(["nn", "--out", str(tmp_path / name), *args]) == EXIT_OK
+            manifest = json.loads((tmp_path / name / "run_manifest.json").read_text())
+            manifests.append({k: v for k, v in manifest.items() if k != "wall_time_s"})
+        assert manifests[0] == manifests[1] == manifests[2]
 
     def test_missing_kind_rejected(self, tmp_path):
         path = write_config(tmp_path, {"seed": 1})
@@ -161,6 +169,8 @@ class TestConfigSchema:
         ("nn", {"sizes": [3, 4.5, 1]}, "sizes[1] must be an integer"),
         ("nn", {"inject": ["elimnation"]}, "inject[0] must be one of"),
         ("nn", {"tol": float("nan")}, "tol must be a finite number"),
+        ("ecm", {"reparam": {"order_by": "sigma"}}, "reparam.order_by must be one of"),
+        ("fim", {"reparam": {"encoding": "squared"}}, "reparam.encoding must be"),
     ])
     def test_error_names_the_key(self, kind, bad, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
@@ -238,6 +248,11 @@ class TestExitCodes:
         ("field", {"eta": -1}),
         ("nn", {"inject": "overlap"}),
         ("nn", {"inject": ["elimnation"]}),
+        ("ecm", {"reparam": {"order_by": "sigma"}}),
+        ("fim", {"reparam": {"order_by": "sigma"}}),
+        ("field", {"reparam": {"order_by": "sigma"}}),
+        ("gd", {"reparam": {"order_by": "sigma"}}),
+        ("fim", {"reparam": {"encoding": "squared"}}),
     ], ids=["field", "ecm", "fim", "nn", "ecm-epsilon", "ecm-max_iters", "ecm-n_samples",
             "fim-budget", "fim-v", "gd-steps", "gd-eta", "gd-v", "gd-empirical-n_samples",
             "field-v", "nn-tol", "nn-activation", "field-v-zero", "gd-v-zero", "fim-v-zero",
@@ -247,7 +262,8 @@ class TestExitCodes:
             "ecm-max_iters-fraction", "fim-seed-fraction", "nn-sizes-fraction",
             "nn-sizes-bool", "ecm-true_means-three", "ecm-reparam-unknown-key",
             "field-grid-unknown-key", "field-eta-negative", "nn-inject-string",
-            "nn-inject-misspelled"])
+            "nn-inject-misspelled", "ecm-order_by-sigma", "fim-order_by-sigma",
+            "field-order_by-sigma", "gd-order_by-sigma", "fim-encoding-squared"])
     def test_config_error_leaves_no_out_dir(self, tmp_path, kind, bad):
         """Malformed blocks, unknown keys, out-of-range values and values of
         the wrong type (a fraction or a bool for an int, a short list): exit 2
@@ -590,3 +606,32 @@ def test_run_ecm_creates_missing_out_dir(tmp_path):
     out = tmp_path / "deep" / "nested" / "dir"
     run(default_config("ecm"), out)
     assert (out / "run_manifest.json").exists()
+
+
+def test_perfbench_tracer_runs_every_kind(tmp_path, monkeypatch):
+    """perfbench/tracer.py wraps library functions by the names their callers
+    look them up under; installing it fails if one of those names is gone.
+    Each kind runs clean at its defaults under it, and uninstalling puts every
+    original back."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracer_module = importlib.import_module("tracer")
+    runners = dict(experiments.RUNNERS)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        patched = [(owner, attr) for owner, attr, _ in tracer._saved]
+        for kind in KINDS:
+            assert tracer.run(kind, main, [kind, "--out", str(tmp_path / kind)]) == EXIT_OK
+    finally:
+        tracer.uninstall()
+    assert experiments.RUNNERS == runners
+    for owner, attr in patched:
+        assert not hasattr(tracer_module._get(owner, attr), "__wrapped__"), attr
+    names = {span.name for span in tracer.spans}
+    assert {f"experiments.run_{kind}" for kind in KINDS} <= names
+    counts = tracer.counts
+    assert min(counts["dynamics.gd_steps"], counts["dynamics.velocity_calls"],
+               counts["ecm.em_iterations"], counts["ecm.ecm_iterations"],
+               counts["fim.mc_draws"], counts["nn.triples"]) > 0
+    metrics = tracer_module.layer_metrics(counts, tracer.breakdown(), 1.0)
+    assert metrics["dynamics.gd_steps"] == 400

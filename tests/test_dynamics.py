@@ -11,7 +11,7 @@ from relreparam.dynamics import (TrueModel, UVWState, base_partials,
                                  relative_gram, relative_jacobian,
                                  uvw_from_means, velocity_in_means)
 
-from oracles import exact_partials_per_sample
+from oracles import exact_partials_per_sample, integrate_gd_per_step
 
 TRUTH0 = TrueModel.from_means(0.0, 0.0)
 
@@ -52,7 +52,7 @@ class TestBasePartials:
 
     def test_monte_carlo_of_same_integrand(self):
         rng = make_rng(314)
-        xs = sample(TRUTH0.params, 10 ** 6, seed=314).as_array()
+        xs = sample(TRUTH0.params, 10 ** 6, seed=314).points
         for _ in range(5):
             v = float(rng.uniform(0.2, 0.8))
             u = float(rng.uniform(-1.0, 1.0))
@@ -79,7 +79,7 @@ class TestExpectedVelocityOriginal:
         # exact scores per sample -> Jacobian-combined expectation near the
         # singular line, where the series truncation bias is below MC noise
         st = uvw_from_means(0.5, -0.03, 0.05)
-        xs = sample(TRUTH0.params, 10 ** 6, seed=2718).as_array()
+        xs = sample(TRUTH0.params, 10 ** 6, seed=2718).points
         per = exact_partials_per_sample(st, xs) @ original_gram(st).T
         closed = np.array(expected_velocity_original(st, TRUTH0, eta=1.0))
         se = per.std(axis=0, ddof=1) / np.sqrt(len(xs))
@@ -92,7 +92,7 @@ class TestExpectedVelocityRelative:
         assert expected_velocity_relative(st, TRUTH0) == (0.0, 0.0, 0.0)
 
     def test_monte_carlo_chain_rule_oracle(self):
-        xs = sample(TRUTH0.params, 10 ** 6, seed=161).as_array()
+        xs = sample(TRUTH0.params, 10 ** 6, seed=161).points
         st = UVWState(v=0.5, u=0.12, w=0.25, parameterization="relative")
         per = exact_partials_per_sample(st, xs) @ relative_gram(st.v, st.u).T
         closed = np.array(expected_velocity_relative(st, TRUTH0, eta=1.0))
@@ -232,7 +232,7 @@ class TestIntegrateGd:
         data = sample(truth.params, 300, seed=44)
         for mode in ("original", "relative"):
             traj = integrate_gd((-0.5, 0.5), data, eta=0.05, steps=100,
-                                parameterization=mode, gradient_source="empirical")
+                                parameterization=mode)
             assert traj.loglik[-1] > traj.loglik[0]
             assert not traj.diverged
 
@@ -249,11 +249,53 @@ class TestIntegrateGd:
             integrate_gd((0.0, 1.0), TRUTH0, eta=0.1, steps=0)
 
     def test_rejects_unknown_gradient_source(self):
-        # anything but the two exact names used to run empirical mode
-        data = sample(TRUTH0.params, 50, seed=1)
-        for truth in (TRUTH0, data):
-            with pytest.raises(MixtureError):
-                integrate_gd((0.0, 1.0), truth, eta=0.1, steps=5, gradient_source="bogus")
+        # the source is the data argument: a TrueModel or a Dataset, nothing else
+        points = sample(TRUTH0.params, 50, seed=1).points
+        for source in (TRUTH0.params, points, list(points), "empirical", None):
+            with pytest.raises(MixtureError, match="gradient source"):
+                integrate_gd((0.0, 1.0), source, eta=0.1, steps=5)
+
+
+class TestIntegrateGdOracle:
+    """integrate_gd against the per-step loop in tests/oracles.py, which
+    records each iterate's diagnostics inside the loop: every array equal."""
+
+    DATA = sample(TrueModel.from_means(-1.0, 1.0).params, 300, seed=44)
+
+    @staticmethod
+    def assert_same(init, source, eta, steps, mode, name, v=0.5):
+        traj = integrate_gd(init, source, eta, steps, parameterization=mode, v=v)
+        want = integrate_gd_per_step(init, source, eta, steps, mode, name, v=v)
+        for field in ("mu1", "mu2", "delta", "loglik", "dist_to_true"):
+            got, expected = getattr(traj, field), getattr(want, field)
+            assert got.dtype == expected.dtype, field
+            assert np.array_equal(got, expected, equal_nan=True), field
+        assert (traj.diverged, traj.parameterization) == (want.diverged, want.parameterization)
+        return traj
+
+    @pytest.mark.parametrize("mode", ["original", "relative"])
+    def test_expected(self, mode):
+        self.assert_same((-1.5, 1.5), TRUTH0, 0.05, 200, mode, "expected")
+        self.assert_same((0.9, -0.7), TrueModel.from_means(-0.3, 0.4, v=0.3),
+                         0.1, 50, mode, "expected", v=0.3)
+
+    @pytest.mark.parametrize("mode", ["original", "relative"])
+    def test_empirical(self, mode):
+        self.assert_same((-0.5, 0.5), self.DATA, 0.05, 100, mode, "empirical")
+        self.assert_same((0.8, -0.2), self.DATA, 0.2, 30, mode, "empirical", v=0.3)
+
+    @pytest.mark.parametrize("mode", ["original", "relative"])
+    def test_diverging(self, mode):
+        traj = self.assert_same((-1.5, 1.2), TRUTH0, 0.05, 200, mode, "expected")
+        assert traj.diverged
+        # the last finite iterate as the last step, and one step more
+        assert not self.assert_same((-1.5, 1.2), TRUTH0, 0.05, traj.n_steps, mode,
+                                    "expected").diverged
+        assert self.assert_same((-1.5, 1.2), TRUTH0, 0.05, traj.n_steps + 1, mode,
+                                "expected").diverged
+        with np.errstate(all="ignore"):
+            traj = self.assert_same((-1.5, 1.5), self.DATA, 50.0, 200, mode, "empirical")
+        assert traj.diverged and traj.n_steps < 200
 
 
 @pytest.mark.parametrize("name", ["Original", "orig", "RELATIVE", ""])
@@ -274,13 +316,12 @@ class TestRejectsUnknownParameterization:
             integrate_gd((-1.0, 1.0), TRUTH0, eta=0.1, steps=5, parameterization=name)
         data = sample(TRUTH0.params, 50, seed=1)
         with pytest.raises(MixtureError):
-            integrate_gd((-1.0, 1.0), data, eta=0.1, steps=5, parameterization=name,
-                         gradient_source="empirical")
+            integrate_gd((-1.0, 1.0), data, eta=0.1, steps=5, parameterization=name)
 
 
 def test_mc_oracle_random_states_both_modes():
     """Closed forms vs Monte-Carlo chain rule near the singularity (small gap)."""
-    xs = sample(TRUTH0.params, 10 ** 6, seed=999).as_array()
+    xs = sample(TRUTH0.params, 10 ** 6, seed=999).points
     rng = make_rng(1000)
     for _ in range(6):
         v = float(rng.uniform(0.25, 0.75))

@@ -364,6 +364,17 @@ class TestFitEcmRelative:
         with pytest.raises(MixtureError):
             fit_ecm_relative(Dataset((0.0, 1.0)), rel, ECMConfig())
 
+    def test_rejects_sigma_ordering_and_free_blocks(self):
+        # ordered by sigma, the start's gap would be the sigma gap (0), not 4.5
+        data = sample(FIG_TRUTH, 50, seed=12)
+        init = MixtureParams((0.5, 0.5), (-2.5, 2.0), (1.0, 1.0))
+        by_sigma = ReparamSpec(ordering_coordinate="sigma", delta_encoding="raw_constrained")
+        with pytest.raises(MixtureError, match="ordered by mean"):
+            fit_ecm_relative(data, to_relative(init, by_sigma), ECMConfig(), spec=by_sigma)
+        for free in ({"fix_weights": False}, {"fix_sigmas": False}):
+            with pytest.raises(MixtureError, match="must fix both"):
+                fit_ecm_relative(data, relative_init(-2.5, 2.0), ECMConfig(**free))
+
 
 def test_responsibilities_validation():
     with pytest.raises(MixtureError):
@@ -431,7 +442,7 @@ class TestComponentMajorMatchesRowMajorOracle:
     def test_rowmajor_e_step_matches_component_major(self, oracle_case):
         data, *_ = oracle_case
         params = MixtureParams((0.3, 0.7), (-6.0, -4.0), (0.8, 1.3))
-        g, log_p = rowmajor_log_sum_exp(params, data.as_array())
+        g, log_p = rowmajor_log_sum_exp(params, data.points)
         gamma = e_step(params, data)
         assert np.array_equal(gamma.gamma, g)
         assert gamma.loglik == float(np.sum(log_p))

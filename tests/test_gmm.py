@@ -203,7 +203,7 @@ class TestMoments:
     def test_monte_carlo_agreement(self):
         p = MixtureParams((0.3, 0.7), (-1.0, 2.0), (1.0, 2.0))
         n = 10 ** 6
-        xs = sample(p, n, seed=5).as_array()
+        xs = sample(p, n, seed=5).points
         table = mixture_moments(p)
         for m in range(1, 4):
             draws = xs ** m
