@@ -27,12 +27,18 @@ under any OpenBLAS kernel and any numpy SIMD dispatch level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .gmm import (Dataset, MixtureParams, MixtureError, log_likelihood, mean_distance,
-                  mixture_moments, normal_quadrature, score_means)
+# score_means is no longer called here (the empirical step takes its scores
+# from the responsibilities of its one pass); it stays importable from this
+# module, where perfbench/tracer.py wraps it.
+from .gmm import (Dataset, MixtureParams, MixtureError, _score_means_given, log_density_means,
+                  log_likelihood, mixture_moments, normal_quadrature,
+                  responsibilities_and_log_density, score_means)
 
 PARAMETERIZATIONS = ("original", "relative")
 
@@ -50,6 +56,11 @@ class TrueModel:
     @classmethod
     def from_means(cls, mu1: float, mu2: float, v: float = 0.5) -> "TrueModel":
         return cls(MixtureParams(weights=(v, 1.0 - v), means=(mu1, mu2), sigmas=(1.0, 1.0)))
+
+    @cached_property
+    def raw_moments(self) -> tuple[float, float, float, float]:
+        """E[x^0..x^3] of the true mixture, computed on first use."""
+        return mixture_moments(self.params)
 
 
 @dataclass(frozen=True)
@@ -92,7 +103,7 @@ def means_from_uvw(state: UVWState) -> tuple[float, float]:
 
 def _centered_moments(true: TrueModel, w) -> tuple[float, float, float]:
     """E[(x-w)^m], m = 1..3, over the true mixture."""
-    mom = mixture_moments(true.params)
+    mom = true.raw_moments
     with np.errstate(over="ignore", invalid="ignore"):
         m1 = mom[1] - w
         m2 = mom[2] - 2.0 * w * mom[1] + w * w
@@ -255,15 +266,31 @@ class Trajectory:
         return len(self.mu1) - 1
 
 
-def _expected_loglik(params: MixtureParams, true: TrueModel, nodes_weights) -> float:
-    """E_true[ln p(x | params)] per point, via Gauss-Hermite over each true component."""
-    nodes, wts = nodes_weights
-    from .gmm import log_density
+# Iterates per pass of the expected log-likelihood: its (K, block, nodes)
+# temporaries stay near 100 KiB each however many steps a run takes.
+_LOGLIK_BLOCK = 64
 
-    total = 0.0
-    for pi, mu, sig in zip(true.params.weights, true.params.means, true.params.sigmas):
-        total += pi * float(np.sum(wts * log_density(params, mu + sig * nodes)))
-    return total
+
+def _expected_logliks(mu1s, mu2s, v: float, true: TrueModel) -> np.ndarray:
+    """E_true[ln p(x | v, mu1_t, mu2_t)] per iterate t, via Gauss-Hermite over
+    each true component, in blocks of iterates.
+
+    Each value has the bits of the per-iterate sum: the nodes' weighted sum
+    of ``log_density``, taken over the true components from 0.0.
+    """
+    nodes, wts = normal_quadrature(101)
+    comps = [(pi, mu + sig * nodes)
+             for pi, mu, sig in zip(true.params.weights, true.params.means, true.params.sigmas)]
+    means = np.array([mu1s, mu2s])
+    out = np.empty(means.shape[1])
+    for start in range(0, len(out), _LOGLIK_BLOCK):
+        block = means[:, start:start + _LOGLIK_BLOCK]
+        total = 0.0
+        for pi, xs in comps:
+            ld = log_density_means((v, 1.0 - v), (1.0, 1.0), block, xs)
+            total += pi * np.sum(wts * ld, axis=-1)
+        out[start:start + _LOGLIK_BLOCK] = total
+    return out
 
 
 def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
@@ -272,9 +299,13 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
 
     ``true`` is the gradient source: a TrueModel gives the closed-form
     expected velocities, a Dataset the sample-average score. Relative mode
-    keeps Delta >= 0 at every step. The loop records the means; each
-    iterate's log-likelihood (expected under the TrueModel, or of the
-    Dataset) and distance to the true means (NaN for a Dataset) follow it.
+    keeps Delta >= 0 at every step. The loop records the means. Under a
+    TrueModel, every iterate's expected log-likelihood and distance to the
+    true means follow the loop in one blocked pass. Under a Dataset, step k
+    takes the score and iterate k's log-likelihood from one density pass over
+    the sample, and the distance is NaN. A diverged run (``diverged``) ends
+    at its last finite iterate; numpy's floating-point warnings on the way
+    there are not raised.
     """
     _check_parameterization(parameterization)
     if eta <= 0:
@@ -287,49 +318,64 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
 
     # original(mu1, mu2) gives (dmu1, dmu2); relative(lo, hi) gives (dlo, dDelta)
     if isinstance(true, TrueModel):
-        nodes_weights = normal_quadrature(101)
-
         def original(m1, m2):
             return velocity_in_means(v, m1, m2, true, "original", eta)[:2]
 
         def relative(lo, hi):
             return _relative_velocity(v, lo, hi, true, eta)[:2]
-
-        def diagnostics(params):
-            return (_expected_loglik(params, true, nodes_weights),
-                    mean_distance(params, true.params))
     elif isinstance(true, Dataset):
+        xs = true.points
+        passes = []  # log-likelihood at the means of each step's pass, in step order
+
+        def mean_score(m1, m2):
+            params = mixture(m1, m2)
+            gam, log_p = responsibilities_and_log_density(params, xs)
+            passes.append(float(np.sum(log_p)))
+            return np.mean(_score_means_given(params, xs, gam), axis=0)
+
         def original(m1, m2):
-            g = np.mean(score_means(mixture(m1, m2), true.points), axis=0)
+            g = mean_score(m1, m2)
             return eta * g[0], eta * g[1]
 
         def relative(lo, hi):  # d l / d mu1 with mu2 = mu1 + Delta, and d l / d Delta
-            g = np.mean(score_means(mixture(lo, hi), true.points), axis=0)
+            g = mean_score(lo, hi)
             return eta * (g[0] + g[1]), eta * g[1]
-
-        def diagnostics(params):
-            return log_likelihood(params, true), np.nan
     else:
         raise MixtureError("the gradient source must be a TrueModel or a Dataset")
 
     mu1, mu2 = float(init_means[0]), float(init_means[1])
     mu1s, mu2s = [mu1], [mu2]
-    for _ in range(steps):
-        if parameterization == "original":
-            d1, d2 = original(mu1, mu2)
-            mu1, mu2 = mu1 + d1, mu2 + d2
-        else:
-            lo, hi = min(mu1, mu2), max(mu1, mu2)
-            dlo, ddelta = relative(lo, hi)
-            delta = max(hi - lo + ddelta, 0.0)
-            mu1 = lo + dlo
-            mu2 = mu1 + delta
-        if not (np.isfinite(mu1) and np.isfinite(mu2)):
-            break  # diverged: the non-finite iterate is not recorded
-        mu1s.append(mu1)
-        mu2s.append(mu2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            if parameterization == "original":
+                d1, d2 = original(mu1, mu2)
+                mu1, mu2 = mu1 + d1, mu2 + d2
+            else:
+                lo, hi = min(mu1, mu2), max(mu1, mu2)
+                dlo, ddelta = relative(lo, hi)
+                delta = max(hi - lo + ddelta, 0.0)
+                mu1 = lo + dlo
+                mu2 = mu1 + delta
+            if not (np.isfinite(mu1) and np.isfinite(mu2)):
+                break  # diverged: the non-finite iterate is not recorded
+            mu1s.append(mu1)
+            mu2s.append(mu2)
 
-    loglik, dist = zip(*(diagnostics(mixture(m1, m2)) for m1, m2 in zip(mu1s, mu2s)))
+        if isinstance(true, TrueModel):
+            loglik = _expected_logliks(mu1s, mu2s, v, true)
+            t_lo, t_hi = sorted(true.params.means)
+            dist = [math.hypot(min(m1, m2) - t_lo, max(m1, m2) - t_hi)
+                    for m1, m2 in zip(mu1s, mu2s)]
+        else:
+            # pass k was made at iterate k, save the final iterate's and, in
+            # relative mode, an unsorted start's (the pass took its sorted copy)
+            loglik = passes
+            if len(loglik) < len(mu1s):
+                loglik.append(log_likelihood(mixture(mu1s[-1], mu2s[-1]), true))
+            if parameterization == "relative" and mu1s[0] > mu2s[0]:
+                loglik[0] = log_likelihood(mixture(mu1s[0], mu2s[0]), true)
+            dist = np.full(len(mu1s), np.nan)
+
     mu1, mu2 = np.asarray(mu1s), np.asarray(mu2s)
     return Trajectory(mu1=mu1, mu2=mu2, delta=np.abs(mu2 - mu1), loglik=np.asarray(loglik),
                       dist_to_true=np.asarray(dist), diverged=len(mu1s) <= steps,

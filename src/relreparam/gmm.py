@@ -110,6 +110,12 @@ def _components_first(v: np.ndarray, ndim: int) -> np.ndarray:
     return v.reshape((-1,) + (1,) * ndim)
 
 
+def _log_normal(xs: np.ndarray, mu: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """ln N(xs | mu, sig^2) elementwise, mu and sig broadcast against xs."""
+    z = (xs - mu) / sig
+    return -0.5 * z * z - np.log(sig) - 0.5 * LOG_2PI
+
+
 def log_component_densities(params: MixtureParams, x) -> np.ndarray:
     """ln N(x | mu_k, sigma_k^2) for each component; shape (K, ...).
 
@@ -117,20 +123,17 @@ def log_component_densities(params: MixtureParams, x) -> np.ndarray:
     components are elementwise operations between rows.
     """
     xs = _check_x(x)
-    mu = _components_first(np.asarray(params.means), xs.ndim)
-    sig = _components_first(np.asarray(params.sigmas), xs.ndim)
-    z = (xs - mu) / sig
-    return -0.5 * z * z - np.log(sig) - 0.5 * LOG_2PI
+    return _log_normal(xs, _components_first(np.asarray(params.means), xs.ndim),
+                       _components_first(np.asarray(params.sigmas), xs.ndim))
 
 
-def _log_sum_exp_terms(params: MixtureParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(a_k - m), sum_k exp(a_k - m) and m = max_k a_k for a_k = ln pi_k N_k(x).
+def _log_sum_exp_rows(a: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(a_k - m), sum_k exp(a_k - m) and m = max_k a_k after a_k += ln pi_k.
 
-    Shapes (K, ...), (...) and (...); the one log-sum-exp behind the density
-    and the responsibilities.
+    ``a`` holds ln N_k component-major, shape (K, ...), and is overwritten;
+    the sum and m have shape (...).
     """
-    logw = np.log(np.asarray(params.weights) + np.finfo(float).tiny)
-    a = log_component_densities(params, x)
+    logw = np.log(np.asarray(weights) + np.finfo(float).tiny)
     a += _components_first(logw, a.ndim - 1)
     amax = np.max(a, axis=0)
     a -= amax
@@ -138,11 +141,31 @@ def _log_sum_exp_terms(params: MixtureParams, x) -> tuple[np.ndarray, np.ndarray
     return e, np.sum(e, axis=0), amax
 
 
+def _log_sum_exp_terms(params: MixtureParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The log-sum-exp terms of ``_log_sum_exp_rows`` for a_k = ln pi_k N_k(x);
+    the one pass behind the density and the responsibilities."""
+    return _log_sum_exp_rows(log_component_densities(params, x), params.weights)
+
+
 def log_density(params: MixtureParams, x):
     """ln sum_k pi_k N(x | mu_k, sigma_k^2) via log-sum-exp."""
     _, total, amax = _log_sum_exp_terms(params, x)
     out = amax + np.log(total)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+
+
+def log_density_means(weights, sigmas, means: np.ndarray, x) -> np.ndarray:
+    """ln p(x) of the mixtures that share weights and sigmas and differ in their means.
+
+    Column t of the (K, T) array ``means`` holds mixture t's means. The result
+    has shape (T,) + x.shape, and row t has the bits of ``log_density`` of
+    mixture t: one broadcast pass in the same order of operations.
+    """
+    xs = _check_x(x)
+    mu = means.reshape(means.shape + (1,) * xs.ndim)
+    sig = _components_first(np.asarray(sigmas, dtype=float), xs.ndim + 1)
+    _, total, amax = _log_sum_exp_rows(_log_normal(xs, mu, sig), weights)
+    return amax + np.log(total)
 
 
 def density(params: MixtureParams, x):
@@ -216,13 +239,17 @@ def score(params: MixtureParams, x) -> np.ndarray:
     return _row_major(np.concatenate([d_pi, d_mu, d_sigma], axis=0))
 
 
-def score_means(params: MixtureParams, x) -> np.ndarray:
-    """Gradient of ln density with respect to the means only; shape (..., K)."""
-    xs = _check_x(x)
-    gam = _responsibilities(params, xs)
+def _score_means_given(params: MixtureParams, xs: np.ndarray, gam: np.ndarray) -> np.ndarray:
+    """Scores of the means from the component-major responsibilities gam of xs."""
     mu = _components_first(np.asarray(params.means), xs.ndim)
     sig = _components_first(np.asarray(params.sigmas), xs.ndim)
     return _row_major(gam * (xs - mu) / (sig * sig))
+
+
+def score_means(params: MixtureParams, x) -> np.ndarray:
+    """Gradient of ln density with respect to the means only; shape (..., K)."""
+    xs = _check_x(x)
+    return _score_means_given(params, xs, _responsibilities(params, xs))
 
 
 def make_rng(seed: int) -> np.random.Generator:

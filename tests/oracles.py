@@ -3,10 +3,10 @@
 import numpy as np
 
 from relreparam import fim
-from relreparam.dynamics import (Trajectory, UVWState, _expected_loglik, _relative_velocity,
+from relreparam.dynamics import (TrueModel, Trajectory, UVWState, _relative_velocity,
                                  means_from_uvw, velocity_in_means)
-from relreparam.gmm import (LOG_2PI, Dataset, MixtureParams, log_likelihood, make_rng,
-                            mean_distance, normal_quadrature, responsibilities_array,
+from relreparam.gmm import (LOG_2PI, Dataset, MixtureParams, log_density, log_likelihood,
+                            make_rng, mean_distance, normal_quadrature, responsibilities_array,
                             sample, score_means)
 from relreparam.svgplot import SvgCanvas, Viewport
 
@@ -97,6 +97,16 @@ def rowmajor_fit(data: Dataset, params: MixtureParams, config, delta=None):
     return iters, traj, np.asarray(lls)
 
 
+def expected_loglik(params: MixtureParams, true: TrueModel, nodes_weights) -> float:
+    """E_true[ln p(x | params)] per point, via Gauss-Hermite over each true
+    component: one ``log_density`` call per true component."""
+    nodes, wts = nodes_weights
+    total = 0.0
+    for pi, mu, sig in zip(true.params.weights, true.params.means, true.params.sigmas):
+        total += pi * float(np.sum(wts * log_density(params, mu + sig * nodes)))
+    return total
+
+
 def integrate_gd_per_step(init_means, true, eta: float, steps: int,
                           parameterization: str, gradient_source: str,
                           v: float = 0.5) -> Trajectory:
@@ -119,7 +129,7 @@ def integrate_gd_per_step(init_means, true, eta: float, steps: int,
         recs["mu2"].append(m2)
         recs["delta"].append(abs(m2 - m1))
         if gradient_source == "expected":
-            recs["loglik"].append(_expected_loglik(params, true, nodes_weights))
+            recs["loglik"].append(expected_loglik(params, true, nodes_weights))
             recs["dist"].append(mean_distance(params, true.params))
         else:
             recs["loglik"].append(log_likelihood(params, true))

@@ -1,7 +1,6 @@
 import hashlib
 import importlib.util
 import json
-import os
 import platform
 import re
 import subprocess
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-import relreparam
+from childproc import REDUCED_SIMD, child_env, numpy_has_x86_v4
 from relreparam import experiments
 from relreparam.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_SINGULAR, main)
@@ -46,27 +45,11 @@ def _cpu_has_avx2() -> bool:
     return bool(found & {"AVX2", "X86_V3", "X86_V4"})
 
 
-def _numpy_has_x86_v4() -> bool:
-    """numpy dispatches to its AVX-512 (X86_V4) kernels on this CPU."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy < 2
-        return False
-    return bool(__cpu_features__.get("X86_V4"))
-
-
 def _child_digest(out: Path, kind: str, filename: str, **env_vars) -> str:
     """Digest of the file `filename` from `kind` at its defaults, run in a
-    child interpreter with `env_vars` set and the BLAS-kernel and SIMD-dispatch
-    variables otherwise cleared; these variables act only on the child."""
-    env = dict(os.environ)
-    for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
-        env.pop(name, None)
-    env.update(env_vars)
-    src = str(Path(relreparam.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child interpreter with `env_vars` set (see `childproc.child_env`)."""
     proc = subprocess.run([sys.executable, "-m", "relreparam.cli", kind, "--out", str(out)],
-                          env=env, capture_output=True, text=True)
+                          env=child_env(**env_vars), capture_output=True, text=True)
     assert proc.returncode == EXIT_OK, proc.stderr
     return sha256(out / filename)
 
@@ -323,6 +306,21 @@ class TestExitCodes:
         emitted = {p.name for p in out.iterdir()} - {"run_manifest.json"}
         assert set(manifest["files"]) == emitted
 
+    def test_divergent_gd_stderr_is_the_failure_line(self, tmp_path):
+        """numpy's floating-point warnings on the way to divergence stay off
+        stderr, so it does not name source paths or lines of the checkout."""
+        cfg = default_config("gd")
+        cfg["gradient_source"] = "empirical"
+        cfg["eta"] = 50
+        path = write_config(tmp_path, cfg)
+        env = child_env()
+        env.pop("RELREPARAM_LOG", None)
+        proc = subprocess.run([sys.executable, "-m", "relreparam.cli", "gd", "--config",
+                               str(path), "--out", str(tmp_path / "o")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr == "numerical failure: original, relative gradient-descent run diverged\n"
+
 
 class TestDeterminism:
     def test_field_rerun_byte_identical(self, tmp_path):
@@ -398,11 +396,11 @@ class TestGoldenFixtures:
         assert set(digests.values()) == {GOLDEN[f"{kind}/{csv}"]}, digests
 
     # ecm is left out: numpy's exp/log round differently without AVX-512
-    @pytest.mark.skipif(not _numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
     def test_field_digest_under_reduced_numpy_simd(self, tmp_path):
         reduced = tmp_path / "field"
         digest = _child_digest(reduced, "field", "flow_field.csv",
-                               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+                               NPY_DISABLE_CPU_FEATURES=REDUCED_SIMD)
         assert digest == GOLDEN["field/flow_field.csv"]
         # the quiver's arctan2/cos/sin run over arrays, so through numpy's SIMD kernels
         native = _child_digest(tmp_path / "native", "field", "flow_field.svg")

@@ -1,8 +1,14 @@
 import itertools
+import math
+import subprocess
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from relreparam import dynamics, gmm
 from relreparam.gmm import MixtureError, make_rng, sample
 from relreparam.dynamics import (TrueModel, UVWState, base_partials,
                                  expected_velocity_original,
@@ -11,6 +17,7 @@ from relreparam.dynamics import (TrueModel, UVWState, base_partials,
                                  relative_gram, relative_jacobian,
                                  uvw_from_means, velocity_in_means)
 
+from childproc import REDUCED_SIMD, child_env, numpy_has_x86_v4
 from oracles import exact_partials_per_sample, integrate_gd_per_step
 
 TRUTH0 = TrueModel.from_means(0.0, 0.0)
@@ -242,6 +249,17 @@ class TestIntegrateGd:
         assert traj.diverged
         assert np.all(np.isfinite(traj.mu1))
 
+    @pytest.mark.parametrize("mode", ["original", "relative"])
+    def test_divergence_warns_nothing(self, mode):
+        # Trajectory.diverged reports it; numpy's overflow warnings are not raised
+        data = sample(TRUTH0.params, 200, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert integrate_gd((-1.5, 1.2), TRUTH0, eta=0.05, steps=200,
+                                parameterization=mode).diverged
+            assert integrate_gd((-1.5, 1.5), data, eta=50.0, steps=200,
+                                parameterization=mode).diverged
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(MixtureError):
             integrate_gd((0.0, 1.0), TRUTH0, eta=0.0, steps=5)
@@ -280,6 +298,13 @@ class TestIntegrateGdOracle:
                          0.1, 50, mode, "expected", v=0.3)
 
     @pytest.mark.parametrize("mode", ["original", "relative"])
+    def test_expected_long(self, mode):
+        # 1,001 iterates: full blocks of the log-likelihood pass and a partial last one
+        self.assert_same((-1.5, 1.5), TRUTH0, 0.05, 1000, mode, "expected")
+        self.assert_same((0.4, -0.3), TrueModel.from_means(-0.1, 0.2, v=0.3),
+                         0.05, 1000, mode, "expected", v=0.3)
+
+    @pytest.mark.parametrize("mode", ["original", "relative"])
     def test_empirical(self, mode):
         self.assert_same((-0.5, 0.5), self.DATA, 0.05, 100, mode, "empirical")
         self.assert_same((0.8, -0.2), self.DATA, 0.2, 30, mode, "empirical", v=0.3)
@@ -296,6 +321,90 @@ class TestIntegrateGdOracle:
         with np.errstate(all="ignore"):
             traj = self.assert_same((-1.5, 1.5), self.DATA, 50.0, 200, mode, "empirical")
         assert traj.diverged and traj.n_steps < 200
+
+    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    def test_under_reduced_numpy_simd(self):
+        """The oracle cases above in a child interpreter without numpy's
+        AVX-512 kernels: the blocked pass and the per-iterate one still agree."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestIntegrateGdOracle", "-k", "not reduced_numpy_simd"],
+            env=child_env(NPY_DISABLE_CPU_FEATURES=REDUCED_SIMD),
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert " passed" in proc.stdout and "skipped" not in proc.stdout, proc.stdout
+
+
+class TestDensityPasses:
+    """Passes over the points, counted at gmm.log_component_densities as in
+    test_ecm's TestOnePassPerIteration."""
+
+    DATA = TestIntegrateGdOracle.DATA
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        calls = []
+        original = gmm.log_component_densities
+
+        def counting(params, x):
+            calls.append(np.size(x))
+            return original(params, x)
+
+        monkeypatch.setattr(gmm, "log_component_densities", counting)
+        return calls
+
+    @pytest.mark.parametrize("init", [(-0.5, 0.5), (0.8, -0.2)], ids=["sorted", "unsorted"])
+    @pytest.mark.parametrize("mode", ["original", "relative"])
+    def test_empirical_one_pass_per_step(self, monkeypatch, mode, init):
+        calls = self.counted(monkeypatch)
+        integrate_gd(init, self.DATA, 0.2, 30, parameterization=mode, v=0.3)
+        # one per step, one for the final iterate, and one for an unsorted
+        # start in relative mode, whose step takes the sorted means
+        unsorted_start = mode == "relative" and init[0] > init[1]
+        assert len(calls) == 30 + 1 + unsorted_start
+        assert set(calls) == {self.DATA.n}
+
+    @pytest.mark.parametrize("mode", ["original", "relative"])
+    def test_empirical_diverged_run_has_no_final_pass(self, monkeypatch, mode):
+        calls = self.counted(monkeypatch)
+        traj = integrate_gd((-1.5, 1.5), self.DATA, 50.0, 200, parameterization=mode)
+        assert traj.diverged
+        # the step that diverged made a pass at the last recorded iterate
+        assert len(calls) == traj.n_steps + 1
+
+    @pytest.mark.parametrize("mode", ["original", "relative"])
+    def test_expected_passes_do_not_grow_with_steps(self, monkeypatch, mode):
+        calls = self.counted(monkeypatch)
+        widths = []
+        original = dynamics.log_density_means
+
+        def recording(weights, sigmas, means, x):
+            widths.append(means.shape[1])
+            return original(weights, sigmas, means, x)
+
+        monkeypatch.setattr(dynamics, "log_density_means", recording)
+        for steps in (10, 1000):
+            widths.clear()
+            integrate_gd((-1.5, 1.5), TRUTH0, 0.05, steps, parameterization=mode)
+            assert calls == [], steps  # no log_density call per iterate
+            # each iterate once per true component, in blocks
+            n_blocks = math.ceil((steps + 1) / dynamics._LOGLIK_BLOCK)
+            assert len(widths) == 2 * n_blocks
+            assert sum(widths) == 2 * (steps + 1)
+
+
+@pytest.mark.parametrize("mode", ["original", "relative"])
+def test_expected_integrate_gd_memory_bounded(mode):
+    """The blocked log-likelihood pass keeps a 1,000-step run's transient
+    allocations (tracemalloc's peak) under 2 MiB."""
+    integrate_gd((-1.5, 1.5), TRUTH0, 0.05, 1000, parameterization=mode)
+    tracemalloc.start()
+    try:
+        integrate_gd((-1.5, 1.5), TRUTH0, 0.05, 1000, parameterization=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", ["Original", "orig", "RELATIVE", ""])
