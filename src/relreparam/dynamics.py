@@ -17,12 +17,15 @@ itself (and cross-checked against finite differences in the tests, which
 also measure its discrepancy against the transcription variant, not a valid
 Gram matrix).
 
-The velocity functions take (u, w) or (mu1, mu2) as floats or as same-shape
-arrays, so one code path serves a grid cell, a whole grid and a GD step. They
-use only elementwise +, -, * and / (cubes are written as products, the 3x3
-Gram products as sums left to right): no BLAS call and no numpy `power`, so
-a grid evaluated in one call has the bits of its cells evaluated one by one,
-under any OpenBLAS kernel and any numpy SIMD dispatch level.
+One private chain on plain (v, u, w) floats or same-shape arrays serves a
+grid cell, a whole grid and a GD step. It checks nothing: the public entry
+points check their arguments (through UVWState) and silence numpy's
+floating-point warnings once per call, and integrate_gd once before its
+loop. The chain uses only elementwise +, -, * and / (cubes are written as
+products, the 3x3 Gram products as sums left to right): no BLAS call and no
+numpy `power`, so a grid evaluated in one call has the bits of its cells
+evaluated one by one, under any OpenBLAS kernel and any numpy SIMD dispatch
+level.
 """
 
 from __future__ import annotations
@@ -76,11 +79,15 @@ class UVWState:
     parameterization: str = "original"  # original | relative
 
     def __post_init__(self):
-        if not 0.0 < self.v < 1.0:
-            raise MixtureError("v must lie strictly inside (0, 1)")
+        _check_v(self.v)
         _check_parameterization(self.parameterization)
         if self.parameterization == "relative" and np.less(self.u, 0).any():
             raise MixtureError("relative coordinate Delta must be >= 0")
+
+
+def _check_v(v: float) -> None:
+    if not 0.0 < v < 1.0:
+        raise MixtureError("v must lie strictly inside (0, 1)")
 
 
 def _check_parameterization(parameterization: str) -> None:
@@ -88,27 +95,52 @@ def _check_parameterization(parameterization: str) -> None:
         raise MixtureError("parameterization must be 'original' or 'relative'")
 
 
-def uvw_from_means(v: float, mu1: float, mu2: float) -> UVWState:
-    return UVWState(v=v, u=mu1 - mu2, w=v * mu1 + (1.0 - v) * mu2)
+# The private chain: no check and no np.errstate (see the module docstring).
+
+def _partials(v, u, w, mom) -> tuple[float, float, float]:
+    """base_partials at (v, u, w), from the raw moments E[x^0..x^3]."""
+    m1 = mom[1] - w                  # E[(x-w)^m], m = 1..3
+    m2 = mom[2] - 2.0 * w * mom[1] + w * w
+    m3 = mom[3] - 3.0 * w * mom[2] + 3.0 * w * w * mom[1] - w * w * w
+    ea = m2 - 1.0                    # E[(x-w)^2 - 1]
+    ec = m3 - 3.0 * m1               # E[(x-w)^3 - 3(x-w)]
+    eb = -ec
+    c1 = 6.0 * v * v - 6.0 * v + 1.0
+    c2 = v * (2.0 * v * v - 3.0 * v + 1.0)
+    u3 = u * u * u
+    e_v = -0.5 * u * u * (2.0 * v - 1.0) * ea - 0.5 * u3 * c1 * eb
+    e_u = u * v * (1.0 - v) * ea + 1.5 * u * u * c2 * ec
+    e_w = m1 * (1.0 - u * u * v * (1.0 - v)) - 1.5 * u3 * c2 * ea
+    return e_v, e_u, e_w
 
 
-def means_from_uvw(state: UVWState) -> tuple[float, float]:
-    v, u, w = state.v, state.u, state.w
-    if state.parameterization == "original":
-        return w + (1.0 - v) * u, w - v * u
-    # relative: w' = mu1 + (1-v)*Delta, mu2 = mu1 + Delta
-    mu1 = w - (1.0 - v) * u
-    return mu1, mu1 + u
+def _gram_times(jac, grad, eta: float) -> tuple[float, float, float]:
+    """eta * J J^T @ grad for a 3x3 J given as rows: each entry of J J^T and
+    each row of the product summed left to right."""
+    gram = [[a[0] * b[0] + a[1] * b[1] + a[2] * b[2] for b in jac] for a in jac]
+    g0, g1, g2 = grad
+    return tuple(eta * r[0] * g0 + eta * r[1] * g1 + eta * r[2] * g2 for r in gram)
 
 
-def _centered_moments(true: TrueModel, w) -> tuple[float, float, float]:
-    """E[(x-w)^m], m = 1..3, over the true mixture."""
-    mom = true.raw_moments
-    with np.errstate(over="ignore", invalid="ignore"):
-        m1 = mom[1] - w
-        m2 = mom[2] - 2.0 * w * mom[1] + w * w
-        m3 = mom[3] - 3.0 * w * mom[2] + 3.0 * w * w * mom[1] - w * w * w
-    return m1, m2, m3
+def _velocity_original(v, u, w, mom, eta: float):
+    """(dv, du, dw), with J = d(v,u,w)/d(v,mu1,mu2)."""
+    jac = ((1.0, 0.0, 0.0),
+           (0.0, 1.0, -1.0),
+           (u, v, 1.0 - v))
+    return _gram_times(jac, _partials(v, u, w, mom), eta)
+
+
+def _velocity_relative(v, delta, w, mom, eta: float):
+    """(dv, dDelta, dw'), with J' = d(v,Delta,w')/d(v,mu1,Delta), w' = mu1 + (1-v)*Delta.
+
+    The base partials are taken at u = -Delta (u = mu1 - mu2 = -Delta when
+    mu2 = mu1 + Delta); the u-partial flips sign as dDelta = -du.
+    """
+    e_v, e_u, e_w = _partials(v, -delta, w, mom)
+    jac = ((1.0, 0.0, 0.0),
+           (0.0, 0.0, 1.0),
+           (-delta, 1.0, 1.0 - v))
+    return _gram_times(jac, (e_v, -e_u, e_w), eta)
 
 
 def base_partials(state: UVWState, true: TrueModel) -> tuple[float, float, float]:
@@ -119,79 +151,24 @@ def base_partials(state: UVWState, true: TrueModel) -> tuple[float, float, float
     """
     if state.parameterization != "original":
         raise MixtureError("base_partials expects original coordinates")
-    v, u, w = state.v, state.u, state.w
-    m1, m2, m3 = _centered_moments(true, w)
-    ea = m2 - 1.0                    # E[(x-w)^2 - 1]
-    ec = m3 - 3.0 * m1               # E[(x-w)^3 - 3(x-w)]
-    eb = -ec
-    c1 = 6.0 * v * v - 6.0 * v + 1.0
-    c2 = v * (2.0 * v * v - 3.0 * v + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        u3 = u * u * u
-        e_v = -0.5 * u * u * (2.0 * v - 1.0) * ea - 0.5 * u3 * c1 * eb
-        e_u = u * v * (1.0 - v) * ea + 1.5 * u * u * c2 * ec
-        e_w = m1 * (1.0 - u * u * v * (1.0 - v)) - 1.5 * u3 * c2 * ea
-    return e_v, e_u, e_w
-
-
-def _gram(jac: list) -> list:
-    """J J^T for a 3x3 J given as rows, each entry summed left to right."""
-    return [[a[0] * b[0] + a[1] * b[1] + a[2] * b[2] for b in jac] for a in jac]
-
-
-def _gram_times(gram: list, grad, eta: float) -> tuple[float, float, float]:
-    """eta * gram @ grad, each row summed left to right."""
-    g0, g1, g2 = grad
-    return tuple(eta * r[0] * g0 + eta * r[1] * g1 + eta * r[2] * g2 for r in gram)
-
-
-def _original_jacobian(state: UVWState) -> list:
-    """J = d(v,u,w)/d(v,mu1,mu2) as rows."""
-    v, u = state.v, state.u
-    return [[1.0, 0.0, 0.0],
-            [0.0, 1.0, -1.0],
-            [u, v, 1.0 - v]]
-
-
-def _relative_jacobian(v: float, delta) -> list:
-    """relative_jacobian as rows."""
-    return [[1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [-delta, 1.0, 1.0 - v]]
-
-
-def original_gram(state: UVWState) -> np.ndarray:
-    """J J^T for J = d(v,u,w)/d(v,mu1,mu2)."""
-    return np.array(_gram(_original_jacobian(state)))
-
-
-def relative_jacobian(v: float, delta: float) -> np.ndarray:
-    """J' = d(v, Delta, w')/d(v, mu1, Delta) with w' = mu1 + (1-v)*Delta."""
-    return np.array(_relative_jacobian(v, delta))
-
-
-def relative_gram(v: float, delta: float) -> np.ndarray:
-    return np.array(_gram(_relative_jacobian(v, delta)))
+        return _partials(state.v, state.u, state.w, true.raw_moments)
 
 
 def expected_velocity_original(state: UVWState, true: TrueModel, eta: float = 1.0):
     """(dv/dt, du/dt, dw/dt) = eta * J J^T * expected base partials."""
     if state.parameterization != "original":
         raise MixtureError("expected_velocity_original needs original coordinates")
-    return _gram_times(_gram(_original_jacobian(state)), base_partials(state, true), eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _velocity_original(state.v, state.u, state.w, true.raw_moments, eta)
 
 
 def expected_velocity_relative(state: UVWState, true: TrueModel, eta: float = 1.0):
-    """(dv/dt, dDelta/dt, dw'/dt) under the relative parameterization.
-
-    Base partials are evaluated at u = -Delta, w = w' (since u = mu1 - mu2 =
-    -Delta when mu2 = mu1 + Delta); the u-partial flips sign as dDelta = -du.
-    """
+    """(dv/dt, dDelta/dt, dw'/dt) under the relative parameterization."""
     if state.parameterization != "relative":
         raise MixtureError("expected_velocity_relative needs relative coordinates")
-    v, delta, w = state.v, state.u, state.w
-    e_v, e_u, e_w = base_partials(UVWState(v=v, u=-delta, w=w), true)
-    return _gram_times(_gram(_relative_jacobian(v, delta)), (e_v, -e_u, e_w), eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _velocity_relative(state.v, state.u, state.w, true.raw_moments, eta)
 
 
 @dataclass(frozen=True)
@@ -214,13 +191,6 @@ def _axis(spec) -> np.ndarray:
     return lo + step * np.arange(n)
 
 
-def _relative_velocity(v: float, lo, hi, true: TrueModel, eta: float):
-    """Velocities (dlo, dDelta, dhi) of sorted means lo <= hi, v held fixed."""
-    state = UVWState(v=v, u=hi - lo, w=v * lo + (1.0 - v) * hi, parameterization="relative")
-    _, ddelta, dwp = expected_velocity_relative(state, true, eta)
-    return dwp - (1.0 - v) * ddelta, ddelta, dwp + v * ddelta
-
-
 def velocity_in_means(v: float, mu1: float, mu2: float, true: TrueModel,
                       parameterization: str, eta: float = 1.0):
     """Expected velocity (dmu1, dmu2, reflected) at a point, v held fixed.
@@ -229,20 +199,24 @@ def velocity_in_means(v: float, mu1: float, mu2: float, true: TrueModel,
     means first (canonical ordering) and reports whether each point was
     reflected across the diagonal.
     """
-    _check_parameterization(parameterization)
-    if parameterization == "original":
-        _, du, dw = expected_velocity_original(uvw_from_means(v, mu1, mu2), true, eta)
-        return dw + (1.0 - v) * du, dw - v * du, np.zeros(np.shape(du), dtype=bool)[()]
-    reflected = np.less(mu2, mu1)
-    dlo, _, dhi = _relative_velocity(v, np.minimum(mu1, mu2), np.maximum(mu1, mu2), true, eta)
-    return np.where(reflected, dhi, dlo)[()], np.where(reflected, dlo, dhi)[()], reflected
+    with np.errstate(over="ignore", invalid="ignore"):
+        if parameterization == "original":
+            state = UVWState(v=v, u=mu1 - mu2, w=v * mu1 + (1.0 - v) * mu2)
+            _, du, dw = expected_velocity_original(state, true, eta)
+            return dw + (1.0 - v) * du, dw - v * du, np.zeros(np.shape(du), dtype=bool)[()]
+        reflected = np.less(mu2, mu1)
+        lo, hi = np.minimum(mu1, mu2), np.maximum(mu1, mu2)
+        # the state checks v and rejects any name other than "relative" here
+        state = UVWState(v=v, u=hi - lo, w=v * lo + (1.0 - v) * hi,
+                         parameterization=parameterization)
+        _, ddelta, dwp = expected_velocity_relative(state, true, eta)
+        dlo, dhi = dwp - (1.0 - v) * ddelta, dwp + v * ddelta
+        return np.where(reflected, dhi, dlo)[()], np.where(reflected, dlo, dhi)[()], reflected
 
 
 def flow_field(mu1_spec, mu2_spec, v: float, true: TrueModel,
                parameterization: str = "original", eta: float = 1.0) -> FlowField:
     """Evaluate the expected-velocity field on the grid of (mu1, mu2) cells."""
-    if not 0.0 < v < 1.0:
-        raise MixtureError("v must lie in (0, 1)")
     ax1, ax2 = _axis(mu1_spec), _axis(mu2_spec)
     dmu1, dmu2, refl = velocity_in_means(v, *np.meshgrid(ax1, ax2), true, parameterization, eta)
     return FlowField(mu1_axis=ax1, mu2_axis=ax2, dmu1=dmu1, dmu2=dmu2,
@@ -318,11 +292,16 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
 
     # original(mu1, mu2) gives (dmu1, dmu2); relative(lo, hi) gives (dlo, dDelta)
     if isinstance(true, TrueModel):
+        _check_v(v)
+        mom = true.raw_moments
+
         def original(m1, m2):
-            return velocity_in_means(v, m1, m2, true, "original", eta)[:2]
+            _, du, dw = _velocity_original(v, m1 - m2, v * m1 + (1.0 - v) * m2, mom, eta)
+            return dw + (1.0 - v) * du, dw - v * du
 
         def relative(lo, hi):
-            return _relative_velocity(v, lo, hi, true, eta)[:2]
+            _, ddelta, dwp = _velocity_relative(v, hi - lo, v * lo + (1.0 - v) * hi, mom, eta)
+            return dwp - (1.0 - v) * ddelta, ddelta
     elif isinstance(true, Dataset):
         xs = true.points
         passes = []  # log-likelihood at the means of each step's pass, in step order

@@ -9,6 +9,7 @@ fixtures are bit-reproducible across platforms for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -277,10 +278,16 @@ def mean_distance(params: MixtureParams, truth: MixtureParams) -> float:
     return math.hypot(*(np.sort(params.means) - np.sort(truth.means)))
 
 
+@functools.cache
 def normal_quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights for E[f(Z)], Z ~ N(0, 1): sum(w * f(nodes))."""
+    """Gauss-Hermite nodes and weights for E[f(Z)], Z ~ N(0, 1): sum(w * f(nodes)).
+
+    Each rule is solved once per node count and shared as read-only arrays.
+    """
     nodes, wts = np.polynomial.hermite_e.hermegauss(n_nodes)
-    return nodes, wts / np.sqrt(2.0 * np.pi)
+    wts = wts / np.sqrt(2.0 * np.pi)
+    nodes.flags.writeable = wts.flags.writeable = False
+    return nodes, wts
 
 
 def gaussian_raw_moments(mu: float, sigma: float) -> tuple[float, float, float, float]:

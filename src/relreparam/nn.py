@@ -192,13 +192,3 @@ def decode_rows(rep: RowReparam) -> np.ndarray:
         rows.append(row)
     return np.vstack(rows)
 
-
-def permute_hidden_units(mlp: MLPParams, layer: int, perm) -> MLPParams:
-    """Apply a hidden-unit permutation: reorder W_layer columns/bias and W_{layer+1} rows."""
-    perm = list(perm)
-    ws = [w.copy() for w in mlp.weights]
-    bs = [b.copy() for b in mlp.biases]
-    ws[layer] = ws[layer][:, perm]
-    bs[layer] = bs[layer][perm]
-    ws[layer + 1] = ws[layer + 1][perm, :]
-    return MLPParams(weights=tuple(ws), biases=tuple(bs), activation=mlp.activation)

@@ -3,12 +3,60 @@
 import numpy as np
 
 from relreparam import fim
-from relreparam.dynamics import (TrueModel, Trajectory, UVWState, _relative_velocity,
-                                 means_from_uvw, velocity_in_means)
+from relreparam.dynamics import (TrueModel, Trajectory, UVWState, expected_velocity_relative,
+                                 velocity_in_means)
 from relreparam.gmm import (LOG_2PI, Dataset, MixtureParams, log_density, log_likelihood,
                             make_rng, mean_distance, normal_quadrature, responsibilities_array,
                             sample, score_means)
+from relreparam.nn import MLPParams
 from relreparam.svgplot import SvgCanvas, Viewport
+
+
+# Collective coordinates: the maps between (v, mu1, mu2) and UVWState, and
+# the coordinate-change Jacobians and their Gram matrices as numpy arrays.
+
+def uvw_from_means(v: float, mu1: float, mu2: float) -> UVWState:
+    return UVWState(v=v, u=mu1 - mu2, w=v * mu1 + (1.0 - v) * mu2)
+
+
+def means_from_uvw(state: UVWState) -> tuple[float, float]:
+    v, u, w = state.v, state.u, state.w
+    if state.parameterization == "original":
+        return w + (1.0 - v) * u, w - v * u
+    # relative: w' = mu1 + (1-v)*Delta, mu2 = mu1 + Delta
+    mu1 = w - (1.0 - v) * u
+    return mu1, mu1 + u
+
+
+def original_gram(state: UVWState) -> np.ndarray:
+    """J J^T for J = d(v,u,w)/d(v,mu1,mu2)."""
+    jac = np.array([[1.0, 0.0, 0.0],
+                    [0.0, 1.0, -1.0],
+                    [state.u, state.v, 1.0 - state.v]])
+    return jac @ jac.T
+
+
+def relative_jacobian(v: float, delta: float) -> np.ndarray:
+    """J' = d(v, Delta, w')/d(v, mu1, Delta) with w' = mu1 + (1-v)*Delta."""
+    return np.array([[1.0, 0.0, 0.0],
+                     [0.0, 0.0, 1.0],
+                     [-delta, 1.0, 1.0 - v]])
+
+
+def relative_gram(v: float, delta: float) -> np.ndarray:
+    jac = relative_jacobian(v, delta)
+    return jac @ jac.T
+
+
+def permute_hidden_units(mlp: MLPParams, layer: int, perm) -> MLPParams:
+    """Apply a hidden-unit permutation: reorder W_layer columns/bias and W_{layer+1} rows."""
+    perm = list(perm)
+    ws = [w.copy() for w in mlp.weights]
+    bs = [b.copy() for b in mlp.biases]
+    ws[layer] = ws[layer][:, perm]
+    bs[layer] = bs[layer][perm]
+    ws[layer + 1] = ws[layer + 1][perm, :]
+    return MLPParams(weights=tuple(ws), biases=tuple(bs), activation=mlp.activation)
 
 
 def exact_partials_per_sample(state: UVWState, xs: np.ndarray) -> np.ndarray:
@@ -149,7 +197,10 @@ def integrate_gd_per_step(init_means, true, eta: float, steps: int,
             lo, hi = min(mu1, mu2), max(mu1, mu2)
             delta = hi - lo
             if gradient_source == "expected":
-                dlo, ddelta, _ = _relative_velocity(v, lo, hi, true, eta)
+                st = UVWState(v=v, u=delta, w=v * lo + (1.0 - v) * hi,
+                              parameterization="relative")
+                _, ddelta, dwp = expected_velocity_relative(st, true, eta)
+                dlo = dwp - (1.0 - v) * ddelta
             else:
                 params = MixtureParams(weights=(v, 1.0 - v), means=(lo, hi), sigmas=(1.0, 1.0))
                 g = np.mean(score_means(params, xs), axis=0)

@@ -17,8 +17,7 @@ from scipy.optimize import minimize_scalar
 from relreparam.cli import EXIT_OK, main
 from relreparam.dynamics import (TrueModel, UVWState,
                                  expected_velocity_original,
-                                 expected_velocity_relative, flow_field,
-                                 original_gram, relative_gram)
+                                 expected_velocity_relative, flow_field)
 from relreparam.ecm import (ECMConfig, Responsibilities, cm_step_delta,
                             cm_step_reference_mean, e_step, fit_ecm_relative,
                             fit_em_standard, q_function)
@@ -27,11 +26,11 @@ from relreparam.fim import (bernoulli_family, crouzeix_check, fim_estimate,
                             transform_fim, FisherMatrix)
 from relreparam.gmm import (Dataset, MixtureParams, density, make_rng, sample)
 from relreparam.nn import (MLPParams, decode_rows, detect_singularities,
-                           forward, permute_hidden_units, reparameterize_rows)
+                           forward, reparameterize_rows)
 from relreparam.reparam import (RelativeParams, ReparamSpec, jacobian,
                                 to_absolute, to_relative)
 
-from oracles import exact_partials_per_sample
+from oracles import exact_partials_per_sample, original_gram, permute_hidden_units, relative_gram
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

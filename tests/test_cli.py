@@ -507,6 +507,21 @@ class TestRunField:
         # 41x41 grid, one block per parameterization
         assert len(lines) - 2 == 2 * 41 * 41
 
+    def test_overflowing_grid_stderr_is_empty(self, tmp_path):
+        """Velocities that overflow to inf or nan are written as they are,
+        and numpy's floating-point warnings stay off stderr."""
+        cfg = default_config("field")
+        cfg["grid"] = {"min": -1.0e103, "max": 1.0e103, "step": 1.0e102}
+        path = write_config(tmp_path, cfg)
+        env = child_env()
+        env.pop("RELREPARAM_LOG", None)
+        proc = subprocess.run([sys.executable, "-m", "relreparam.cli", "field", "--config",
+                               str(path), "--out", str(tmp_path / "o")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        assert "nan" in (tmp_path / "o" / "flow_field.csv").read_text()
+
     def test_single_cell_grid(self, tmp_path):
         cfg = default_config("field")
         cfg["grid"] = {"min": 0.5, "max": 0.5, "step": 1.0}

@@ -13,14 +13,14 @@ from relreparam.gmm import MixtureError, make_rng, sample
 from relreparam.dynamics import (TrueModel, UVWState, base_partials,
                                  expected_velocity_original,
                                  expected_velocity_relative, flow_field,
-                                 integrate_gd, means_from_uvw, original_gram,
-                                 relative_gram, relative_jacobian,
-                                 uvw_from_means, velocity_in_means)
+                                 integrate_gd, velocity_in_means)
 
 from childproc import REDUCED_SIMD, child_env, numpy_has_x86_v4
-from oracles import exact_partials_per_sample, integrate_gd_per_step
+from oracles import (exact_partials_per_sample, integrate_gd_per_step, means_from_uvw,
+                     original_gram, relative_gram, relative_jacobian, uvw_from_means)
 
 TRUTH0 = TrueModel.from_means(0.0, 0.0)
+STATE_ENTRY_POINTS = [base_partials, expected_velocity_original, expected_velocity_relative]
 
 
 def transcribed_relative_jacobian(v, mu1, delta):
@@ -128,6 +128,21 @@ class TestExpectedVelocityRelative:
         assert np.allclose(gram, jac @ jac.T, atol=0.0)
         assert np.allclose(gram, gram.T, atol=0.0)
 
+    def test_velocities_use_the_oracle_grams(self):
+        # the Jacobian rows written inline in dynamics against the numpy
+        # J J^T of tests/oracles.py
+        truth = TrueModel.from_means(-0.3, 0.4, v=0.3)
+        for v, u, w in ((0.35, 0.8, 0.3), (0.5, 0.12, -0.25), (0.3, 1.7, 1.1)):
+            st = UVWState(v=v, u=u, w=w)
+            got = expected_velocity_original(st, truth, eta=0.7)
+            want = 0.7 * original_gram(st) @ np.array(base_partials(st, truth))
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+            # relative: partials at u = -Delta, the u-partial with flipped sign
+            grad = np.array(base_partials(UVWState(v=v, u=-u, w=w), truth)) * (1.0, -1.0, 1.0)
+            st = UVWState(v=v, u=u, w=w, parameterization="relative")
+            got = expected_velocity_relative(st, truth, eta=0.7)
+            assert np.allclose(got, 0.7 * relative_gram(v, u) @ grad, rtol=1e-13, atol=1e-15)
+
     def test_transcribed_jacobian_is_inconsistent(self):
         # the transcription variant does not reproduce the coordinate map;
         # its discrepancy against the derived Jacobian is order one
@@ -184,6 +199,18 @@ class TestFlowField:
         norm_o = np.hypot(fo.dmu1, fo.dmu2)[band].mean()
         norm_r = np.hypot(fr.dmu1, fr.dmu2)[band].mean()
         assert norm_r >= norm_o
+
+    @pytest.mark.parametrize("mode", ["original", "relative"])
+    def test_overflowing_grid_warns_nothing(self, mode):
+        # cubes of 1e103 overflow; the entry points keep numpy's warnings in
+        spec = (-1.0e103, 1.0e103, 1.0e102)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ff = flow_field(spec, spec, 0.5, TRUTH0, mode)
+            assert not np.all(np.isfinite(ff.dmu1))
+            g1, g2 = np.meshgrid(ff.mu1_axis, ff.mu2_axis)
+            for args in ((g1, g2), (-1.0e103, 1.0e103), (1.0e103, -9.0e102)):
+                velocity_in_means(0.3, *args, TRUTH0, mode)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(MixtureError):
@@ -426,6 +453,147 @@ class TestRejectsUnknownParameterization:
         data = sample(TRUTH0.params, 50, seed=1)
         with pytest.raises(MixtureError):
             integrate_gd((-1.0, 1.0), data, eta=0.1, steps=5, parameterization=name)
+
+    @pytest.mark.parametrize("entry", STATE_ENTRY_POINTS)
+    def test_state_entry_points(self, name, entry):
+        with pytest.raises(MixtureError):
+            entry(UVWState(v=0.5, u=0.1, w=0.0, parameterization=name), TRUTH0)
+
+
+class TestBoundaryChecks:
+    """Every public entry point rejects a v outside (0, 1), a negative Delta
+    and a state of the other parameterization with MixtureError; the
+    private chain behind them checks nothing."""
+
+    @pytest.mark.parametrize("v", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_v_outside_unit_interval(self, v):
+        for mode, entry in itertools.product(dynamics.PARAMETERIZATIONS, STATE_ENTRY_POINTS):
+            with pytest.raises(MixtureError):
+                entry(UVWState(v=v, u=0.1, w=0.0, parameterization=mode), TRUTH0)
+        for mode in dynamics.PARAMETERIZATIONS:
+            with pytest.raises(MixtureError):
+                velocity_in_means(v, -1.0, 1.0, TRUTH0, mode)
+            with pytest.raises(MixtureError):
+                velocity_in_means(v, np.array([-1.0, 0.5]), np.array([1.0, 0.2]), TRUTH0, mode)
+            with pytest.raises(MixtureError):
+                flow_field((-1.0, 1.0, 0.5), (-1.0, 1.0, 0.5), v, TRUTH0, mode)
+            with pytest.raises(MixtureError):
+                integrate_gd((-1.0, 1.0), TRUTH0, eta=0.1, steps=5, parameterization=mode, v=v)
+
+    @pytest.mark.parametrize("delta", [-0.1, np.array([0.2, -1e-300])])
+    def test_negative_delta_in_relative_state(self, delta):
+        for entry in STATE_ENTRY_POINTS:
+            with pytest.raises(MixtureError, match="Delta"):
+                entry(UVWState(v=0.5, u=delta, w=0.0, parameterization="relative"), TRUTH0)
+
+    def test_state_of_the_other_parameterization(self):
+        rel = UVWState(v=0.5, u=0.1, w=0.0, parameterization="relative")
+        orig = UVWState(v=0.5, u=0.1, w=0.0)
+        for entry, state in ((base_partials, rel), (expected_velocity_original, rel),
+                             (expected_velocity_relative, orig)):
+            with pytest.raises(MixtureError, match="coordinates"):
+                entry(state, TRUTH0)
+
+    @pytest.mark.parametrize("mode", ["original", "relative"])
+    def test_gd_checks_v_before_any_step(self, monkeypatch, mode):
+        calls = []
+        for name in ("_velocity_original", "_velocity_relative"):
+            monkeypatch.setattr(dynamics, name, lambda *args: calls.append(args))
+        with pytest.raises(MixtureError, match="strictly inside"):
+            integrate_gd((-1.0, 1.0), TRUTH0, eta=0.1, steps=5, parameterization=mode, v=1.5)
+        assert calls == []
+
+
+class TestChecksOncePerCall:
+    """The checked UVWState and the traced expected_velocity_* calls happen
+    once per public call: never inside the expected-mode gd loop, once per
+    grid in flow_field."""
+
+    @staticmethod
+    def counted(monkeypatch) -> dict:
+        counts = dict.fromkeys(("UVWState", "original", "relative"), 0)
+        post_init = UVWState.__post_init__
+
+        def counting_post_init(state):
+            counts["UVWState"] += 1
+            post_init(state)
+
+        monkeypatch.setattr(UVWState, "__post_init__", counting_post_init)
+        for mode in ("original", "relative"):
+            name = f"expected_velocity_{mode}"
+
+            def counting(*args, _fn=getattr(dynamics, name), _mode=mode, **kwargs):
+                counts[_mode] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(dynamics, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("mode", ["original", "relative"])
+    def test_expected_gd_builds_no_state(self, monkeypatch, mode):
+        counts = self.counted(monkeypatch)
+        traj = integrate_gd((0.4, -0.3), TrueModel.from_means(-0.1, 0.2, v=0.3), 0.05, 100,
+                            parameterization=mode, v=0.3)
+        assert traj.n_steps == 100 and not traj.diverged
+        assert counts == {"UVWState": 0, "original": 0, "relative": 0}
+
+    @pytest.mark.parametrize("mode", ["original", "relative"])
+    def test_flow_field_one_state_per_grid(self, monkeypatch, mode):
+        counts = self.counted(monkeypatch)
+        ff = flow_field((-2.0, 2.0, 0.1), (-2.0, 2.0, 0.1), 0.3, TRUTH0, mode)
+        assert ff.dmu1.shape == (41, 41)
+        assert counts == {"UVWState": 1, "original": mode == "original",
+                          "relative": mode == "relative"}
+
+
+def gd_first_step(init, true, eta, mode, v):
+    traj = integrate_gd(init, true, eta, 1, parameterization=mode, v=v)
+    assert traj.n_steps == 1
+    return traj.mu1[1], traj.mu2[1]
+
+
+def public_first_step(m1, m2, true, eta, mode, v):
+    """The first iterate of integrate_gd, rebuilt from the public velocities."""
+    d1, d2, reflected = velocity_in_means(v, m1, m2, true, mode, eta)
+    if mode == "original":
+        return m1 + d1, m2 + d2
+    lo, hi = min(m1, m2), max(m1, m2)
+    dlo = d2 if reflected else d1
+    st = UVWState(v=v, u=hi - lo, w=v * lo + (1.0 - v) * hi, parameterization="relative")
+    ddelta = expected_velocity_relative(st, true, eta)[1]
+    mu1 = lo + dlo
+    return mu1, mu1 + max(hi - lo + ddelta, 0.0)
+
+
+def test_gd_step_is_bit_identical_to_public_velocities():
+    """The gd loop's private chain against the checked public path, with ==,
+    at 2,000 random (v, truth, means, eta) points (every fourth at v = 0.3)
+    in both parameterizations."""
+    rng = make_rng(16)
+    for k in range(2000):
+        v = 0.3 if k % 4 == 0 else float(rng.uniform(0.05, 0.95))
+        true = TrueModel.from_means(*map(float, rng.normal(0.0, 1.0, 2)), v=float(rng.uniform(0.1, 0.9)))
+        m1, m2 = map(float, rng.normal(0.0, 2.0, 2))
+        eta = float(rng.uniform(0.001, 0.5))
+        for mode in ("original", "relative"):
+            got = gd_first_step((m1, m2), true, eta, mode, v)
+            assert got == public_first_step(m1, m2, true, eta, mode, v), (k, mode)
+
+
+@pytest.mark.parametrize("mode", ["original", "relative"])
+def test_gd_step_is_bit_identical_to_one_array_call(mode):
+    """One velocity_in_means call over 200 points against the loop's scalar steps."""
+    rng = make_rng(17)
+    true, v, eta = TrueModel.from_means(-0.3, 0.4, v=0.3), 0.3, 0.1
+    m1, m2 = rng.normal(0.0, 2.0, (2, 200))
+    d1, d2, reflected = velocity_in_means(v, m1, m2, true, mode, eta)
+    for i in range(200):
+        got = gd_first_step((m1[i], m2[i]), true, eta, mode, v)
+        if mode == "original":
+            assert got == (m1[i] + d1[i], m2[i] + d2[i]), i
+        else:
+            lo = min(m1[i], m2[i])
+            assert got[0] == lo + (d2[i] if reflected[i] else d1[i]), i
 
 
 def test_mc_oracle_random_states_both_modes():

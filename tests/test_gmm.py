@@ -5,8 +5,8 @@ from scipy.integrate import quad
 from oracles import sample_points
 
 from relreparam.gmm import (Dataset, MixtureParams, MixtureError, density,
-                            log_likelihood, make_rng, mixture_moments, sample,
-                            score)
+                            log_likelihood, make_rng, mixture_moments,
+                            normal_quadrature, sample, score)
 
 
 def naive_density(params, x):
@@ -209,6 +209,20 @@ class TestMoments:
             draws = xs ** m
             se = draws.std(ddof=1) / np.sqrt(n)
             assert abs(draws.mean() - table[m]) < 4 * se
+
+
+class TestNormalQuadrature:
+    @pytest.mark.parametrize("n_nodes", [101, 201, 7])
+    def test_rules_are_cached_read_only(self, n_nodes):
+        nodes, wts = normal_quadrature(n_nodes)
+        again = normal_quadrature(n_nodes)
+        assert again[0] is nodes and again[1] is wts
+        assert not nodes.flags.writeable and not wts.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        fresh_nodes, fresh_wts = np.polynomial.hermite_e.hermegauss(n_nodes)
+        assert np.array_equal(nodes, fresh_nodes)
+        assert np.array_equal(wts, fresh_wts / np.sqrt(2.0 * np.pi))
 
 
 class TestSerialization:

@@ -4,10 +4,11 @@ import pytest
 from relreparam.experiments import _build_nn
 from relreparam.gmm import MixtureError, make_rng
 from relreparam.nn import (MLPParams, RowReparam, decode_rows,
-                           detect_singularities, forward,
-                           permute_hidden_units, report_lines,
+                           detect_singularities, forward, report_lines,
                            reparameterize_rows)
 from relreparam.reparam import SingularPointError
+
+from oracles import permute_hidden_units
 
 
 def naive_forward(mlp, x):
