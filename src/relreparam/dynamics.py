@@ -36,9 +36,9 @@ from functools import cached_property
 
 import numpy as np
 
-# score_means is no longer called here (the empirical step takes its scores
-# from the responsibilities of its one pass); it stays importable from this
-# module, where perfbench/tracer.py wraps it.
+# The empirical step takes its component-major score rows from the
+# responsibilities of its one pass, not from score_means; that name stays
+# importable from this module, where perfbench/tracer.py wraps it.
 from .gmm import (Dataset, MixtureParams, MixtureError, _score_means_given, log_density_means,
                   log_likelihood, mixture_moments, normal_quadrature,
                   responsibilities_and_log_density, score_means)
@@ -310,7 +310,7 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
             params = mixture(m1, m2)
             gam, log_p = responsibilities_and_log_density(params, xs)
             passes.append(float(np.sum(log_p)))
-            return np.mean(_score_means_given(params, xs, gam), axis=0)
+            return np.mean(_score_means_given(params, xs, gam), axis=1)
 
         def original(m1, m2):
             g = mean_score(m1, m2)

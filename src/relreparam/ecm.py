@@ -90,7 +90,10 @@ class FitResult:
     ``stop_reason`` is "converged" (the stop rule held) or "max_iters".
     ``kkt_active_steps`` counts the ECM gap steps that the constraint
     Delta >= 0 clamped to zero, and ``max_kkt_multiplier`` is the largest
-    KKT multiplier among them; both are 0 for EM.
+    KKT multiplier among them; both are 0 for EM. For the fixed-weight
+    equal-sigma 2-GMM the clamp cannot fire in exact arithmetic (gamma_2
+    grows with x, so the gap step never goes below 0): on working code
+    both read 0, and only rounding could make them otherwise.
     """
 
     params: MixtureParams

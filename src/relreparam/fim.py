@@ -61,6 +61,7 @@ class FisherMatrix:
 
 
 def _score_in_coords(params: MixtureParams, xs: np.ndarray, coords: str) -> np.ndarray:
+    """Scores of xs, shape (n, k): a view whose ``.T`` is the contiguous (k, n) rows."""
     if coords == "means":
         return score_means(params, xs)
     if coords == "relative_means":
@@ -68,9 +69,9 @@ def _score_in_coords(params: MixtureParams, xs: np.ndarray, coords: str) -> np.n
             raise MixtureError("relative_means coordinates need K = 2")
         if abs(params.means[0] - params.means[1]) < 1e-12:
             raise SingularFimError("FIM degenerates at the overlap singularity")
-        s = score_means(params, xs)
+        s = score_means(params, xs).T
         # lambda = (mu1, Delta) with mu2 = mu1 + Delta
-        return np.column_stack([s[:, 0] + s[:, 1], s[:, 1]])
+        return np.stack([s[0] + s[1], s[1]]).T
     if coords == "full":
         return score(params, xs)
     raise MixtureError(f"coords must be one of {COORD_SETS}")
@@ -81,11 +82,12 @@ def _mc_moments(params: MixtureParams, xs: np.ndarray, coords: str):
 
     Streams over slices of _MC_CHUNK draws: each slice's mean and M2 about
     that mean are merged into the running pair with the pairwise update of
-    Chan, Golub & LeVeque (1979).
+    Chan, Golub & LeVeque (1979). A slice's scores are used as the (k, c)
+    component-major rows they are computed in, without a copy.
     """
     n, mean, m2 = 0, 0.0, 0.0  # the first merge takes the first slice's pair as is
     for start in range(0, len(xs), _MC_CHUNK):
-        s = np.ascontiguousarray(_score_in_coords(params, xs[start:start + _MC_CHUNK], coords).T)
+        s = _score_in_coords(params, xs[start:start + _MC_CHUNK], coords).T
         outer = s[:, None, :] * s[None, :, :]  # (k, k, c), each entry's draws contiguous
         c = outer.shape[-1]
         c_mean = outer.mean(axis=-1)

@@ -202,16 +202,6 @@ def _components_last(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a, 0, -1)
 
 
-def _row_major(a: np.ndarray) -> np.ndarray:
-    """C-contiguous copy of a component-major (K, ...) array as (..., K).
-
-    For the scores: callers reduce them over the sample axis (np.mean over
-    axis 0, einsum), and numpy's summation order, so the rounding of the
-    Fisher matrices and empirical gradients, follows the memory layout.
-    """
-    return np.ascontiguousarray(_components_last(a))
-
-
 def responsibilities_array(params: MixtureParams, x) -> np.ndarray:
     """Posterior component probabilities gamma(z_k | x); shape (..., K).
 
@@ -225,7 +215,8 @@ def score(params: MixtureParams, x) -> np.ndarray:
     """Gradient of ln density at x over (pi_1..pi_{K-1} free coords, mu, sigma).
 
     The weight block uses the first K-1 weights as free coordinates with
-    pi_K = 1 - sum of the others, so the gradient has length 3K - 1.
+    pi_K = 1 - sum of the others, so the gradient has length 3K - 1. A view
+    of the component-major rows, as in ``responsibilities_array``.
     """
     xs = _check_x(x)
     gam = _responsibilities(params, xs)  # (K, ...)
@@ -237,20 +228,21 @@ def score(params: MixtureParams, x) -> np.ndarray:
     d_pi = gam[:-1] / w[:-1] - gam[-1:] / w[-1]
     d_mu = gam * z / sig
     d_sigma = gam * (z * z - 1.0) / sig
-    return _row_major(np.concatenate([d_pi, d_mu, d_sigma], axis=0))
+    return _components_last(np.concatenate([d_pi, d_mu, d_sigma], axis=0))
 
 
 def _score_means_given(params: MixtureParams, xs: np.ndarray, gam: np.ndarray) -> np.ndarray:
-    """Scores of the means from the component-major responsibilities gam of xs."""
+    """Component-major (K, ...) scores of the means from the responsibilities gam of xs."""
     mu = _components_first(np.asarray(params.means), xs.ndim)
     sig = _components_first(np.asarray(params.sigmas), xs.ndim)
-    return _row_major(gam * (xs - mu) / (sig * sig))
+    return gam * (xs - mu) / (sig * sig)
 
 
 def score_means(params: MixtureParams, x) -> np.ndarray:
-    """Gradient of ln density with respect to the means only; shape (..., K)."""
+    """Gradient of ln density with respect to the means only; shape (..., K),
+    a view of the component-major rows."""
     xs = _check_x(x)
-    return _score_means_given(params, xs, _responsibilities(params, xs))
+    return _components_last(_score_means_given(params, xs, _responsibilities(params, xs)))
 
 
 def make_rng(seed: int) -> np.random.Generator:

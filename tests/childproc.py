@@ -2,6 +2,8 @@
 levels and OpenBLAS kernels: those settings act only on a fresh process."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import relreparam
@@ -30,3 +32,15 @@ def child_env(**env_vars) -> dict:
     src = str(Path(relreparam.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def assert_passes_under_reduced_simd(node_id: str) -> None:
+    """Run the tests at `node_id` (``path::Class``) in a child pytest without
+    numpy's AVX-512 kernels, leaving out their own reduced-SIMD rerun, and
+    require that some ran and all passed."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node_id,
+         "-k", "not reduced_numpy_simd"],
+        env=child_env(NPY_DISABLE_CPU_FEATURES=REDUCED_SIMD), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " passed" in proc.stdout and "skipped" not in proc.stdout, proc.stdout

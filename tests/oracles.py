@@ -87,7 +87,7 @@ def exact_partials_per_sample(state: UVWState, xs: np.ndarray) -> np.ndarray:
 
 
 def rowmajor_log_sum_exp(params: MixtureParams, xs: np.ndarray):
-    """(n, K) responsibilities and (n,) log densities, components as the inner axis.
+    """(..., K) responsibilities and (...) log densities, components as the inner axis.
 
     The row-major reference for the component-major ``gmm`` kernels, in the
     same order of operations: ln N_k, then + ln pi_k, then a log-sum-exp over
@@ -96,12 +96,65 @@ def rowmajor_log_sum_exp(params: MixtureParams, xs: np.ndarray):
     mu = np.asarray(params.means)
     sig = np.asarray(params.sigmas)
     logw = np.log(np.asarray(params.weights) + np.finfo(float).tiny)
-    z = (xs[:, None] - mu) / sig
+    z = (xs[..., None] - mu) / sig
     a = (-0.5 * z * z - np.log(sig) - 0.5 * LOG_2PI) + logw
     amax = np.max(a, axis=-1, keepdims=True)
     e = np.exp(a - amax)
     total = np.sum(e, axis=-1, keepdims=True)
-    return e / total, amax[:, 0] + np.log(total[:, 0])
+    return e / total, amax[..., 0] + np.log(total[..., 0])
+
+
+# Row-major scores: the C-contiguous (..., K) arrays gmm's score functions
+# returned before they became views of component-major rows, and the paths
+# that reduced them.
+
+def rowmajor_score_means(params: MixtureParams, x) -> np.ndarray:
+    """``gmm.score_means`` as a C-contiguous (..., K) array, same operations."""
+    xs = np.asarray(x, dtype=float)
+    gam = rowmajor_log_sum_exp(params, xs)[0]
+    sig = np.asarray(params.sigmas)
+    return gam * (xs[..., None] - np.asarray(params.means)) / (sig * sig)
+
+
+def rowmajor_score(params: MixtureParams, x) -> np.ndarray:
+    """``gmm.score`` as a C-contiguous (..., 3K - 1) array, same operations."""
+    xs = np.asarray(x, dtype=float)
+    gam = rowmajor_log_sum_exp(params, xs)[0]
+    sig = np.asarray(params.sigmas)
+    w = np.asarray(params.weights)
+    z = (xs[..., None] - np.asarray(params.means)) / sig
+    d_pi = gam[..., :-1] / w[:-1] - gam[..., -1:] / w[-1]
+    return np.concatenate([d_pi, gam * z / sig, gam * (z * z - 1.0) / sig], axis=-1)
+
+
+def rowmajor_score_in_coords(params: MixtureParams, xs: np.ndarray, coords: str) -> np.ndarray:
+    """``fim._score_in_coords`` from the row-major scores: (n, k), C-contiguous."""
+    if coords == "full":
+        return rowmajor_score(params, xs)
+    s = rowmajor_score_means(params, xs)
+    if coords == "relative_means":
+        return np.column_stack([s[:, 0] + s[:, 1], s[:, 1]])
+    return s
+
+
+def rowmajor_mc_moments(params: MixtureParams, xs: np.ndarray, coords: str):
+    """``fim._mc_moments`` on row-major scores, each slice's (c, k) array
+    copied to (k, c) rows before its products are taken."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, len(xs), fim._MC_CHUNK):
+        s = np.ascontiguousarray(
+            rowmajor_score_in_coords(params, xs[start:start + fim._MC_CHUNK], coords).T)
+        outer = s[:, None, :] * s[None, :, :]
+        c = outer.shape[-1]
+        c_mean = outer.mean(axis=-1)
+        outer -= c_mean[..., None]
+        outer *= outer
+        total = n + c
+        d = c_mean - mean
+        mean = mean + d * (c / total)
+        m2 = m2 + outer.sum(axis=-1) + d * d * (n * c / total)
+        n = total
+    return mean, m2
 
 
 def rowmajor_fit(data: Dataset, params: MixtureParams, config, delta=None):
@@ -157,15 +210,18 @@ def expected_loglik(params: MixtureParams, true: TrueModel, nodes_weights) -> fl
 
 def integrate_gd_per_step(init_means, true, eta: float, steps: int,
                           parameterization: str, gradient_source: str,
-                          v: float = 0.5) -> Trajectory:
+                          v: float = 0.5, row_major: bool = False) -> Trajectory:
     """The per-step GD loop: one branch per parameterization and gradient
     source inside the loop, and each iterate's log-likelihood and distance to
     the truth recorded as soon as it is made. ``gradient_source`` 'expected'
-    takes a TrueModel, 'empirical' a Dataset."""
+    takes a TrueModel, 'empirical' a Dataset. An empirical step averages
+    ``score_means`` over axis 0; with ``row_major`` it averages the
+    C-contiguous (n, K) scores instead, a sum in another order."""
     if gradient_source == "expected":
         nodes_weights = normal_quadrature(101)
     else:
         xs = true.points
+        scores = rowmajor_score_means if row_major else score_means
 
     mu1, mu2 = float(init_means[0]), float(init_means[1])
     recs = {k: [] for k in ("mu1", "mu2", "delta", "loglik", "dist")}
@@ -190,7 +246,7 @@ def integrate_gd_per_step(init_means, true, eta: float, steps: int,
                 d1, d2, _ = velocity_in_means(v, mu1, mu2, true, "original", eta)
             else:
                 params = MixtureParams(weights=(v, 1.0 - v), means=(mu1, mu2), sigmas=(1.0, 1.0))
-                g = np.mean(score_means(params, xs), axis=0)
+                g = np.mean(scores(params, xs), axis=0)
                 d1, d2 = eta * g[0], eta * g[1]
             mu1, mu2 = mu1 + d1, mu2 + d2
         else:
@@ -203,7 +259,7 @@ def integrate_gd_per_step(init_means, true, eta: float, steps: int,
                 dlo = dwp - (1.0 - v) * ddelta
             else:
                 params = MixtureParams(weights=(v, 1.0 - v), means=(lo, hi), sigmas=(1.0, 1.0))
-                g = np.mean(score_means(params, xs), axis=0)
+                g = np.mean(scores(params, xs), axis=0)
                 dlo = eta * (g[0] + g[1])      # d l / d mu1 with mu2 = mu1 + Delta
                 ddelta = eta * g[1]            # d l / d Delta
             lo = lo + dlo

@@ -10,6 +10,7 @@ from relreparam.ecm import (DegenerateComponentError, ECMConfig,
                             Responsibilities, cm_step_delta,
                             cm_step_reference_mean, e_step, fit_ecm_relative,
                             fit_em_standard, m_step_standard, q_function)
+from relreparam.experiments import default_config
 from relreparam.gmm import (Dataset, MixtureError, MixtureParams,
                             log_likelihood, make_rng, mean_distance, sample)
 from relreparam.reparam import (RelativeParams, ReparamSpec, decoded_gaps,
@@ -509,6 +510,23 @@ class TestFitObservability:
         assert res.max_kkt_multiplier == 2.5
         gaps = [p.means[1] - p.means[0] for p in res.trajectory_params[1:]]
         assert gaps[:2] == [0.0, 0.0] and gaps[2] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_default_config_never_clamps(self, seed):
+        # with fixed equal weights and unit sigmas the clamp cannot fire in
+        # exact arithmetic, so on working code both read 0
+        cfg = default_config("ecm")
+        spec = ReparamSpec(ordering_coordinate=cfg["reparam"]["order_by"],
+                           clearance=cfg["reparam"]["clearance"],
+                           delta_encoding=cfg["reparam"]["encoding"])
+        truth = MixtureParams((0.5, 0.5), tuple(cfg["true_means"]), (1.0, 1.0))
+        init = MixtureParams((0.5, 0.5), tuple(cfg["init_means"]), (1.0, 1.0))
+        data = sample(truth, cfg["n_samples"], seed=seed)
+        res = fit_ecm_relative(data, to_relative(init, spec),
+                               ECMConfig(epsilon=cfg["epsilon"], max_iters=cfg["max_iters"]),
+                               spec=spec)
+        assert res.converged
+        assert (res.kkt_active_steps, res.max_kkt_multiplier) == (0, 0.0)
 
     @pytest.mark.parametrize("algorithm", ["em", "ecm_relative"])
     def test_max_iters_stop(self, algorithm):

@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import one_shot_mc_fim
-from relreparam.fim import (_MC_CHUNK, FisherMatrix, SingularFimError, bernoulli_family,
-                            crouzeix_check, fim_estimate,
+from childproc import assert_passes_under_reduced_simd, numpy_has_x86_v4
+from oracles import one_shot_mc_fim, rowmajor_mc_moments
+from relreparam.fim import (_MC_CHUNK, FisherMatrix, SingularFimError, _mc_moments,
+                            bernoulli_family, crouzeix_check, fim_estimate,
                             gaussian_natural_family, length_element,
                             transform_fim)
-from relreparam.gmm import MixtureError, MixtureParams, make_rng
+from relreparam.gmm import MixtureError, MixtureParams, make_rng, sample
 
 # theta = (mu1, mu2), lambda = (mu1, Delta): J_ij = d theta_i / d lambda_j
 J_REL = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -101,6 +102,26 @@ class TestStreamedMonteCarlo:
             tracemalloc.stop()
         # a one-shot (budget, 2, 2) product tensor alone is 4 * 8 * budget bytes
         assert peak < 4 * 8 * budget
+
+
+class TestMcMomentsMatchRowMajorOracle:
+    """The slices' component-major score rows against row-major scores
+    copied to rows per slice: the same products summed in the same order,
+    so mean and M2 are equal bit for bit."""
+
+    @pytest.mark.parametrize("params, coords", [
+        (P2, "means"), (P2, "relative_means"), (P2, "full"), (P3, "means"), (P3, "full"),
+    ], ids=["K2-means", "K2-relative_means", "K2-full", "K3-means", "K3-full"])
+    def test_bit_identical(self, params, coords):
+        xs = sample(params, 2 * _MC_CHUNK + 123, 7).points  # the last slice partial
+        mean, m2 = _mc_moments(params, xs, coords)
+        want_mean, want_m2 = rowmajor_mc_moments(params, xs, coords)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(m2, want_m2)
+
+    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    def test_under_reduced_numpy_simd(self):
+        assert_passes_under_reduced_simd(f"{__file__}::TestMcMomentsMatchRowMajorOracle")
 
 
 class TestTransformFim:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import sample_points
+from oracles import rowmajor_score, rowmajor_score_means, sample_points
 
 from relreparam.gmm import (Dataset, MixtureParams, MixtureError, density,
                             log_likelihood, make_rng, mixture_moments,
-                            normal_quadrature, sample, score)
+                            normal_quadrature, sample, score, score_means)
 
 
 def naive_density(params, x):
@@ -133,6 +133,31 @@ class TestScore:
             numeric = fd_score(p, x)
             denom = np.maximum(np.abs(numeric), 1e-3)
             assert np.all(np.abs(analytic - numeric) / denom < 1e-6)
+
+
+class TestScoreLayout:
+    """score and score_means keep their (..., 3K - 1) and (..., K) shapes as
+    views of component-major rows, with the values of the C-contiguous
+    arrays computed components-last (tests/oracles.py)."""
+
+    P = MixtureParams((0.2, 0.5, 0.3), (-1.0, 0.5, 2.0), (0.7, 1.0, 1.3))
+    FUNCTIONS = [(score, rowmajor_score, 8), (score_means, rowmajor_score_means, 3)]
+
+    @pytest.mark.parametrize("x", [0.3, np.linspace(-3.0, 3.0, 7),
+                                   np.linspace(-3.0, 3.0, 12).reshape(3, 4)],
+                             ids=["0d", "1d", "2d"])
+    def test_shape_and_values(self, x):
+        for fn, oracle, width in self.FUNCTIONS:
+            got = fn(self.P, x)
+            assert got.shape == np.shape(x) + (width,)
+            assert np.array_equal(np.ascontiguousarray(got), oracle(self.P, x))
+
+    def test_transpose_of_1d_scores_is_contiguous_rows(self):
+        xs = sample(self.P, 1000, seed=3).points
+        for fn, oracle, _ in self.FUNCTIONS:
+            got = fn(self.P, xs)
+            assert got.T.flags.c_contiguous
+            assert np.array_equal(got, oracle(self.P, xs))
 
 
 class TestSample:
