@@ -30,7 +30,6 @@ level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,9 +38,10 @@ import numpy as np
 # The empirical step takes its component-major score rows from the
 # responsibilities of its one pass, not from score_means; that name stays
 # importable from this module, where perfbench/tracer.py wraps it.
-from .gmm import (Dataset, MixtureParams, MixtureError, _score_means_given, log_density_means,
-                  log_likelihood, mixture_moments, normal_quadrature,
-                  responsibilities_and_log_density, score_means)
+from .gmm import (Dataset, MixtureParams, MixtureError, _score_means_given, component_nodes,
+                  distances_to_truth, log_density_means, log_likelihood, mixture_moments,
+                  normal_quadrature, responsibilities_and_log_density, score_means,
+                  unit_variance_pair)
 
 PARAMETERIZATIONS = ("original", "relative")
 
@@ -58,7 +58,7 @@ class TrueModel:
 
     @classmethod
     def from_means(cls, mu1: float, mu2: float, v: float = 0.5) -> "TrueModel":
-        return cls(MixtureParams(weights=(v, 1.0 - v), means=(mu1, mu2), sigmas=(1.0, 1.0)))
+        return cls(unit_variance_pair(mu1, mu2, v))
 
     @cached_property
     def raw_moments(self) -> tuple[float, float, float, float]:
@@ -253,8 +253,7 @@ def _expected_logliks(mu1s, mu2s, v: float, true: TrueModel) -> np.ndarray:
     of ``log_density``, taken over the true components from 0.0.
     """
     nodes, wts = normal_quadrature(101)
-    comps = [(pi, mu + sig * nodes)
-             for pi, mu, sig in zip(true.params.weights, true.params.means, true.params.sigmas)]
+    comps = component_nodes(true.params, nodes)
     means = np.array([mu1s, mu2s])
     out = np.empty(means.shape[1])
     for start in range(0, len(out), _LOGLIK_BLOCK):
@@ -287,9 +286,6 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
     if steps < 1:
         raise MixtureError("need at least one step")
 
-    def mixture(m1, m2):
-        return MixtureParams(weights=(v, 1.0 - v), means=(m1, m2), sigmas=(1.0, 1.0))
-
     # original(mu1, mu2) gives (dmu1, dmu2); relative(lo, hi) gives (dlo, dDelta)
     if isinstance(true, TrueModel):
         _check_v(v)
@@ -307,7 +303,7 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
         passes = []  # log-likelihood at the means of each step's pass, in step order
 
         def mean_score(m1, m2):
-            params = mixture(m1, m2)
+            params = unit_variance_pair(m1, m2, v)
             gam, log_p = responsibilities_and_log_density(params, xs)
             passes.append(float(np.sum(log_p)))
             return np.mean(_score_means_given(params, xs, gam), axis=1)
@@ -324,7 +320,7 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
 
     mu1, mu2 = float(init_means[0]), float(init_means[1])
     mu1s, mu2s = [mu1], [mu2]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(steps):
             if parameterization == "original":
                 d1, d2 = original(mu1, mu2)
@@ -342,17 +338,15 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
 
         if isinstance(true, TrueModel):
             loglik = _expected_logliks(mu1s, mu2s, v, true)
-            t_lo, t_hi = sorted(true.params.means)
-            dist = [math.hypot(min(m1, m2) - t_lo, max(m1, m2) - t_hi)
-                    for m1, m2 in zip(mu1s, mu2s)]
+            dist = distances_to_truth(zip(mu1s, mu2s), true.params.means)
         else:
             # pass k was made at iterate k, save the final iterate's and, in
             # relative mode, an unsorted start's (the pass took its sorted copy)
             loglik = passes
             if len(loglik) < len(mu1s):
-                loglik.append(log_likelihood(mixture(mu1s[-1], mu2s[-1]), true))
+                loglik.append(log_likelihood(unit_variance_pair(mu1s[-1], mu2s[-1], v), true))
             if parameterization == "relative" and mu1s[0] > mu2s[0]:
-                loglik[0] = log_likelihood(mixture(mu1s[0], mu2s[0]), true)
+                loglik[0] = log_likelihood(unit_variance_pair(mu1s[0], mu2s[0], v), true)
             dist = np.full(len(mu1s), np.nan)
 
     mu1, mu2 = np.asarray(mu1s), np.asarray(mu2s)

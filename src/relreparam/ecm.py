@@ -16,9 +16,9 @@ import numpy as np
 # e_step fuses log_likelihood and responsibilities_array into one pass, and
 # no fit re-encodes its result with to_relative; all three stay importable
 # from this module, where perfbench/tracer.py wraps them.
-from .gmm import (Dataset, MixtureParams, MixtureError, log_component_densities,
-                  log_likelihood, mean_distance, responsibilities_and_log_density,
-                  responsibilities_array)
+from .gmm import (Dataset, MixtureParams, MixtureError, distances_to_truth,
+                  log_component_densities, log_likelihood, log_weights,
+                  responsibilities_and_log_density, responsibilities_array)
 from .reparam import (RelativeParams, ReparamSpec, decoded_gaps, to_absolute,
                       to_relative)
 
@@ -64,7 +64,7 @@ class Responsibilities:
 
 @dataclass(frozen=True)
 class ECMConfig:
-    """Stopping rule and frozen blocks for the fit loops.
+    """Stopping rule for the fit loops.
 
     The rule |loglik_k - loglik_{k-1}| <= epsilon is absolute: the
     log-likelihood is a sum over the n points, so at a fixed epsilon the
@@ -73,8 +73,6 @@ class ECMConfig:
 
     epsilon: float = 1e-8
     max_iters: int = 10000
-    fix_weights: bool = True
-    fix_sigmas: bool = True
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -121,13 +119,10 @@ def e_step(params: MixtureParams, data: Dataset) -> Responsibilities:
     return Responsibilities._from_rows(rows, float(np.sum(log_p)))
 
 
-def m_step_standard(gamma: Responsibilities, data: Dataset,
-                    old: MixtureParams | None = None,
-                    config: ECMConfig | None = None) -> MixtureParams:
-    """Weighted-mean / weight-fraction / weighted-variance updates.
+def m_step_standard(gamma: Responsibilities, data: Dataset) -> MixtureParams:
+    """Weighted-mean / weight-fraction / weighted-variance updates of every block.
 
-    Blocks frozen via config keep their values from `old`. Sums run along
-    each component's contiguous row (numpy's pairwise sum).
+    Sums run along each component's contiguous row (numpy's pairwise sum).
     """
     g = gamma.gamma.T
     xs = data.points
@@ -135,17 +130,9 @@ def m_step_standard(gamma: Responsibilities, data: Dataset,
     if np.any(nk <= 0):
         raise DegenerateComponentError("a component has zero responsibility mass")
     mu = (g * xs).sum(axis=1) / nk
-    config = config or ECMConfig(fix_weights=False, fix_sigmas=False)
-    if config.fix_weights and old is not None:
-        pi = np.asarray(old.weights)
-    else:
-        pi = nk / len(xs)
-    if config.fix_sigmas and old is not None:
-        sig = np.asarray(old.sigmas)
-    else:
-        var = (g * (xs - mu[:, None]) ** 2).sum(axis=1) / nk
-        sig = np.sqrt(np.maximum(var, 1e-300))
-    return MixtureParams(weights=tuple(pi), means=tuple(mu), sigmas=tuple(sig))
+    var = (g * (xs - mu[:, None]) ** 2).sum(axis=1) / nk
+    sig = np.sqrt(np.maximum(var, 1e-300))
+    return MixtureParams(weights=tuple(nk / len(xs)), means=tuple(mu), sigmas=tuple(sig))
 
 
 def _two_component_rows(gamma: Responsibilities) -> np.ndarray:
@@ -194,8 +181,7 @@ def cm_step_delta(gamma: Responsibilities, data: Dataset, mu1: float) -> tuple[f
 def q_function(params: MixtureParams, gamma: Responsibilities, data: Dataset) -> float:
     """Q(theta | gamma) = sum_nk gamma_nk [ln pi_k + ln N(x_n|mu_k, sigma_k)]."""
     logc = log_component_densities(params, data.points)
-    logw = np.log(np.asarray(params.weights) + np.finfo(float).tiny)
-    return float(np.sum(gamma.gamma.T * (logc + logw[:, None])))
+    return float(np.sum(gamma.gamma.T * (logc + log_weights(params.weights)[:, None])))
 
 
 def _fit(data: Dataset, params: MixtureParams, step, config: ECMConfig,
@@ -223,7 +209,7 @@ def _fit(data: Dataset, params: MixtureParams, step, config: ECMConfig,
     if truth is None:
         dist = np.full(len(traj), np.nan)
     else:
-        dist = np.asarray([mean_distance(p, truth) for p in traj])
+        dist = np.asarray(distances_to_truth((p.means for p in traj), truth.means))
     return FitResult(
         params=params, trajectory_params=tuple(traj),
         loglik=np.asarray(lls), dist_to_true=dist,
@@ -233,11 +219,9 @@ def _fit(data: Dataset, params: MixtureParams, step, config: ECMConfig,
 
 def fit_em_standard(data: Dataset, init: MixtureParams, config: ECMConfig,
                     truth: MixtureParams | None = None) -> FitResult:
-    """Standard EM loop; blocks frozen per config keep their init values."""
-    def step(gamma, params):
-        return m_step_standard(gamma, data, old=params, config=config)
-
-    return _fit(data, init, step, config, truth, "em")
+    """Standard EM loop, updating the weights, means and sigmas."""
+    return _fit(data, init, lambda gamma, params: m_step_standard(gamma, data),
+                config, truth, "em")
 
 
 def fit_ecm_relative(data: Dataset, init: RelativeParams, config: ECMConfig,
@@ -247,16 +231,14 @@ def fit_ecm_relative(data: Dataset, init: RelativeParams, config: ECMConfig,
 
     Loop: E-step, then CM over the reference mean, then CM over Delta (KKT
     projected). Delta >= 0 at every iterate. The reparameterization is set up
-    once, from ``init`` ordered by mean; the weights and sigmas stay fixed, so
-    ``config`` must fix both.
+    once, from ``init`` ordered by mean; the weights and sigmas stay fixed at
+    their values in ``init``.
     """
     spec = spec or ReparamSpec(delta_encoding="raw_constrained")
     if init.n_components != 2:
         raise MixtureError("relative ECM is defined for the 2-component model")
     if spec.ordering_coordinate != "mean":
         raise MixtureError("relative ECM needs a spec ordered by mean")
-    if not (config.fix_weights and config.fix_sigmas):
-        raise MixtureError("relative ECM keeps weights and sigmas fixed; config must fix both")
     # Delta is carried between iterations rather than re-read from the means:
     # (mu1 + Delta) - mu1 need not round back to Delta
     delta = float(decoded_gaps(init, spec)[0])

@@ -24,7 +24,7 @@ from . import __version__
 from .dynamics import TrueModel, flow_field, integrate_gd
 from .ecm import ECMConfig, fit_ecm_relative, fit_em_standard
 from .fim import MIN_MC_BUDGET, PSD_TOL, SYMMETRY_TOL, fim_estimate, transform_fim
-from .gmm import MixtureParams, make_rng, sample
+from .gmm import make_rng, sample, unit_variance_pair
 from .nn import ACTIVATIONS, MLPParams, detect_singularities, report_lines
 from .reparam import ENCODINGS, ReparamSpec, jacobian, to_relative
 from .svgplot import SvgCanvas, Viewport, draw_axes, draw_quiver, map_polyline, MARGIN
@@ -239,15 +239,10 @@ def run(cfg: dict, out_dir: Path) -> dict:
     return manifest
 
 
-def _mixture(means: list, v: float) -> MixtureParams:
-    """Unit-variance two-component mixture with weights (v, 1 - v)."""
-    return MixtureParams(weights=(v, 1.0 - v), means=tuple(means), sigmas=(1.0, 1.0))
-
-
 def run_field(values: dict) -> tuple[dict, ConvergenceError | None]:
     """Flow fields for both parameterizations on one grid: CSV + quiver SVG."""
     spec = (values["grid"]["min"], values["grid"]["max"], values["grid"]["step"])
-    true = TrueModel(_mixture(values["true_means"], values["v"]))
+    true = TrueModel(unit_variance_pair(*values["true_means"], values["v"]))
     fields = {p: flow_field(spec, spec, values["v"], true, parameterization=p, eta=values["eta"])
               for p in ("original", "relative")}
     # (mu2, mu1)-shaped grids: raveled, each field's cells run mu2-major
@@ -278,7 +273,7 @@ def run_field(values: dict) -> tuple[dict, ConvergenceError | None]:
 def run_gd(values: dict) -> tuple[dict, ConvergenceError | None]:
     """Gradient-descent trajectories under both parameterizations."""
     v = values["v"]
-    truth = _mixture(values["true_means"], v)
+    truth = unit_variance_pair(*values["true_means"], v)
     if values["gradient_source"] == "expected":
         source = TrueModel(truth)
     else:
@@ -307,16 +302,14 @@ def run_gd(values: dict) -> tuple[dict, ConvergenceError | None]:
 
 def run_ecm(values: dict) -> tuple[dict, ConvergenceError | None]:
     """Standard EM vs relative ECM on identical data; comparison CSV + 4-panel SVG."""
-    truth = _mixture(values["true_means"], 0.5)
+    truth = unit_variance_pair(*values["true_means"])
     data = sample(truth, values["n_samples"], values["seed"])
-    init = _mixture(values["init_means"], 0.5)
+    init = unit_variance_pair(*values["init_means"])
     config = ECMConfig(epsilon=values["epsilon"], max_iters=values["max_iters"])
     spec = _reparam_spec(values)
     # baseline is vanilla EM with every block free; the relative ECM keeps
     # weights and sigmas fixed at their configured values
-    em_config = ECMConfig(epsilon=config.epsilon, max_iters=config.max_iters,
-                          fix_weights=False, fix_sigmas=False)
-    em = fit_em_standard(data, init, em_config, truth=truth)
+    em = fit_em_standard(data, init, config, truth=truth)
     ecm = fit_ecm_relative(data, to_relative(init, spec), config, truth=truth, spec=spec)
 
     # per fit, in the order (em, ecm): each series read once, for the CSV and the panels
@@ -370,7 +363,7 @@ def run_ecm(values: dict) -> tuple[dict, ConvergenceError | None]:
 
 def run_fim(values: dict) -> tuple[dict, ConvergenceError | None]:
     """Direct vs transformed Fisher matrices, residuals, symmetry/PSD report."""
-    params = _mixture(values["means"], values["v"])
+    params = unit_variance_pair(*values["means"], values["v"])
     spec = _reparam_spec(values)
     rel = to_relative(params, spec)
     jac = jacobian(rel, spec)

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .gmm import (MixtureParams, MixtureError, normal_quadrature, sample, score,
-                  score_means)
+from .gmm import (MixtureParams, MixtureError, component_nodes, normal_quadrature, sample,
+                  score, score_means)
 
 COORD_SETS = ("means", "relative_means", "full")
 QUADRATURE_NODES = 201
@@ -125,15 +125,10 @@ def fim_estimate(params: MixtureParams, coords: str = "means",
                             budget=budget, std_errors=0.5 * (se + se.T))
     if method == "quadrature":
         nodes, wts = normal_quadrature(QUADRATURE_NODES)
-        dim = None
-        acc = None
-        for pi, mu, sig in zip(params.weights, params.means, params.sigmas):
-            xs = mu + sig * nodes
+        acc = 0.0
+        for pi, xs in component_nodes(params, nodes):
             s = _score_in_coords(params, xs, coords)
-            if acc is None:
-                dim = s.shape[1]
-                acc = np.zeros((dim, dim))
-            acc += pi * np.einsum("n,ni,nj->ij", wts, s, s)
+            acc = acc + pi * np.einsum("n,ni,nj->ij", wts, s, s)
         mat = 0.5 * (acc + acc.T)
         return FisherMatrix(entries=mat, coordinates=coords, estimator="quadrature",
                             budget=QUADRATURE_NODES)

@@ -18,6 +18,7 @@ import numpy as np
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 _SIMPLEX_TOL = 1e-12
+_FLOAT_MIN = float(np.finfo(float).min)
 
 
 class MixtureError(ValueError):
@@ -128,15 +129,21 @@ def log_component_densities(params: MixtureParams, x) -> np.ndarray:
                        _components_first(np.asarray(params.sigmas), xs.ndim))
 
 
+def log_weights(weights) -> np.ndarray:
+    """ln pi_k, with a zero weight floored at the smallest normal float."""
+    return np.log(np.asarray(weights) + np.finfo(float).tiny)
+
+
 def _log_sum_exp_rows(a: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """exp(a_k - m), sum_k exp(a_k - m) and m = max_k a_k after a_k += ln pi_k.
 
     ``a`` holds ln N_k component-major, shape (K, ...), and is overwritten;
-    the sum and m have shape (...).
+    the sum and m have shape (...). m is floored at the most negative float,
+    so a point where every a_k is -inf gets a zero sum and ln p = -inf, not
+    -inf - (-inf) = NaN; a finite m keeps its bits.
     """
-    logw = np.log(np.asarray(weights) + np.finfo(float).tiny)
-    a += _components_first(logw, a.ndim - 1)
-    amax = np.max(a, axis=0)
+    a += _components_first(log_weights(weights), a.ndim - 1)
+    amax = np.max(a, axis=0, initial=_FLOAT_MIN)
     a -= amax
     e = np.exp(a, out=a)
     return e, np.sum(e, axis=0), amax
@@ -265,9 +272,16 @@ def sample(params: MixtureParams, n: int, seed: int) -> Dataset:
     return Dataset(points=z)
 
 
-def mean_distance(params: MixtureParams, truth: MixtureParams) -> float:
-    """Euclidean distance between the mean vectors, label permutation resolved by sorting."""
-    return math.hypot(*(np.sort(params.means) - np.sort(truth.means)))
+def unit_variance_pair(mu1: float, mu2: float, v: float = 0.5) -> MixtureParams:
+    """The two-component mixture v N(mu1, 1) + (1 - v) N(mu2, 1)."""
+    return MixtureParams(weights=(v, 1.0 - v), means=(mu1, mu2), sigmas=(1.0, 1.0))
+
+
+def distances_to_truth(mean_rows, truth_means) -> list[float]:
+    """Euclidean distance from each row of means to the true means, label
+    permutation resolved by sorting both."""
+    t = sorted(truth_means)
+    return [math.dist(sorted(m), t) for m in mean_rows]
 
 
 @functools.cache
@@ -280,6 +294,13 @@ def normal_quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     wts = wts / np.sqrt(2.0 * np.pi)
     nodes.flags.writeable = wts.flags.writeable = False
     return nodes, wts
+
+
+def component_nodes(params: MixtureParams, nodes: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """(pi_k, mu_k + sigma_k * nodes) per component: a normal quadrature
+    rule's nodes moved onto each component."""
+    return [(pi, mu + sig * nodes)
+            for pi, mu, sig in zip(params.weights, params.means, params.sigmas)]
 
 
 def gaussian_raw_moments(mu: float, sigma: float) -> tuple[float, float, float, float]:

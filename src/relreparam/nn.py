@@ -8,7 +8,8 @@ two other rows).
 
 Row reparameterization orders the rows of a weight matrix by one designated
 column and encodes each subsequent entry in that column as
-previous + d^2 + lambda, mirroring the mixture construction.
+previous + d^2 + lambda, with the mixtures' gap encoding
+(``reparam.encode_ordered``, squared).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmm import MixtureError
-from .reparam import SingularPointError
+from .reparam import decode_ordered, encode_ordered
 
 ACTIVATIONS = ("tanh", "relu", "identity")
 
@@ -168,27 +169,17 @@ def reparameterize_rows(w: np.ndarray, clearance: float = 0.0, column: int = 0) 
         raise MixtureError("clearance must be >= 0")
     if not 0 <= column < w.shape[1]:
         raise MixtureError("ordering column out of range")
-    order = tuple(int(i) for i in np.argsort(w[:, column], kind="stable"))
+    order, _, deltas = encode_ordered(w[:, column], clearance, "squared")
     sorted_w = w[list(order)]
-    gaps = np.diff(sorted_w[:, column])
-    if clearance > 0 and np.any(gaps < clearance):
-        raise SingularPointError(
-            "ordering-column gap below clearance: rows are not strongly identifiable"
-        )
     encoded = sorted_w[1:].copy()
-    encoded[:, column] = np.sqrt(np.maximum(gaps - clearance, 0.0))
+    encoded[:, column] = deltas
     return RowReparam(reference_row=sorted_w[0].copy(), encoded=encoded,
                       column=column, clearance=clearance, permutation=order)
 
 
 def decode_rows(rep: RowReparam) -> np.ndarray:
     """Reconstruct the (row-permuted) weight matrix from its encoded form."""
-    rows = [rep.reference_row.copy()]
-    prev = rep.reference_row[rep.column]
-    for enc in rep.encoded:
-        row = enc.copy()
-        prev = prev + enc[rep.column] ** 2 + rep.clearance
-        row[rep.column] = prev
-        rows.append(row)
-    return np.vstack(rows)
-
+    rows = np.vstack([rep.reference_row, rep.encoded])
+    rows[:, rep.column] = decode_ordered(rep.reference_row[rep.column],
+                                         rep.encoded[:, rep.column], rep.clearance, "squared")
+    return rows

@@ -8,6 +8,9 @@ nonnegative consecutive gaps. Two encodings are supported:
 * ``squared``: the stored coordinates d_i are unconstrained and decode to
   gaps d_i^2, optionally padded by a clearance threshold lambda that keeps
   every decoded gap >= lambda (strong identifiability).
+
+``encode_ordered`` and ``decode_ordered`` are the gap encoding itself, on a
+plain vector of values; ``nn`` orders weight rows with them too.
 """
 
 from __future__ import annotations
@@ -63,38 +66,52 @@ class RelativeParams:
         return len(self.weights)
 
 
-def decoded_gaps(rel: RelativeParams, spec: ReparamSpec) -> np.ndarray:
-    """Gap between consecutive ordered coordinates, clearance included."""
-    d = np.asarray(rel.deltas, dtype=float)
-    if spec.delta_encoding == "squared":
-        return d * d + spec.clearance
-    return d + spec.clearance
+def encode_ordered(values, clearance: float, encoding: str):
+    """Sort values (stably) and encode their consecutive gaps.
 
-
-def to_relative(params: MixtureParams, spec: ReparamSpec) -> RelativeParams:
-    """Sort components by the ordering coordinate and encode consecutive gaps.
-
-    With clearance lambda > 0, a tie in the ordering coordinate means the point
-    lies in the singular set and construction fails (strong identifiability).
-    With lambda = 0 ties are permitted (weak ordering) and encode as zero gaps.
+    Returns (permutation, sorted values, deltas), a delta being gap - lambda
+    (raw_constrained) or sqrt(max(gap - lambda, 0)) (squared). With clearance
+    lambda > 0 a gap below lambda lies in the singular set and is refused
+    (strong identifiability); with lambda = 0 ties encode as zero gaps.
     """
-    if spec.ordering_coordinate == "mean":
-        ordered = np.asarray(params.means)
-        other = np.asarray(params.sigmas)
-    else:
-        ordered = np.asarray(params.sigmas)
-        other = np.asarray(params.means)
-    perm = tuple(int(i) for i in np.argsort(ordered, kind="stable"))
-    ordered = ordered[list(perm)]
+    perm = tuple(int(i) for i in np.argsort(values, kind="stable"))
+    ordered = values[list(perm)]
     gaps = np.diff(ordered)
-    if spec.clearance > 0 and np.any(gaps < spec.clearance):
+    if clearance > 0 and np.any(gaps < clearance):
         raise SingularPointError(
             "ordering-coordinate gap below clearance: point is not strongly identifiable"
         )
-    if spec.delta_encoding == "squared":
-        deltas = np.sqrt(np.maximum(gaps - spec.clearance, 0.0))
-    else:
-        deltas = gaps - spec.clearance
+    if encoding == "squared":
+        return perm, ordered, np.sqrt(np.maximum(gaps - clearance, 0.0))
+    return perm, ordered, gaps - clearance
+
+
+def _gaps(deltas, clearance: float, encoding: str) -> np.ndarray:
+    d = np.asarray(deltas, dtype=float)
+    if encoding == "squared":
+        return d * d + clearance
+    return d + clearance
+
+
+def decode_ordered(reference: float, deltas, clearance: float, encoding: str) -> np.ndarray:
+    """Inverse of ``encode_ordered``: the sorted values telescope as the
+    reference plus the cumulative sum of the decoded gaps."""
+    return reference + np.concatenate([[0.0], np.cumsum(_gaps(deltas, clearance, encoding))])
+
+
+def decoded_gaps(rel: RelativeParams, spec: ReparamSpec) -> np.ndarray:
+    """Gap between consecutive ordered coordinates, clearance included."""
+    return _gaps(rel.deltas, spec.clearance, spec.delta_encoding)
+
+
+def to_relative(params: MixtureParams, spec: ReparamSpec) -> RelativeParams:
+    """Sort components by the ordering coordinate and encode consecutive gaps
+    (``encode_ordered``, which refuses a gap below the clearance)."""
+    ordered, other = params.means, params.sigmas
+    if spec.ordering_coordinate != "mean":
+        ordered, other = other, ordered
+    perm, ordered, deltas = encode_ordered(np.asarray(ordered), spec.clearance,
+                                           spec.delta_encoding)
     return RelativeParams(
         reference_value=float(ordered[0]),
         deltas=tuple(float(x) for x in deltas),
@@ -112,8 +129,8 @@ def to_absolute(rel: RelativeParams, spec: ReparamSpec) -> MixtureParams:
     gaps are positive; the recorded permutation is not undone (the quotient
     map collapses label order).
     """
-    gaps = decoded_gaps(rel, spec)
-    ordered = rel.reference_value + np.concatenate([[0.0], np.cumsum(gaps)])
+    ordered = decode_ordered(rel.reference_value, rel.deltas, spec.clearance,
+                             spec.delta_encoding)
     if spec.ordering_coordinate == "mean":
         means, sigmas = ordered, rel.other_block
     else:

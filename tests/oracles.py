@@ -1,12 +1,14 @@
 """Test-only oracles: independent or earlier, slower paths the fast kernels are checked against."""
 
+import math
+
 import numpy as np
 
 from relreparam import fim
 from relreparam.dynamics import (TrueModel, Trajectory, UVWState, expected_velocity_relative,
                                  velocity_in_means)
 from relreparam.gmm import (LOG_2PI, Dataset, MixtureParams, log_density, log_likelihood,
-                            make_rng, mean_distance, normal_quadrature, responsibilities_array,
+                            make_rng, normal_quadrature, responsibilities_array,
                             sample, score_means)
 from relreparam.nn import MLPParams
 from relreparam.svgplot import SvgCanvas, Viewport
@@ -157,13 +159,21 @@ def rowmajor_mc_moments(params: MixtureParams, xs: np.ndarray, coords: str):
     return mean, m2
 
 
-def rowmajor_fit(data: Dataset, params: MixtureParams, config, delta=None):
+def mean_distance(params: MixtureParams, truth: MixtureParams) -> float:
+    """Euclidean distance between the mean vectors, label permutation resolved
+    by sorting: one mixture at a time, on numpy-sorted arrays."""
+    return math.hypot(*(np.sort(params.means) - np.sort(truth.means)))
+
+
+def rowmajor_fit(data: Dataset, params: MixtureParams, config, delta=None,
+                 means_only: bool = False):
     """The row-major EM/ECM loop: an (n, K) E-step, a separate log-likelihood
     pass per iterate, and M-step sums down the columns (axis 0).
 
-    ``delta`` None runs standard EM with config's frozen blocks; a float runs
-    the relative ECM from that gap, carried between iterations. Returns
-    (iterations, trajectory, log-likelihoods).
+    ``delta`` None runs standard EM, updating every block, or with
+    ``means_only`` the means alone; a float runs the relative ECM from that
+    gap, carried between iterations. ``config`` gives the stopping rule.
+    Returns (iterations, trajectory, log-likelihoods).
     """
     xs = data.points
 
@@ -177,10 +187,10 @@ def rowmajor_fit(data: Dataset, params: MixtureParams, config, delta=None):
         if delta is None:
             nk = g.sum(axis=0)
             mu = (g * xs[:, None]).sum(axis=0) / nk
-            pi = params.weights if config.fix_weights else tuple(nk / len(xs))
-            if config.fix_sigmas:
-                sig = params.sigmas
+            if means_only:
+                pi, sig = params.weights, params.sigmas
             else:
+                pi = tuple(nk / len(xs))
                 var = (g * (xs[:, None] - mu) ** 2).sum(axis=0) / nk
                 sig = tuple(np.sqrt(np.maximum(var, 1e-300)))
             params = MixtureParams(weights=pi, means=tuple(mu), sigmas=sig)
@@ -205,6 +215,17 @@ def expected_loglik(params: MixtureParams, true: TrueModel, nodes_weights) -> fl
     total = 0.0
     for pi, mu, sig in zip(true.params.weights, true.params.means, true.params.sigmas):
         total += pi * float(np.sum(wts * log_density(params, mu + sig * nodes)))
+    return total
+
+
+def exact_mean_gradient(params: MixtureParams, true: TrueModel, n_nodes: int = 201) -> np.ndarray:
+    """E_true[d ln p(x | params) / d(mu_1..mu_K)], exact up to quadrature:
+    sum_k pi_k sum_n w_n score_means(params, mu_k + sigma_k node_n) over the
+    true components. The series-free reference for the closed-form velocities."""
+    nodes, wts = normal_quadrature(n_nodes)
+    total = 0.0
+    for pi, mu, sig in zip(true.params.weights, true.params.means, true.params.sigmas):
+        total = total + pi * (wts @ score_means(params, mu + sig * nodes))
     return total
 
 

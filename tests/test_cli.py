@@ -321,6 +321,34 @@ class TestExitCodes:
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stderr == "numerical failure: original, relative gradient-descent run diverged\n"
 
+    def test_divergent_empirical_gd_ends_in_minus_inf_loglik(self, tmp_path):
+        # the last finite iterate's means are ~1e154: every density underflows
+        # and its log-likelihood is -inf, not NaN
+        cfg = default_config("gd")
+        cfg["gradient_source"] = "empirical"
+        cfg["eta"] = 50
+        out = tmp_path / "o"
+        assert main(["gd", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        for pname in ("original", "relative"):
+            lines = (out / f"gd_trajectory_{pname}.csv").read_text().splitlines()
+            header = lines[1].split(",")
+            loglik = [line.split(",")[header.index("loglik")] for line in lines[2:]]
+            assert loglik[-1] == "-inf"
+            assert "nan" not in loglik
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_default_run_stderr_is_empty(self, tmp_path, kind):
+        """Each kind at its defaults, in a fresh interpreter, exits 0 and
+        writes nothing to stderr: no numpy warning leaks out."""
+        env = child_env()
+        env.pop("RELREPARAM_LOG", None)
+        proc = subprocess.run([sys.executable, "-m", "relreparam.cli", kind,
+                               "--out", str(tmp_path / "o")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+
 
 class TestDeterminism:
     def test_field_rerun_byte_identical(self, tmp_path):

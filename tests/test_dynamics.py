@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from relreparam import dynamics, gmm
-from relreparam.gmm import MixtureError, make_rng, sample
+from relreparam.gmm import MixtureError, make_rng, sample, unit_variance_pair
 from relreparam.dynamics import (TrueModel, UVWState, base_partials,
                                  expected_velocity_original,
                                  expected_velocity_relative, flow_field,
                                  integrate_gd, velocity_in_means)
 
 from childproc import assert_passes_under_reduced_simd, numpy_has_x86_v4
-from oracles import (exact_partials_per_sample, integrate_gd_per_step, means_from_uvw,
-                     original_gram, relative_gram, relative_jacobian, uvw_from_means)
+from oracles import (exact_mean_gradient, exact_partials_per_sample, integrate_gd_per_step,
+                     means_from_uvw, original_gram, relative_gram, relative_jacobian,
+                     uvw_from_means)
 
 TRUTH0 = TrueModel.from_means(0.0, 0.0)
 STATE_ENTRY_POINTS = [base_partials, expected_velocity_original, expected_velocity_relative]
@@ -362,6 +363,34 @@ def assert_close_columns(traj, want, rtol):
         got, expected = getattr(traj, field), getattr(want, field)
         np.testing.assert_allclose(got, expected, rtol=rtol, atol=0.0, equal_nan=True,
                                    err_msg=field)
+
+
+class TestSeriesAgainstExactGradient:
+    """The closed-form velocities are a cubic series around the u = 0
+    singularity. Against the exact expected mean gradient (201-node
+    Gauss-Hermite over the true components) their error is second order in
+    u: within 0.6 u^2 on this grid (0.48 u^2 measured), plus 1e-12 for the
+    quadrature's rounding at u = 0, where the series is exact."""
+
+    @pytest.mark.parametrize("truth", [(0.0, 0.0), (-0.3, 0.4), (-1.0, 1.0)])
+    @pytest.mark.parametrize("v", [0.3, 0.5, 0.7])
+    def test_error_within_0_6_u_squared(self, v, truth):
+        true = TrueModel.from_means(*truth)
+        for u, w in itertools.product(np.linspace(-0.4, 0.4, 17), np.linspace(-0.3, 0.3, 7)):
+            mu1, mu2 = w + (1.0 - v) * u, w - v * u
+            d1, d2, _ = velocity_in_means(v, mu1, mu2, true, "original", 1.0)
+            exact = exact_mean_gradient(unit_variance_pair(mu1, mu2, v), true)
+            err = max(abs(d1 - exact[0]), abs(d2 - exact[1]))
+            assert err <= 0.6 * u * u + 1e-12, (u, w, err)
+
+    def test_default_gd_start_is_a_series_fixed_point_only(self):
+        # the shipped gd config: start (-1.5, 1.5), truth (0, 0), v = 0.5.
+        # Every centred moment of N(0, 1) the series uses vanishes on w = 0,
+        # so the series does not move; the exact gradient is not zero
+        d1, d2, _ = velocity_in_means(0.5, -1.5, 1.5, TRUTH0, "original", 1.0)
+        assert (d1, d2) == (0.0, 0.0)
+        exact = exact_mean_gradient(unit_variance_pair(-1.5, 1.5), TRUTH0)
+        assert exact == pytest.approx([0.4055, -0.4055], abs=5e-5)
 
 
 class TestIntegrateGdRowMajorOracle:

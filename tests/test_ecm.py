@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from oracles import rowmajor_fit, rowmajor_log_sum_exp
+from oracles import mean_distance, rowmajor_fit, rowmajor_log_sum_exp
 from relreparam import ecm as ecm_module
 from relreparam import gmm
 
@@ -12,7 +12,7 @@ from relreparam.ecm import (DegenerateComponentError, ECMConfig,
                             fit_em_standard, m_step_standard, q_function)
 from relreparam.experiments import default_config
 from relreparam.gmm import (Dataset, MixtureError, MixtureParams,
-                            log_likelihood, make_rng, mean_distance, sample)
+                            log_likelihood, make_rng, sample)
 from relreparam.reparam import (RelativeParams, ReparamSpec, decoded_gaps,
                                 to_absolute, to_relative)
 
@@ -122,14 +122,6 @@ class TestMStepStandard:
         with pytest.raises(DegenerateComponentError):
             m_step_standard(gamma, Dataset((0.0, 1.0)))
 
-    def test_frozen_blocks_kept(self):
-        old = MixtureParams((0.5, 0.5), (0.0, 4.0), (1.0, 1.0))
-        gamma = e_step(old, Dataset((0.0, 1.0, 3.0, 4.0)))
-        p = m_step_standard(gamma, Dataset((0.0, 1.0, 3.0, 4.0)), old=old,
-                            config=ECMConfig())
-        assert p.weights == old.weights
-        assert p.sigmas == old.sigmas
-
     def test_monotonicity_from_random_gamma(self):
         # an M-step after a true E-step never decreases the log-likelihood
         rng = make_rng(202)
@@ -139,9 +131,7 @@ class TestMStepStandard:
                               (1.0, 1.0))
             data = Dataset(tuple(rng.normal(0, 2, 20)))
             gamma = e_step(p, data)
-            after = m_step_standard(gamma, data, old=p,
-                                    config=ECMConfig(fix_weights=False,
-                                                     fix_sigmas=True))
+            after = m_step_standard(gamma, data)
             assert log_likelihood(after, data) >= log_likelihood(p, data) - 1e-9
 
 
@@ -259,7 +249,7 @@ class TestFitEmStandard:
         truth = MixtureParams((0.5, 0.5), (-4.0, 4.0), (1.0, 1.0))
         data = sample(truth, 400, seed=21)
         init = MixtureParams((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0))
-        res = fit_em_standard(data, init, ECMConfig(fix_weights=True, fix_sigmas=True))
+        res = fit_em_standard(data, init, ECMConfig())
         assert res.converged
         se = 1.0 / np.sqrt(200)  # ~200 points per component, unit sigma
         assert abs(res.params.means[0] - (-4.0)) < 3 * se
@@ -268,8 +258,7 @@ class TestFitEmStandard:
     def test_k1_closed_form_mle(self):
         xs = np.array([1.0, 2.0, 3.0, 6.0])
         init = MixtureParams((1.0,), (0.0,), (1.0,))
-        res = fit_em_standard(Dataset(tuple(xs)), init,
-                              ECMConfig(fix_weights=False, fix_sigmas=False))
+        res = fit_em_standard(Dataset(tuple(xs)), init, ECMConfig())
         assert res.params.means[0] == pytest.approx(xs.mean(), abs=1e-12)
         assert res.params.sigmas[0] == pytest.approx(xs.std(), abs=1e-10)
 
@@ -296,10 +285,8 @@ class TestFitEcmRelative:
         # baseline is vanilla EM with all blocks free; the relative ECM keeps
         # pi and sigma fixed at their true values
         data = sample(FIG_TRUTH, 200, seed=12)
-        em = fit_em_standard(data, MixtureParams((0.5, 0.5), (-2.5, 2.0),
-                                                 (1.0, 1.0)),
-                             ECMConfig(fix_weights=False, fix_sigmas=False),
-                             truth=FIG_TRUTH)
+        em = fit_em_standard(data, MixtureParams((0.5, 0.5), (-2.5, 2.0), (1.0, 1.0)),
+                             ECMConfig(), truth=FIG_TRUTH)
         ecm = fit_ecm_relative(data, relative_init(-2.5, 2.0), ECMConfig(),
                                truth=FIG_TRUTH)
         n = min(len(em.dist_to_true), len(ecm.dist_to_true))
@@ -337,18 +324,19 @@ class TestFitEcmRelative:
 
     def test_equivalence_off_constraint(self):
         # when the unconstrained EM fixpoint already satisfies mu2 >= mu1,
-        # the quotient map is a bijection and both fits agree
+        # the quotient map is a bijection and the ECM agrees with EM over the
+        # means alone (the oracle's; fit_em_standard updates every block)
         truth = MixtureParams((0.5, 0.5), (-2.0, 2.0), (1.0, 1.0))
         data = sample(truth, 300, seed=9)
         init_means = (-1.5, 1.5)
         # a tight epsilon so both stopping points sit within 1e-6 in
         # parameter space of the shared fixpoint
         cfg = ECMConfig(epsilon=1e-13, max_iters=50000)
-        em = fit_em_standard(data, MixtureParams((0.5, 0.5), init_means,
-                                                 (1.0, 1.0)), cfg)
-        assert em.params.means[1] >= em.params.means[0]
+        _, em, _ = rowmajor_fit(data, MixtureParams((0.5, 0.5), init_means, (1.0, 1.0)), cfg,
+                                means_only=True)
+        assert em[-1].means[1] >= em[-1].means[0]
         ecm = fit_ecm_relative(data, relative_init(*init_means), cfg)
-        assert ecm.params.means == pytest.approx(em.params.means, abs=1e-6)
+        assert ecm.params.means == pytest.approx(em[-1].means, abs=1e-6)
 
     def test_clearance_keeps_gap(self):
         spec = ReparamSpec(delta_encoding="raw_constrained", clearance=0.0)
@@ -372,9 +360,6 @@ class TestFitEcmRelative:
         by_sigma = ReparamSpec(ordering_coordinate="sigma", delta_encoding="raw_constrained")
         with pytest.raises(MixtureError, match="ordered by mean"):
             fit_ecm_relative(data, to_relative(init, by_sigma), ECMConfig(), spec=by_sigma)
-        for free in ({"fix_weights": False}, {"fix_sigmas": False}):
-            with pytest.raises(MixtureError, match="must fix both"):
-                fit_ecm_relative(data, relative_init(-2.5, 2.0), ECMConfig(**free))
 
 
 def test_responsibilities_validation():
@@ -407,10 +392,9 @@ def oracle_case(request):
     init = MixtureParams((0.5, 0.5), (-2.5, 2.0), (1.0, 1.0))
     spec = ReparamSpec(delta_encoding="squared")
     rel = to_relative(init, spec)
-    em_cfg = ECMConfig(fix_weights=False, fix_sigmas=False)
-    em = fit_em_standard(data, init, em_cfg, truth=truth)
+    em = fit_em_standard(data, init, ECMConfig(), truth=truth)
     ecm = fit_ecm_relative(data, rel, ECMConfig(), truth=truth, spec=spec)
-    em_oracle = rowmajor_fit(data, init, em_cfg)
+    em_oracle = rowmajor_fit(data, init, ECMConfig())
     ecm_oracle = rowmajor_fit(data, to_absolute(rel, spec), ECMConfig(),
                               delta=float(decoded_gaps(rel, spec)[0]))
     return data, truth, {"em": (em, em_oracle), "ecm_relative": (ecm, ecm_oracle)}
@@ -455,7 +439,7 @@ class TestOnePassPerIteration:
         data = sample(FIG_TRUTH, 200, seed=12)
         if algorithm == "em":
             res = fit_em_standard(data, MixtureParams((0.5, 0.5), (-2.5, 2.0), (1.0, 1.0)),
-                                  ECMConfig(fix_weights=False, fix_sigmas=False))
+                                  ECMConfig())
         else:
             res = fit_ecm_relative(data, relative_init(-2.5, 2.0), ECMConfig())
         assert len(res.loglik) == len(res.trajectory_params) == res.iterations + 1

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import rowmajor_score, rowmajor_score_means, sample_points
+from oracles import mean_distance, rowmajor_score, rowmajor_score_means, sample_points
 
 from relreparam.gmm import (Dataset, MixtureParams, MixtureError, density,
-                            log_likelihood, make_rng, mixture_moments,
-                            normal_quadrature, sample, score, score_means)
+                            distances_to_truth, log_density, log_density_means, log_likelihood,
+                            log_weights, make_rng, mixture_moments, normal_quadrature, sample,
+                            score, score_means, unit_variance_pair)
 
 
 def naive_density(params, x):
@@ -74,6 +77,33 @@ class TestLogLikelihood:
         p = MixtureParams((0.5, 0.5), (0.0, 1.0), (1.0, 1.0))
         val = log_likelihood(p, Dataset((40.0,)))
         assert np.isfinite(val)
+
+    def test_point_where_every_component_underflows_is_minus_inf(self):
+        # (x - mu)^2 overflows at 1e200, so every ln pi_k N_k is -inf: ln p
+        # is -inf, not -inf - (-inf) = NaN, and the finite point keeps its bits
+        p = MixtureParams((0.5, 0.5), (0.0, 1.0), (1.0, 1.0))
+        with np.errstate(over="ignore", divide="ignore"):
+            out = log_density(p, np.array([1e200, 0.0]))
+            assert log_density(p, 1e200) == -np.inf
+            means = np.array([[0.0], [1.0]])
+            assert log_density_means(p.weights, p.sigmas, means, [1e200])[0, 0] == -np.inf
+        assert out[0] == -np.inf
+        assert out[1] == log_density(p, 0.0)
+
+
+class TestSharedHelpers:
+    def test_log_weights_floor_a_zero_weight(self):
+        assert log_weights((0.25, 0.75)).tolist() == np.log([0.25, 0.75]).tolist()
+        assert np.isfinite(log_weights((0.0, 1.0))).all()
+
+    def test_distances_to_truth_keep_the_bits_of_both_earlier_forms(self):
+        rng = make_rng(31)
+        truth = unit_variance_pair(0.7, -0.2)
+        rows = rng.normal(0, 2, (200, 2))
+        got = distances_to_truth(rows.tolist(), truth.means)
+        assert got == [mean_distance(unit_variance_pair(*m), truth) for m in rows.tolist()]
+        lo, hi = sorted(truth.means)  # the two-component form gradient descent used
+        assert got == [math.hypot(min(m) - lo, max(m) - hi) for m in rows.tolist()]
 
 
 def fd_score(params, x, step=1e-5):

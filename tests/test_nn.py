@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from relreparam.experiments import _build_nn
-from relreparam.gmm import MixtureError, make_rng
+from relreparam.gmm import MixtureError, MixtureParams, make_rng
 from relreparam.nn import (MLPParams, RowReparam, decode_rows,
                            detect_singularities, forward, report_lines,
                            reparameterize_rows)
-from relreparam.reparam import SingularPointError
+from relreparam.reparam import ReparamSpec, SingularPointError, to_absolute, to_relative
 
 from oracles import permute_hidden_units
 
@@ -333,6 +333,42 @@ class TestReparameterizeRows:
                                 activation=activation)
             x = rng.normal(0, 1, (5, 3))
             assert np.allclose(forward(rebuilt, x), forward(mlp, x), atol=1e-12)
+
+
+class TestRowsShareTheMixtureGapEncoding:
+    """A weight matrix's ordering column and a mixture whose means are that
+    column go through one gap encoding: same permutation, same deltas, same
+    decoded values, and the same refusal at a gap below the clearance."""
+
+    @staticmethod
+    def mixture_of_column(w, column):
+        k = w.shape[0]
+        return MixtureParams(weights=(1.0 / k,) * k, means=tuple(w[:, column]),
+                             sigmas=(1.0,) * k)
+
+    @pytest.mark.parametrize("clearance", [0.0, 0.1])
+    def test_same_permutation_deltas_and_decoding(self, clearance):
+        rng = make_rng(79)
+        spec = ReparamSpec(clearance=clearance, delta_encoding="squared")
+        for _ in range(50):
+            k, column = int(rng.integers(2, 6)), int(rng.integers(0, 3))
+            w = rng.normal(0, 1, (k, 3))
+            # the column's gaps all clear 0.1: shuffled cumulative sums
+            w[:, column] = rng.permutation(np.cumsum(rng.uniform(0.1, 1.0, k)) - 1.5)
+            rep = reparameterize_rows(w, clearance, column)
+            rel = to_relative(self.mixture_of_column(w, column), spec)
+            assert rel.permutation == rep.permutation
+            assert np.array_equal(rel.deltas, rep.encoded[:, column])
+            assert np.array_equal(decode_rows(rep)[:, column], to_absolute(rel, spec).means)
+
+    @pytest.mark.parametrize("clearance", [0.06, 0.5])
+    def test_both_refuse_a_gap_below_clearance(self, clearance):
+        w = np.array([[0.0, 1.0], [0.05, 2.0], [1.0, 3.0]])
+        with pytest.raises(SingularPointError):
+            reparameterize_rows(w, clearance, 0)
+        with pytest.raises(SingularPointError):
+            to_relative(self.mixture_of_column(w, 0),
+                        ReparamSpec(clearance=clearance, delta_encoding="squared"))
 
 
 class TestOverlapCollapse:
