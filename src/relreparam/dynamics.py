@@ -285,10 +285,10 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
         raise MixtureError("eta must be positive")
     if steps < 1:
         raise MixtureError("need at least one step")
+    _check_v(v)
 
     # original(mu1, mu2) gives (dmu1, dmu2); relative(lo, hi) gives (dlo, dDelta)
     if isinstance(true, TrueModel):
-        _check_v(v)
         mom = true.raw_moments
 
         def original(m1, m2):

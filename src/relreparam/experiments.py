@@ -27,7 +27,7 @@ from .fim import MIN_MC_BUDGET, PSD_TOL, SYMMETRY_TOL, fim_estimate, transform_f
 from .gmm import make_rng, sample, unit_variance_pair
 from .nn import ACTIVATIONS, MLPParams, detect_singularities, report_lines
 from .reparam import ENCODINGS, ReparamSpec, jacobian, to_relative
-from .svgplot import SvgCanvas, Viewport, draw_axes, draw_quiver, map_polyline, MARGIN
+from .svgplot import SvgCanvas, Viewport, draw_axes, draw_quiver, map_polyline
 
 SCHEMA_VERSION = 1
 
@@ -245,28 +245,26 @@ def run_field(values: dict) -> tuple[dict, ConvergenceError | None]:
     true = TrueModel(unit_variance_pair(*values["true_means"], values["v"]))
     fields = {p: flow_field(spec, spec, values["v"], true, parameterization=p, eta=values["eta"])
               for p in ("original", "relative")}
-    # (mu2, mu1)-shaped grids: raveled, each field's cells run mu2-major
-    grids = {p: np.meshgrid(ff.mu1_axis, ff.mu2_axis) for p, ff in fields.items()}
+    # the (mu2, mu1)-shaped grid both fields share: raveled, the cells run mu2-major
+    g1, g2 = np.meshgrid(fields["original"].mu1_axis, fields["original"].mu2_axis)
 
     def stacked(arrays):
         return np.concatenate([a.ravel() for a in arrays])
 
     table = (["mu1", "mu2", "dmu1_dt", "dmu2_dt", "parameterization"], [
-        stacked([g1 for g1, _ in grids.values()]),
-        stacked([g2 for _, g2 in grids.values()]),
+        stacked([g1] * len(fields)),
+        stacked([g2] * len(fields)),
         stacked([ff.dmu1 for ff in fields.values()]),
         stacked([ff.dmu2 for ff in fields.values()]),
         [p for p, ff in fields.items() for _ in range(ff.dmu1.size)],
     ])
 
-    vp = Viewport(spec[0], spec[1], spec[0], spec[1])
-    canvas = SvgCanvas(2 * (vp.width + 2 * MARGIN), vp.height + 2 * MARGIN)
-    for idx, (pname, ff) in enumerate(fields.items()):
-        off = idx * (vp.width + 2 * MARGIN)
-        draw_axes(canvas, vp, "mu1", "mu2", title=pname, x_offset=off)
-        g1, g2 = grids[pname]
-        draw_quiver(canvas, vp, g1, g2, ff.dmu1, ff.dmu2, x_offset=off)
-        canvas.marker(vp.px(true.params.means[0]) + off, vp.py(true.params.means[1]))
+    vps = [Viewport(spec[0], spec[1], spec[0], spec[1]) for _ in fields]
+    canvas = SvgCanvas(*vps)
+    for (pname, ff), vp in zip(fields.items(), vps):
+        draw_axes(canvas, vp, "mu1", "mu2", pname)
+        draw_quiver(canvas, vp, g1, g2, ff.dmu1, ff.dmu2)
+        canvas.marker(vp.px(true.params.means[0]), vp.py(true.params.means[1]))
     return {"flow_field.csv": table, "flow_field.svg": canvas.render()}, None
 
 
@@ -292,8 +290,8 @@ def run_gd(values: dict) -> tuple[dict, ConvergenceError | None]:
     lo = min(min(t.mu1.min(), t.mu2.min()) for t in trajs.values())
     hi = max(max(t.mu1.max(), t.mu2.max()) for t in trajs.values())
     vp = Viewport(lo, hi, lo, hi)
-    canvas = SvgCanvas(vp.width + 2 * MARGIN, vp.height + 2 * MARGIN)
-    draw_axes(canvas, vp, "mu1", "mu2", title="gradient descent")
+    canvas = SvgCanvas(vp)
+    draw_axes(canvas, vp, "mu1", "mu2", "gradient descent")
     canvas.polyline(map_polyline(vp, trajs["original"].mu1, trajs["original"].mu2), stroke="red")
     canvas.polyline(map_polyline(vp, trajs["relative"].mu1, trajs["relative"].mu2), stroke="blue")
     files["gd_trajectory.svg"] = canvas.render()
@@ -308,7 +306,7 @@ def run_ecm(values: dict) -> tuple[dict, ConvergenceError | None]:
     config = ECMConfig(epsilon=values["epsilon"], max_iters=values["max_iters"])
     spec = _reparam_spec(values)
     # baseline is vanilla EM with every block free; the relative ECM keeps
-    # weights and sigmas fixed at their configured values
+    # the weights at (0.5, 0.5) and the sigmas at (1, 1)
     em = fit_em_standard(data, init, config, truth=truth)
     ecm = fit_ecm_relative(data, to_relative(init, spec), config, truth=truth, spec=spec)
 
@@ -325,32 +323,27 @@ def run_ecm(values: dict) -> tuple[dict, ConvergenceError | None]:
              [np.concatenate(series) for series in (steps, mu1, mu2, delta, loglik, dist)]
              + [[res.algorithm for res in fits for _ in res.trajectory_params]])
 
-    panel_w, gap = 320.0, 2 * MARGIN
-
     def panel_vp(series_x, series_y):
         xs = np.concatenate(series_x)
         ys = np.concatenate(series_y)
         pad_x = 0.05 * (xs.max() - xs.min() or 1.0)
         pad_y = 0.05 * (ys.max() - ys.min() or 1.0)
         return Viewport(xs.min() - pad_x, xs.max() + pad_x,
-                        ys.min() - pad_y, ys.max() + pad_y,
-                        width=panel_w, height=panel_w)
+                        ys.min() - pad_y, ys.max() + pad_y, width=320.0, height=320.0)
 
-    iteration = [s.astype(float) for s in steps]
     panels = (
         (mu1, mu2, "mu1", "mu2", "a) original coords"),
         ([np.minimum(a, b) for a, b in zip(mu1, mu2)], delta, "mu1", "delta",
          "b) relative coords"),
-        (iteration, loglik, "iteration", "loglik", "c) log likelihood"),
-        (iteration, dist, "iteration", "distance", "d) distance to truth"),
+        (steps, loglik, "iteration", "loglik", "c) log likelihood"),
+        (steps, dist, "iteration", "distance", "d) distance to truth"),
     )
-    canvas = SvgCanvas(4 * (panel_w + gap), panel_w + 2 * MARGIN)
-    for idx, (xs, ys, xlabel, ylabel, title) in enumerate(panels):
-        off = idx * (panel_w + gap)
-        vp = panel_vp(xs, ys)
-        draw_axes(canvas, vp, xlabel, ylabel, title=title, x_offset=off)
+    vps = [panel_vp(xs, ys) for xs, ys, *_ in panels]
+    canvas = SvgCanvas(*vps)
+    for idx, (vp, (xs, ys, xlabel, ylabel, title)) in enumerate(zip(vps, panels)):
+        draw_axes(canvas, vp, xlabel, ylabel, title)
         for x, y, stroke in zip(xs, ys, ("red", "blue")):
-            canvas.polyline(map_polyline(vp, x, y, x_offset=off), stroke=stroke)
+            canvas.polyline(map_polyline(vp, x, y), stroke=stroke)
         if idx == 0:  # the mu1 = mu2 diagonal and the truth, over panel a's paths
             canvas.polyline([(vp.px(vp.xmin), vp.py(vp.xmin)), (vp.px(vp.xmax), vp.py(vp.xmax))],
                             stroke="black", width=0.8)

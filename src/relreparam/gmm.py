@@ -225,7 +225,7 @@ def score(params: MixtureParams, x) -> np.ndarray:
     pi_K = 1 - sum of the others, so the gradient has length 3K - 1. A view
     of the component-major rows, as in ``responsibilities_array``.
     """
-    xs = _check_x(x)
+    xs = np.asarray(x, dtype=float)  # checked by the density pass
     gam = _responsibilities(params, xs)  # (K, ...)
     mu = _components_first(np.asarray(params.means), xs.ndim)
     sig = _components_first(np.asarray(params.sigmas), xs.ndim)
@@ -248,7 +248,7 @@ def _score_means_given(params: MixtureParams, xs: np.ndarray, gam: np.ndarray) -
 def score_means(params: MixtureParams, x) -> np.ndarray:
     """Gradient of ln density with respect to the means only; shape (..., K),
     a view of the component-major rows."""
-    xs = _check_x(x)
+    xs = np.asarray(x, dtype=float)  # checked by the density pass
     return _components_last(_score_means_given(params, xs, _responsibilities(params, xs)))
 
 

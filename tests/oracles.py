@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from relreparam import fim
+from relreparam import fim, svgplot
 from relreparam.dynamics import (TrueModel, Trajectory, UVWState, expected_velocity_relative,
                                  velocity_in_means)
 from relreparam.gmm import (LOG_2PI, Dataset, MixtureParams, log_density, log_likelihood,
@@ -349,29 +349,30 @@ def polyline_per_point(canvas: SvgCanvas, pts, stroke="blue", width=1.5):
     )
 
 
-def map_polyline_per_point(vp: Viewport, xs, ys, x_offset: float = 0.0):
+def map_polyline_per_point(vp: Viewport, xs, ys):
     """Pixel coordinates of (xs, ys) as a list of tuples, mapped point by point."""
-    return [(vp.px(float(x)) + x_offset, vp.py(float(y))) for x, y in zip(xs, ys)]
+    return [(vp.px(float(x)), vp.py(float(y))) for x, y in zip(xs, ys)]
 
 
-def quiver_per_arrow(canvas: SvgCanvas, vp: Viewport, xs, ys, us, vs,
-                     norm_cap: float = 0.8, stroke="#1f4e9c", x_offset: float = 0.0):
+def quiver_per_arrow(canvas: SvgCanvas, vp: Viewport, xs, ys, us, vs):
     """``svgplot.draw_quiver`` arrow by arrow on numpy scalars: a shaft and
-    two arrowhead strokes per non-zero vector, three elements each."""
+    two arrowhead strokes per vector of finite non-zero norm, three elements
+    each, scaled by the largest such norm."""
     xs, ys, us, vs = (np.asarray(a, dtype=float).ravel() for a in (xs, ys, us, vs))
     norms = np.hypot(us, vs)
-    vmax = norms.max() if norms.size and norms.max() > 0 else 1.0
+    drawn = [bool(np.isfinite(n) and n != 0) for n in norms]
+    vmax = max((n for n, d in zip(norms, drawn) if d), default=1.0)
     pitch = min(vp.width, vp.height) / max(np.sqrt(norms.size), 1.0)
-    for x, y, u, v, n in zip(xs, ys, us, vs, norms):
-        if n == 0:
+    for x, y, u, v, n, d in zip(xs, ys, us, vs, norms, drawn):
+        if not d:
             continue
-        frac = min(n / vmax, 1.0) * norm_cap
+        frac = min(n / vmax, 1.0) * svgplot.ARROW_CAP
         length = frac * pitch
         dx, dy = u / n * length, -v / n * length
-        px, py = vp.px(x) + x_offset, vp.py(y)
-        line_per_stroke(canvas, px, py, px + dx, py + dy, stroke=stroke)
+        px, py = vp.px(x), vp.py(y)
+        line_per_stroke(canvas, px, py, px + dx, py + dy, stroke=svgplot.ARROW_STROKE)
         hx, hy = px + dx, py + dy
         ang = np.arctan2(dy, dx)
         for da in (+2.6, -2.6):
             line_per_stroke(canvas, hx, hy, hx + 0.3 * length * np.cos(ang + da),
-                            hy + 0.3 * length * np.sin(ang + da), stroke=stroke)
+                            hy + 0.3 * length * np.sin(ang + da), stroke=svgplot.ARROW_STROKE)

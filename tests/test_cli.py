@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -561,6 +562,31 @@ class TestRunField:
         svg = (out / "flow_field.svg").read_text()
         assert svg.startswith('<?xml version="1.0"')
         assert "<svg" in svg and svg.rstrip().endswith("</svg>")
+
+
+class TestSvgValidity:
+    """Every SVG the CLI writes parses as XML, and its coordinates and sizes
+    are finite numbers."""
+
+    NUMERIC = ("x1", "y1", "x2", "y2", "x", "y", "width", "height")
+
+    @pytest.mark.parametrize("kind, grid", [(kind, None) for kind in KINDS] + [
+        ("field", {"min": -1.0e+100, "max": 1.0e+100, "step": 5.0e+99}),
+        ("field", {"min": 1.0, "max": 1.0, "step": 0.5}),
+    ], ids=list(KINDS) + ["field-overflowing", "field-one-cell"])
+    def test_coordinates_are_finite(self, tmp_path, kind, grid):
+        cfg = default_config(kind)
+        if grid is not None:
+            cfg["grid"] = grid
+        out = tmp_path / "o"
+        assert main([kind, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_OK
+        svgs = sorted(out.glob("*.svg"))
+        assert svgs or kind in ("fim", "nn")
+        for svg in svgs:
+            for el in ElementTree.parse(svg).iter():
+                values = [el.attrib[a] for a in self.NUMERIC if a in el.attrib]
+                values += re.split("[ ,]", el.attrib.get("points", ""))
+                assert all(np.isfinite(float(v)) for v in values if v), (svg.name, el.attrib)
 
 
 class TestRunEcm:

@@ -571,6 +571,18 @@ class TestBoundaryChecks:
             integrate_gd((-1.0, 1.0), TRUTH0, eta=0.1, steps=5, parameterization=mode, v=1.5)
         assert calls == []
 
+    @pytest.mark.parametrize("v", [0.0, 1.0])
+    def test_gd_checks_v_for_either_source(self, monkeypatch, v):
+        """v is refused before any density pass, under a Dataset as under a TrueModel."""
+        passes = []
+        for name in ("responsibilities_and_log_density", "_expected_logliks"):
+            monkeypatch.setattr(dynamics, name, lambda *args: passes.append(args))
+        for source, mode in itertools.product((TRUTH0, sample(TRUTH0.params, 50, 0)),
+                                              dynamics.PARAMETERIZATIONS):
+            with pytest.raises(MixtureError, match="strictly inside"):
+                integrate_gd((-1.0, 1.0), source, eta=0.1, steps=5, parameterization=mode, v=v)
+        assert passes == []
+
 
 class TestChecksOncePerCall:
     """The checked UVWState and the traced expected_velocity_* calls happen

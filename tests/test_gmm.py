@@ -38,6 +38,13 @@ class TestDensity:
         with pytest.raises(MixtureError):
             density(p, np.inf)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, [0.5, -np.inf], [[1.0], [np.nan]]])
+    def test_scores_reject_nonfinite_x(self, x):
+        p = MixtureParams((0.4, 0.6), (-1.0, 1.0), (1.0, 2.0))
+        for f in (score, score_means):
+            with pytest.raises(MixtureError, match="finite"):
+                f(p, x)
+
     def test_positive_in_far_tail(self):
         p = MixtureParams((1.0,), (0.0,), (1.0,))
         assert density(p, 38.0) > 0.0

@@ -30,11 +30,12 @@ def assert_same_document(fast: str, slow: str) -> None:
                     f"{a[i] if i < len(a) else None!r} != {b[i] if i < len(b) else None!r}")
 
 
-def both_quivers(vp, xs, ys, us, vs, **kw):
-    """Rendered documents of draw_quiver and of the per-arrow oracle, and the fast canvas."""
-    fast, slow = SvgCanvas(1040.0, 520.0), SvgCanvas(1040.0, 520.0)
-    draw_quiver(fast, vp, xs, ys, us, vs, **kw)
-    quiver_per_arrow(slow, vp, xs, ys, us, vs, **kw)
+def both_quivers(vp, xs, ys, us, vs, panels_before=()):
+    """Rendered documents of draw_quiver and of the per-arrow oracle in vp,
+    the canvas's panel after panels_before, and the fast canvas."""
+    fast, slow = SvgCanvas(*panels_before, vp), SvgCanvas(*panels_before, vp)
+    draw_quiver(fast, vp, xs, ys, us, vs)
+    quiver_per_arrow(slow, vp, xs, ys, us, vs)
     return fast.render(), slow.render(), fast
 
 
@@ -67,7 +68,7 @@ def test_zero_norm_cells_are_skipped():
 def test_all_zero_field_adds_no_element():
     vp, g1, g2, us, _ = field_cells(0.5, "original")
     zeros = np.zeros_like(us)
-    canvas = SvgCanvas(520.0, 520.0)
+    canvas = SvgCanvas(vp)
     canvas.marker(100.0, 100.0)
     draw_quiver(canvas, vp, g1, g2, zeros, zeros)
     canvas.marker(200.0, 200.0)
@@ -83,10 +84,29 @@ def test_one_cell_grid_with_zero_span():
 
 
 def test_x_offset_and_style():
+    """A quiver in a canvas's second panel, one 520 px panel to the right,
+    drawn in the fixed arrow colour."""
     vp, g1, g2, us, vs = field_cells(0.1, "original")
-    fast, slow, _ = both_quivers(vp, g1, g2, us, vs, x_offset=520.0, norm_cap=0.6,
-                                 stroke="#ff0000")
+    fast, slow, _ = both_quivers(vp, g1, g2, us, vs, panels_before=[Viewport(0.0, 1.0, 0.0, 1.0)])
+    assert vp.left == 520.0
     assert_same_document(fast, slow)
+    assert fast.count(f'stroke="{svgplot.ARROW_STROKE}"') == fast.count("<line")
+
+
+def test_overflowing_grid_draws_only_finite_arrows():
+    """The CLI's overflowing grid: cells whose velocity is inf or nan draw no
+    arrow, and the finite ones are scaled by the largest finite norm."""
+    spec = (-1.0e100, 1.0e100, 5.0e99)
+    with np.errstate(all="ignore"):
+        ff = flow_field(spec, spec, 0.5, TRUTH, parameterization="original")
+    norms = np.hypot(ff.dmu1, ff.dmu2)
+    assert not np.isfinite(norms).all() and (np.isfinite(norms) & (norms > 0)).any()
+    g1, g2 = np.meshgrid(ff.mu1_axis, ff.mu2_axis)
+    vp = Viewport(*spec[:2], *spec[:2])
+    fast, slow, _ = both_quivers(vp, g1, g2, ff.dmu1, ff.dmu2)
+    assert_same_document(fast, slow)
+    assert fast.count("<line") == 3 * np.count_nonzero(np.isfinite(norms) & (norms > 0))
+    assert not any(w in fast for w in ("nan", "inf"))
 
 
 @pytest.mark.parametrize("x_offset", [0.0, 420.0])
@@ -94,20 +114,33 @@ def test_polyline_matches_oracle(x_offset):
     rng = np.random.default_rng(3)
     xs, ys = rng.normal(size=301).cumsum(), rng.normal(size=301).cumsum()
     vp = Viewport(xs.min(), xs.max(), ys.min(), ys.max(), width=320.0, height=320.0)
-    pts = map_polyline(vp, xs, ys, x_offset=x_offset)
-    oracle_pts = map_polyline_per_point(vp, xs, ys, x_offset=x_offset)
+    panels = [Viewport(0.0, 1.0, 0.0, 1.0, width=320.0)] if x_offset else []
+    fast, slow = SvgCanvas(*panels, vp), SvgCanvas(*panels, vp)
+    assert vp.left == x_offset
+    pts = map_polyline(vp, xs, ys)
+    oracle_pts = map_polyline_per_point(vp, xs, ys)
     assert pts.shape == (301, 2)
     assert np.array_equal(pts, np.array(oracle_pts))
-    fast, slow = SvgCanvas(800.0, 420.0), SvgCanvas(800.0, 420.0)
     fast.polyline(pts, stroke="red")
     polyline_per_point(slow, oracle_pts, stroke="red")
     assert fast.render() == slow.render()
 
 
+@pytest.mark.parametrize("widths, size", [([420.0], (520.0, 520.0)),
+                                           ([420.0, 420.0], (1040.0, 520.0)),
+                                           ([320.0] * 4, (1680.0, 420.0))])
+def test_canvas_places_panels_side_by_side(widths, size):
+    vps = [Viewport(0.0, 1.0, 0.0, 1.0, width=w, height=w) for w in widths]
+    canvas = SvgCanvas(*vps)
+    assert (canvas.width, canvas.height) == size
+    assert [vp.left for vp in vps] == [i * (widths[0] + 2 * svgplot.MARGIN) for i in range(len(vps))]
+    assert [vp.px(0.0) for vp in vps] == [vp.left + svgplot.MARGIN for vp in vps]
+
+
 def test_polyline_from_list_of_tuples():
     vp = Viewport(-1.0, 2.0, -1.0, 2.0)
     pts = [(vp.px(vp.xmin), vp.py(vp.xmin)), (vp.px(vp.xmax), vp.py(vp.xmax))]
-    fast, slow = SvgCanvas(520.0, 520.0), SvgCanvas(520.0, 520.0)
+    fast, slow = SvgCanvas(vp), SvgCanvas(vp)
     fast.polyline(pts, stroke="black", width=0.8)
     polyline_per_point(slow, pts, stroke="black", width=0.8)
     assert fast.elements == slow.elements
