@@ -116,7 +116,7 @@ def e_step(params: MixtureParams, data: Dataset) -> Responsibilities:
     the result's ``loglik``.
     """
     rows, log_p = responsibilities_and_log_density(params, data.points)
-    return Responsibilities._from_rows(rows, float(np.sum(log_p)))
+    return Responsibilities._from_rows(rows, float(log_p.sum()))
 
 
 def m_step_standard(gamma: Responsibilities, data: Dataset) -> MixtureParams:
@@ -132,7 +132,7 @@ def m_step_standard(gamma: Responsibilities, data: Dataset) -> MixtureParams:
     mu = (g * xs).sum(axis=1) / nk
     var = (g * (xs - mu[:, None]) ** 2).sum(axis=1) / nk
     sig = np.sqrt(np.maximum(var, 1e-300))
-    return MixtureParams(weights=tuple(nk / len(xs)), means=tuple(mu), sigmas=tuple(sig))
+    return MixtureParams(weights=nk / len(xs), means=mu, sigmas=sig)
 
 
 def _two_component_rows(gamma: Responsibilities) -> np.ndarray:
@@ -155,8 +155,8 @@ def cm_step_reference_mean(gamma: Responsibilities, data: Dataset, delta: float)
         raise DegenerateComponentError("zero total responsibility")
     # numpy's pairwise sum, not a BLAS dot: the result (and so the pinned
     # ECM CSV) must not depend on which OpenBLAS kernel runs
-    s1x = float(np.sum(g1 * xs))
-    s2x = float(np.sum(g2 * xs))
+    s1x = float((g1 * xs).sum())
+    s2x = float((g2 * xs).sum())
     return (s1x + s2x - delta * n2) / (n1 + n2)
 
 
@@ -172,7 +172,7 @@ def cm_step_delta(gamma: Responsibilities, data: Dataset, mu1: float) -> tuple[f
     n2 = g2.sum()
     if n2 <= 0:
         raise DegenerateComponentError("zero responsibility mass on component 2")
-    delta_hat = float(np.sum(g2 * xs)) / n2 - mu1
+    delta_hat = float((g2 * xs).sum()) / n2 - mu1
     if delta_hat >= 0.0:
         return delta_hat, 0.0
     return 0.0, -2.0 * n2 * delta_hat

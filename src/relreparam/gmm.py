@@ -25,6 +25,32 @@ class MixtureError(ValueError):
     """Invalid mixture parameters or arguments."""
 
 
+def _numpy_sum(xs: tuple[float, ...]) -> float:
+    """The bits of ``np.sum`` of a float64 vector, on Python floats: numpy's
+    pairwise sum (in order below 8 terms, eight interleaved accumulators up
+    to 128, halves above), every partial sum started from the reduction's
+    0.0. Builtin ``sum`` is compensated from Python 3.12 on, so it can
+    round differently."""
+    n = len(xs)
+    if n < 8:
+        res = 0.0
+        for x in xs:
+            res += x
+        return res
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _numpy_sum(xs[:half]) + _numpy_sum(xs[half:])
+    r = [0.0] * 8
+    end = n - n % 8
+    for i in range(0, end, 8):
+        for j in range(8):
+            r[j] += xs[i + j]
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[end:]:
+        res += x
+    return res
+
+
 @dataclass(frozen=True)
 class MixtureParams:
     """Absolute parameterization of a K-component univariate GMM.
@@ -32,6 +58,9 @@ class MixtureParams:
     weights: mixing proportions on the probability simplex.
     means:   component means.
     sigmas:  component standard deviations (strictly positive).
+
+    Each field is converted once to a tuple of Python floats, and every
+    check runs on those floats, on every construction.
     """
 
     weights: tuple[float, ...]
@@ -39,24 +68,25 @@ class MixtureParams:
     sigmas: tuple[float, ...]
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        m = np.asarray(self.means, dtype=float)
-        s = np.asarray(self.sigmas, dtype=float)
+        w = tuple(map(float, self.weights))
+        m = tuple(map(float, self.means))
+        s = tuple(map(float, self.sigmas))
         if not (len(w) == len(m) == len(s)):
             raise MixtureError("weights, means, sigmas must have equal length")
         if len(w) < 1:
             raise MixtureError("need K >= 1 components")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(m)) and np.all(np.isfinite(s))):
+        if not all(map(math.isfinite, w + m + s)):
             raise MixtureError("parameters must be finite")
-        if np.any(w < 0):
+        if min(w) < 0:
             raise MixtureError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > _SIMPLEX_TOL:
-            raise MixtureError(f"weights must sum to 1 within {_SIMPLEX_TOL}, got {w.sum()!r}")
-        if np.any(s <= 0):
+        total = _numpy_sum(w)
+        if abs(total - 1.0) > _SIMPLEX_TOL:
+            raise MixtureError(f"weights must sum to 1 within {_SIMPLEX_TOL}, got {total!r}")
+        if min(s) <= 0:
             raise MixtureError("sigmas must be strictly positive")
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
-        object.__setattr__(self, "means", tuple(float(x) for x in m))
-        object.__setattr__(self, "sigmas", tuple(float(x) for x in s))
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "means", m)
+        object.__setattr__(self, "sigmas", s)
 
     @property
     def n_components(self) -> int:
@@ -78,26 +108,38 @@ class MixtureParams:
 class Dataset:
     """One-dimensional dataset.
 
-    ``points`` is a read-only float64 copy of the input, validated once here.
+    ``points`` is a read-only float64 copy of the input, validated once here
+    (``sample`` hands over the array it drew instead of a copy).
     ``==`` compares identity only; compare ``points`` with ``np.array_equal``.
     """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim != 1:
-            raise MixtureError("dataset must be one-dimensional")
-        if pts.size < 1:
-            raise MixtureError("dataset must contain at least one point")
-        if not np.all(np.isfinite(pts)):
-            raise MixtureError("dataset entries must be finite")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _checked_points(np.array(self.points, dtype=float)))
+
+    @classmethod
+    def _adopt(cls, points: np.ndarray) -> "Dataset":
+        """Wrap a float64 array that the caller owns and hands over, without
+        copying it: the same checks, and the array turns read-only."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "points", _checked_points(points))
+        return self
 
     @property
     def n(self) -> int:
         return len(self.points)
+
+
+def _checked_points(pts: np.ndarray) -> np.ndarray:
+    if pts.ndim != 1:
+        raise MixtureError("dataset must be one-dimensional")
+    if pts.size < 1:
+        raise MixtureError("dataset must contain at least one point")
+    if not np.all(np.isfinite(pts)):
+        raise MixtureError("dataset entries must be finite")
+    pts.flags.writeable = False
+    return pts
 
 
 def _check_x(x) -> np.ndarray:
@@ -140,13 +182,25 @@ def _log_sum_exp_rows(a: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, n
     ``a`` holds ln N_k component-major, shape (K, ...), and is overwritten;
     the sum and m have shape (...). m is floored at the most negative float,
     so a point where every a_k is -inf gets a zero sum and ln p = -inf, not
-    -inf - (-inf) = NaN; a finite m keeps its bits.
+    -inf - (-inf) = NaN; a finite m keeps its bits. Max and sum run
+    elementwise between the rows, which is how ``np.max``/``np.sum`` over
+    axis 0 reduce them, so the bits are theirs.
     """
     a += _components_first(log_weights(weights), a.ndim - 1)
-    amax = np.max(a, axis=0, initial=_FLOAT_MIN)
+    amax = a[0, ...].copy()  # an array also when x is 0-d
+    np.maximum(amax, _FLOAT_MIN, out=amax)
+    for row in a[1:]:
+        np.maximum(amax, row, out=amax)
     a -= amax
     e = np.exp(a, out=a)
-    return e, np.sum(e, axis=0), amax
+    if amax.size == 1:
+        # np.sum adds a single point's K terms pairwise, which from K = 8 on
+        # can round apart from adding them row by row
+        return e, e.sum(axis=0), amax
+    total = e[0].copy()
+    for row in e[1:]:
+        total += row
+    return e, total, amax
 
 
 def _log_sum_exp_terms(params: MixtureParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -269,7 +323,7 @@ def sample(params: MixtureParams, n: int, seed: int) -> Dataset:
     z = rng.standard_normal(n)
     z *= np.asarray(params.sigmas)[comp]
     z += np.asarray(params.means)[comp]
-    return Dataset(points=z)
+    return Dataset._adopt(z)
 
 
 def unit_variance_pair(mu1: float, mu2: float, v: float = 0.5) -> MixtureParams:

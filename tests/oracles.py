@@ -7,8 +7,9 @@ import numpy as np
 from relreparam import fim, svgplot
 from relreparam.dynamics import (TrueModel, Trajectory, UVWState, expected_velocity_relative,
                                  velocity_in_means)
-from relreparam.gmm import (LOG_2PI, Dataset, MixtureParams, log_density, log_likelihood,
-                            make_rng, normal_quadrature, responsibilities_array,
+from relreparam.gmm import (_FLOAT_MIN, _SIMPLEX_TOL, LOG_2PI, Dataset, MixtureError,
+                            MixtureParams, _components_first, log_density, log_likelihood,
+                            log_weights, make_rng, normal_quadrature, responsibilities_array,
                             sample, score_means)
 from relreparam.nn import MLPParams
 from relreparam.svgplot import SvgCanvas, Viewport
@@ -104,6 +105,40 @@ def rowmajor_log_sum_exp(params: MixtureParams, xs: np.ndarray):
     e = np.exp(a - amax)
     total = np.sum(e, axis=-1, keepdims=True)
     return e / total, amax[..., 0] + np.log(total[..., 0])
+
+
+def numpy_mixture_fields(weights, means, sigmas):
+    """``MixtureParams``'s checks run on numpy arrays, as its constructor did
+    before it checked Python floats: the same checks in the same order, then
+    the fields it stored. Raises what that constructor raised, with its
+    message (the simplex error shows the numpy repr of the sum)."""
+    w = np.asarray(weights, dtype=float)
+    m = np.asarray(means, dtype=float)
+    s = np.asarray(sigmas, dtype=float)
+    if not (len(w) == len(m) == len(s)):
+        raise MixtureError("weights, means, sigmas must have equal length")
+    if len(w) < 1:
+        raise MixtureError("need K >= 1 components")
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(m)) and np.all(np.isfinite(s))):
+        raise MixtureError("parameters must be finite")
+    if np.any(w < 0):
+        raise MixtureError("weights must be nonnegative")
+    if abs(w.sum() - 1.0) > _SIMPLEX_TOL:
+        raise MixtureError(f"weights must sum to 1 within {_SIMPLEX_TOL}, got {w.sum()!r}")
+    if np.any(s <= 0):
+        raise MixtureError("sigmas must be strictly positive")
+    return (tuple(float(x) for x in w), tuple(float(x) for x in m),
+            tuple(float(x) for x in s))
+
+
+def axis0_log_sum_exp_rows(a: np.ndarray, weights):
+    """``gmm._log_sum_exp_rows`` as whole-array reductions over the component
+    axis (``np.max`` floored by ``initial``, then ``np.sum``); overwrites a."""
+    a += _components_first(log_weights(weights), a.ndim - 1)
+    amax = np.max(a, axis=0, initial=_FLOAT_MIN)
+    a -= amax
+    e = np.exp(a, out=a)
+    return e, np.sum(e, axis=0), amax
 
 
 # Row-major scores: the C-contiguous (..., K) arrays gmm's score functions

@@ -1,15 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import mean_distance, rowmajor_score, rowmajor_score_means, sample_points
+from childproc import assert_passes_under_reduced_simd, numpy_has_x86_v4
+from oracles import (axis0_log_sum_exp_rows, mean_distance, numpy_mixture_fields,
+                     rowmajor_log_sum_exp, rowmajor_score, rowmajor_score_means, sample_points)
 
-from relreparam.gmm import (Dataset, MixtureParams, MixtureError, density,
-                            distances_to_truth, log_density, log_density_means, log_likelihood,
-                            log_weights, make_rng, mixture_moments, normal_quadrature, sample,
-                            score, score_means, unit_variance_pair)
+from relreparam.gmm import (Dataset, MixtureParams, MixtureError, _log_sum_exp_rows,
+                            _numpy_sum, density, distances_to_truth, log_density,
+                            log_density_means, log_likelihood, log_weights, make_rng,
+                            mixture_moments, normal_quadrature,
+                            responsibilities_and_log_density, sample, score, score_means,
+                            unit_variance_pair)
 
 
 def naive_density(params, x):
@@ -289,9 +294,241 @@ class TestNormalQuadrature:
 
 class TestSerialization:
     def test_invalid_simplex_rejected(self):
-        with pytest.raises(MixtureError):
+        # the sum shows as a plain float, not as np.float64(1.1)
+        with pytest.raises(MixtureError, match=r"^weights must sum to 1 within 1e-12, got 1\.1$"):
             MixtureParams((0.5, 0.6), (0.0, 1.0), (1.0, 1.0))
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(MixtureError):
             MixtureParams((1.0,), (0.0,), (0.0,))
+
+
+def _simplex(k: int, seed: int) -> list[float]:
+    w = make_rng(seed).random(k)
+    return (w / w.sum()).tolist()
+
+
+def _oracle_accepts(w) -> bool:
+    try:
+        numpy_mixture_fields(w, [0.0] * len(w), [1.0] * len(w))
+    except MixtureError:
+        return False
+    return True
+
+
+def _around_tolerance(w: list[float], d: float) -> list[list[float]]:
+    """w with its last weight at the two ulps either side of the first value,
+    walking from w[-1] + d, where the oracle's simplex decision flips."""
+    x = w[-1] + d
+    start = _oracle_accepts(w[:-1] + [x])
+    away = math.copysign(math.inf, d) if start else -math.copysign(math.inf, d)
+    for _ in range(10 ** 4):
+        if _oracle_accepts(w[:-1] + [x]) != start:
+            break
+        x = math.nextafter(x, away)
+    else:
+        raise AssertionError("no flip within 10^4 ulps")
+    lasts = [x]
+    for toward in (-away, away):
+        y = x
+        for _ in range(2):
+            y = math.nextafter(y, toward)
+            lasts.append(y)
+    return [w[:-1] + [y] for y in lasts]
+
+
+def _constructor_cases():
+    cases = []
+    for k, seed in ((1, 0), (2, 1), (3, 2), (9, 4)):
+        w = _simplex(k, seed)
+        m = make_rng(seed + 10).normal(size=k).tolist()
+        s = (make_rng(seed + 20).random(k) + 0.5).tolist()
+        cases += [(f"K{k}-tuple", (tuple(w), tuple(m), tuple(s))),
+                  (f"K{k}-list", (w, m, s)),
+                  (f"K{k}-ndarray", (np.array(w), np.array(m), np.array(s))),
+                  (f"K{k}-float32", tuple(np.array(v, dtype=np.float32) for v in (w, m, s))),
+                  (f"K{k}-numpy-scalars", tuple(tuple(map(np.float64, v)) for v in (w, m, s))),
+                  (f"K{k}-length", (w, m + [0.0], s)),
+                  (f"K{k}-nan-mean", (w, m[:-1] + [math.nan], s)),
+                  (f"K{k}-inf-sigma", (w, m, [math.inf] + s[1:])),
+                  (f"K{k}-negative-weight", ([-w[0]] + w[1:], m, s)),
+                  (f"K{k}-zero-sigma", (w, m, s[:-1] + [0.0])),
+                  (f"K{k}-negative-sigma", (w, m, [-s[0]] + s[1:])),
+                  (f"K{k}-length-and-nan", (w + [math.nan], m, s))]
+        for d in (1e-12, -1e-12):
+            for i, near in enumerate(_around_tolerance(w, d)):
+                cases.append((f"K{k}-sum1{d:+.0e}-{i}", (near, m, s)))
+    cases += [
+        ("ints", ((1,), (0,), (2,))),
+        ("int-elements", ((0, 1), (3, -2), (1, 2))),
+        ("numpy-ints", (np.array([1]), np.array([-4]), np.array([3]))),
+        ("bools", ((True, False), (0.0, 1.0), (1.0, 1.0))),
+        ("negative-zero-weight", ((-0.0, 1.0), (-0.0, 0.0), (1.0, 1.0))),
+        ("empty", ((), (), ())),
+        ("scalar-numpy-field", (np.float64(1.0), (0.0,), (1.0,))),
+        ("scalar-int-field", (1, 0, 1)),
+        ("2d-tuples", (((0.5, 0.5),), ((0.0, 1.0),), ((1.0, 1.0),))),
+        ("2d-ndarrays", (np.full((1, 2), 0.5), np.zeros((1, 2)), np.ones((1, 2)))),
+        ("2d-mixed", (np.full((2, 2), 0.25), ((0.0, 1.0), (2.0, 3.0)), ((1.0, 1.0), (1.0, 1.0)))),
+        ("strings-as-elements", (("0.5", "0.5"), ("0", "1"), ("1", "1"))),
+        ("simplex-off", ((0.5, 0.6), (0.0, 1.0), (1.0, 1.0))),
+    ]
+    return cases
+
+
+_CONSTRUCTOR_CASES = _constructor_cases()
+
+
+def _outcome(build, fields):
+    """("ok", stored tuples as (type, hex) pairs) or ("raises", type, message);
+    the message only of a MixtureError, since Python and numpy word their
+    TypeErrors differently."""
+    try:
+        got = build(*fields)
+    except MixtureError as exc:
+        # the oracle's simplex message shows the sum's numpy repr
+        return "raises", MixtureError, re.sub(r"np\.float64\((.*)\)", r"\1", str(exc))
+    except TypeError:
+        return "raises", TypeError
+    return "ok", [[(type(x), x.hex()) for x in t] for t in got]
+
+
+class TestMixtureParamsMatchesNumpyOracle:
+    """The Python-float constructor against its numpy predecessor: the same
+    accept or reject, exception type and message, and the same stored
+    Python floats bit for bit."""
+
+    @pytest.mark.parametrize("fields", [c[1] for c in _CONSTRUCTOR_CASES],
+                             ids=[c[0] for c in _CONSTRUCTOR_CASES])
+    def test_same_outcome(self, fields):
+        def build(w, m, s):
+            p = MixtureParams(w, m, s)
+            return p.weights, p.means, p.sigmas
+
+        assert _outcome(build, fields) == _outcome(numpy_mixture_fields, fields)
+
+    def test_cases_cover_both_sides_of_the_tolerance(self):
+        near = [f for name, f in _CONSTRUCTOR_CASES if "-sum1" in name]
+        decisions = {_outcome(numpy_mixture_fields, f)[0] for f in near}
+        assert decisions == {"ok", "raises"}
+
+    def test_k9_cases_tell_pairwise_from_in_order_sums(self):
+        # at some of them a sum in order would decide otherwise than np.sum
+        def in_order_accepts(w):
+            total = 0.0
+            for x in w:
+                total += x
+            return abs(total - 1.0) <= 1e-12
+
+        near = [f[0] for name, f in _CONSTRUCTOR_CASES if name.startswith("K9-sum1")]
+        assert any(in_order_accepts(w) != _oracle_accepts(w) for w in near)
+
+    @pytest.mark.parametrize("fields", [
+        (((0.5, 0.6),), ((0.0, 1.0),), ((1.0, 1.0),)),
+        (np.full((1, 2), 0.5), (0.0, 1.0), (1.0, 1.0)),
+        ((1.0,), (None,), (1.0,)),
+    ], ids=["2d-off-simplex", "2d-unequal-length", "none-element"])
+    def test_items_float_refuses_now_fail_before_the_value_checks(self, fields):
+        # numpy read None as NaN and checked a 2-D field's values first;
+        # float() refuses both, and the conversion now comes first
+        assert _outcome(numpy_mixture_fields, fields)[1] is MixtureError
+        with pytest.raises(TypeError):
+            MixtureParams(*fields)
+
+    def test_numpy_sum_has_the_bits_of_np_sum(self):
+        rng = make_rng(5)
+        for n in list(range(1, 40)) + [127, 128, 129, 255, 256, 300, 1000]:
+            xs = (rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)).tolist()
+            assert _numpy_sum(tuple(xs)).hex() == float(np.sum(np.array(xs))).hex(), n
+        for zeros in ((-0.0,) * 3, (-0.0,) * 9, (-0.0,) * 200, (-0.0, 0.0) * 100, (1e-300, -1e-300)):
+            assert _numpy_sum(zeros).hex() == float(np.sum(np.array(zeros))).hex(), zeros
+
+
+_LSE_SHAPES = [(), (1,), (50,), (4, 5), (3, 1)]
+
+
+class TestLogSumExpRowsMatchesOracles:
+    """Row-by-row max and sum against the whole-array reductions over the
+    component axis, bit for bit, at every shape; and the density pass
+    against the row-major reference."""
+
+    @pytest.mark.parametrize("shape", _LSE_SHAPES, ids=str)
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    def test_rows_match_axis0_reductions(self, k, shape):
+        rng = make_rng(100 + k)
+        a = rng.normal(0.0, 30.0, (k,) + shape)
+        a.flat[::7] = -np.inf  # underflowed components
+        weights = _simplex(k, k)
+        got = _log_sum_exp_rows(a.copy(), weights)
+        want = axis0_log_sum_exp_rows(a.copy(), weights)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (50,), (4, 5)], ids=str)
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    def test_density_pass_matches_rowmajor(self, k, shape):
+        rng = make_rng(200 + k)
+        p = MixtureParams(_simplex(k, k), rng.normal(size=k), rng.random(k) + 0.5)
+        x = rng.normal(0.0, 2.0, shape)
+        gam, log_p = responsibilities_and_log_density(p, x)
+        want_gam, want_log_p = rowmajor_log_sum_exp(p, np.asarray(x))
+        gam = np.moveaxis(gam, 0, -1)
+        if k < 8 or math.prod(shape) == 1:
+            assert np.array_equal(gam, want_gam) and np.array_equal(log_p, want_log_p)
+        else:
+            # the reference sums each point's K terms pairwise, the rows add
+            # them in order: from 8 terms on they can round apart
+            np.testing.assert_allclose(gam, want_gam, rtol=64 * np.finfo(float).eps, atol=0.0)
+            np.testing.assert_allclose(log_p, want_log_p, rtol=64 * np.finfo(float).eps,
+                                       atol=64 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("k", [2, 9])
+    def test_point_where_every_component_underflows(self, k):
+        p = MixtureParams(_simplex(k, k), np.linspace(-1.0, 1.0, k), np.ones(k))
+        with np.errstate(over="ignore", divide="ignore"):
+            assert log_density(p, 1e200) == -np.inf
+            out = log_density(p, np.array([[1e200, 0.0]]))
+        assert out[0, 0] == -np.inf and out[0, 1] == log_density(p, 0.0)
+
+    @pytest.mark.parametrize("shape", [(), (1,)], ids=str)
+    def test_single_point_at_k9_keeps_numpy_pairwise_sum(self, shape):
+        # np.sum adds one point's nine terms pairwise: find a point where
+        # adding them in order rounds differently (which points do depends
+        # on the exp kernel), and check that its sum keeps the pairwise bits
+        weights = [1.0 / 9.0] * 8 + [1.0 - 8.0 / 9.0]
+        for seed in range(100):
+            a = make_rng(seed).normal(0.0, 1.0, (9,) + shape)
+            e, total, _ = axis0_log_sum_exp_rows(a.copy(), weights)
+            in_order = 0.0
+            for row in e:
+                in_order += float(row.sum())
+            if in_order != float(total.sum()):
+                break
+        else:
+            raise AssertionError("no point where the two orders round apart")
+        assert np.array_equal(_log_sum_exp_rows(a.copy(), weights)[1], total)
+
+    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    def test_under_reduced_numpy_simd(self):
+        assert_passes_under_reduced_simd(f"{__file__}::TestLogSumExpRowsMatchesOracles")
+
+
+class TestSampledDataset:
+    @pytest.mark.parametrize("n", [1, 1234, 10 ** 5])
+    def test_sampled_points_read_only_with_their_bits(self, n):
+        p = MixtureParams((0.2, 0.5, 0.3), (-1.0, 0.5, 2.0), (0.7, 1.0, 1.3))
+        pts = sample(p, n, seed=9).points
+        assert pts.dtype == np.float64 and pts.flags.c_contiguous and pts.flags.owndata
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0] = 0.0
+        assert np.array_equal(pts, sample_points(p, n, 9))
+
+    def test_adopt_keeps_the_array_and_runs_the_checks(self):
+        xs = np.array([1.0, -2.0, 3.5])
+        d = Dataset._adopt(xs)
+        assert d.points is xs and not xs.flags.writeable and d.n == 3
+        for bad in (np.zeros((2, 2)), np.zeros(0), np.array([1.0, np.nan])):
+            with pytest.raises(MixtureError):
+                Dataset._adopt(bad)
