@@ -18,7 +18,6 @@ import yaml
 from .experiments import (KINDS, ConfigError, ConvergenceError, check_config,
                           default_config, load_config, run)
 from .fim import SingularFimError
-from .reparam import SingularPointError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,7 +45,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("RELREPARAM_LOG", "WARNING").upper())
+    level = os.environ.get("RELREPARAM_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"config error: RELREPARAM_LOG must name a logging level, got {level!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level.upper())
     args = build_parser().parse_args(argv)
 
     if args.print_defaults:
@@ -68,7 +72,7 @@ def main(argv=None) -> int:
 
     try:
         manifest = run(cfg, out_dir)
-    except (SingularFimError, SingularPointError) as exc:
+    except SingularFimError as exc:
         print(f"singularity guard: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except (ConvergenceError, FloatingPointError, ValueError) as exc:

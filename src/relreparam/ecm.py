@@ -19,8 +19,8 @@ import numpy as np
 from .gmm import (Dataset, MixtureParams, MixtureError, distances_to_truth,
                   log_component_densities, log_likelihood, log_weights,
                   responsibilities_and_log_density, responsibilities_array)
-from .reparam import (RelativeParams, ReparamSpec, decoded_gaps, to_absolute,
-                      to_relative)
+from .reparam import (RELATIVE_SPEC, RelativeParams, ReparamSpec, decoded_gaps,
+                      to_absolute, to_relative)
 
 
 class DegenerateComponentError(ValueError):
@@ -226,19 +226,21 @@ def fit_em_standard(data: Dataset, init: MixtureParams, config: ECMConfig,
 
 def fit_ecm_relative(data: Dataset, init: RelativeParams, config: ECMConfig,
                      truth: MixtureParams | None = None,
-                     spec: ReparamSpec | None = None) -> FitResult:
+                     spec: ReparamSpec = RELATIVE_SPEC) -> FitResult:
     """Relative-reparameterization ECM for the fixed-weight unit-variance 2-GMM.
 
     Loop: E-step, then CM over the reference mean, then CM over Delta (KKT
     projected). Delta >= 0 at every iterate. The reparameterization is set up
     once, from ``init`` ordered by mean; the weights and sigmas stay fixed at
-    their values in ``init``.
+    their values in ``init``. The KKT step projects onto Delta >= 0, so a spec
+    with a positive clearance is refused.
     """
-    spec = spec or ReparamSpec(delta_encoding="raw_constrained")
     if init.n_components != 2:
         raise MixtureError("relative ECM is defined for the 2-component model")
     if spec.ordering_coordinate != "mean":
         raise MixtureError("relative ECM needs a spec ordered by mean")
+    if spec.clearance > 0:
+        raise MixtureError("relative ECM needs a spec with zero clearance")
     # Delta is carried between iterations rather than re-read from the means:
     # (mu1 + Delta) - mu1 need not round back to Delta
     delta = float(decoded_gaps(init, spec)[0])

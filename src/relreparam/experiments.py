@@ -26,7 +26,7 @@ from .ecm import ECMConfig, fit_ecm_relative, fit_em_standard
 from .fim import MIN_MC_BUDGET, PSD_TOL, SYMMETRY_TOL, fim_estimate, transform_fim
 from .gmm import make_rng, sample, unit_variance_pair
 from .nn import ACTIVATIONS, MLPParams, detect_singularities, report_lines
-from .reparam import ENCODINGS, ReparamSpec, jacobian, to_relative
+from .reparam import RELATIVE_SPEC, jacobian, to_relative
 from .svgplot import SvgCanvas, Viewport, draw_axes, draw_quiver, map_polyline
 
 SCHEMA_VERSION = 1
@@ -45,24 +45,20 @@ DEFAULTS: dict[str, dict] = {
         "kind": "field", "seed": 0, "eta": 1.0, "v": 0.5,
         "grid": {"min": -2.0, "max": 2.0, "step": 0.1},
         "true_means": [0.0, 0.0],
-        "reparam": {"order_by": "mean", "clearance": 0.0, "encoding": "squared"},
     },
     "gd": {
         "kind": "gd", "seed": 0, "eta": 0.05, "steps": 200, "v": 0.5,
         "init_means": [-1.5, 1.5], "true_means": [0.0, 0.0],
         "gradient_source": "expected",
-        "reparam": {"order_by": "mean", "clearance": 0.0, "encoding": "squared"},
     },
     "ecm": {
         "kind": "ecm", "seed": 12, "n_samples": 200,
         "true_means": [-5.1, -5.0], "init_means": [-2.5, 2.0],
         "epsilon": 1e-8, "max_iters": 10000,
-        "reparam": {"order_by": "mean", "clearance": 0.0, "encoding": "raw_constrained"},
     },
     "fim": {
         "kind": "fim", "seed": 0, "means": [-5.1, -5.0], "v": 0.5,
         "budget": 200000,
-        "reparam": {"order_by": "mean", "clearance": 0.0, "encoding": "raw_constrained"},
     },
     "nn": {
         "kind": "nn", "seed": 0, "activation": "identity",
@@ -95,14 +91,12 @@ def load_config(path: str | Path) -> dict:
 # The config schema. A key's type is that of its DEFAULTS value: a float takes
 # any finite number, an int any integral one (2.0, not 2.7), neither a bool; a
 # string one of CHOICES[key], if the key has choices; a list is checked item by
-# item and a block key by key. RANGES has the other rules. Unknown keys are
-# errors; OPTIONAL keys, and any key of a reparam block, fall back to a value.
-# order_by takes "mean" alone: ecm's fit is defined by the means' order, fim's
-# raw-gap jacobian does not depend on it, and field and gd never read reparam.
+# item and the grid block key by key. RANGES has the other rules. Unknown keys
+# are errors; only OPTIONAL keys fall back to a value.
 GRADIENT_SOURCES = ("expected", "empirical")
 INJECTIONS = ("elimination", "overlap", "linear_dependence")
 CHOICES = {"gradient_source": GRADIENT_SOURCES, "activation": ACTIVATIONS,
-           "order_by": ("mean",), "encoding": ENCODINGS, "inject": INJECTIONS}
+           "inject": INJECTIONS}
 _PAIR = (lambda xs: len(xs) == 2, "must hold two numbers")
 RANGES = {
     "seed": (lambda x: x >= 0, "must be >= 0"),
@@ -114,7 +108,6 @@ RANGES = {
     "epsilon": (lambda x: x > 0, "must be > 0"),
     "tol": (lambda x: x > 0, "must be > 0"),
     "budget": (lambda x: x >= MIN_MC_BUDGET, f"must be >= {MIN_MC_BUDGET}"),
-    "clearance": (lambda x: x >= 0, "must be >= 0"),
     "step": (lambda x: x > 0, "must be > 0"),
     "grid": (lambda g: 0 <= g["max"] - g["min"] < np.inf, "needs min <= max"),
     "true_means": _PAIR, "init_means": _PAIR, "means": _PAIR,
@@ -157,7 +150,7 @@ def _block(prefix: str, block, schema: dict, fallback: dict) -> dict:
 def _typed(path: str, key: str, value, default):
     """``value`` cast to the type of ``default`` and checked against RANGES."""
     if isinstance(default, dict):
-        typed = _block(path + ".", value, default, default if key == "reparam" else {})
+        typed = _block(path + ".", value, default, {})
     elif isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"{path} must be a list, got {value!r}")
@@ -172,23 +165,12 @@ def _typed(path: str, key: str, value, default):
 
 def check_config(cfg: dict) -> dict:
     """The checked values of ``cfg``, cast to their declared types, with every
-    OPTIONAL key and reparam key it leaves out filled in. ``cfg`` is left as
-    loaded, for its digest. Raises ConfigError naming the first bad key."""
+    OPTIONAL key it leaves out filled in. ``cfg`` is left as loaded, for its
+    digest. Raises ConfigError naming the first bad key."""
     kind = cfg.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
-    values = _block("", cfg, {**DEFAULTS[kind], **OPTIONAL[kind]}, OPTIONAL[kind])
-    # fim's direct estimate is in raw (mu1, Delta) coordinates, so its jacobian must be too
-    if kind == "fim" and values["reparam"]["encoding"] != "raw_constrained":
-        raise ConfigError("reparam.encoding must be 'raw_constrained' for fim, "
-                          f"got {values['reparam']['encoding']!r}")
-    return values
-
-
-def _reparam_spec(values: dict) -> ReparamSpec:
-    rp = values["reparam"]
-    return ReparamSpec(ordering_coordinate=rp["order_by"], clearance=rp["clearance"],
-                       delta_encoding=rp["encoding"])
+    return _block("", cfg, {**DEFAULTS[kind], **OPTIONAL[kind]}, OPTIONAL[kind])
 
 
 def write_csv(path: Path, header_cols: list[str], columns) -> None:
@@ -304,11 +286,11 @@ def run_ecm(values: dict) -> tuple[dict, ConvergenceError | None]:
     data = sample(truth, values["n_samples"], values["seed"])
     init = unit_variance_pair(*values["init_means"])
     config = ECMConfig(epsilon=values["epsilon"], max_iters=values["max_iters"])
-    spec = _reparam_spec(values)
     # baseline is vanilla EM with every block free; the relative ECM keeps
     # the weights at (0.5, 0.5) and the sigmas at (1, 1)
     em = fit_em_standard(data, init, config, truth=truth)
-    ecm = fit_ecm_relative(data, to_relative(init, spec), config, truth=truth, spec=spec)
+    ecm = fit_ecm_relative(data, to_relative(init, RELATIVE_SPEC), config, truth=truth,
+                           spec=RELATIVE_SPEC)
 
     # per fit, in the order (em, ecm): each series read once, for the CSV and the panels
     fits = (em, ecm)
@@ -357,9 +339,7 @@ def run_ecm(values: dict) -> tuple[dict, ConvergenceError | None]:
 def run_fim(values: dict) -> tuple[dict, ConvergenceError | None]:
     """Direct vs transformed Fisher matrices, residuals, symmetry/PSD report."""
     params = unit_variance_pair(*values["means"], values["v"])
-    spec = _reparam_spec(values)
-    rel = to_relative(params, spec)
-    jac = jacobian(rel, spec)
+    jac = jacobian(to_relative(params, RELATIVE_SPEC), RELATIVE_SPEC)
     direct = fim_estimate(params, coords="relative_means", method="monte_carlo",
                           budget=values["budget"], seed=values["seed"])
     absolute = fim_estimate(params, coords="means", method="monte_carlo",

@@ -19,6 +19,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 _SIMPLEX_TOL = 1e-12
 _FLOAT_MIN = float(np.finfo(float).min)
+_FIELD_TYPES = (tuple, list, np.ndarray)
 
 
 class MixtureError(ValueError):
@@ -59,7 +60,8 @@ class MixtureParams:
     means:   component means.
     sigmas:  component standard deviations (strictly positive).
 
-    Each field is converted once to a tuple of Python floats, and every
+    Each field must be a tuple, list or ndarray (anything else raises
+    TypeError). It is converted once to a tuple of Python floats, and every
     check runs on those floats, on every construction.
     """
 
@@ -68,6 +70,10 @@ class MixtureParams:
     sigmas: tuple[float, ...]
 
     def __post_init__(self):
+        for field in (self.weights, self.means, self.sigmas):
+            if not isinstance(field, _FIELD_TYPES):
+                raise TypeError("weights, means, sigmas must each be a tuple, list or "
+                                f"ndarray, got {type(field).__name__}")
         w = tuple(map(float, self.weights))
         m = tuple(map(float, self.means))
         s = tuple(map(float, self.sigmas))

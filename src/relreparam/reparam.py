@@ -46,6 +46,12 @@ class ReparamSpec:
             raise MixtureError("clearance must be >= 0")
 
 
+# The paper's relative coordinates (mu1, Delta) of the 2-GMM, in which the
+# relative ECM fits and the CLI's fim estimates directly: components ordered
+# by mean, raw gap Delta >= 0.
+RELATIVE_SPEC = ReparamSpec(delta_encoding="raw_constrained")
+
+
 @dataclass(frozen=True)
 class RelativeParams:
     """Reparameterized coordinates: reference value, encoded gaps, carried blocks.

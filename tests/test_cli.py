@@ -101,8 +101,8 @@ class TestConfigSchema:
     """Every config the project ships or benchmarks passes check_config, and
     checking leaves the config, and so its digest, as loaded."""
 
-    DIGESTS = {"field": "af5ec70781f6", "gd": "fcb84a15c596", "ecm": "ee3f1c042dab",
-               "fim": "592663073c2f", "nn": "870c76fd1a74"}
+    DIGESTS = {"field": "eeb219ab2eb1", "gd": "991dc442d215", "ecm": "3a0f88821807",
+               "fim": "54d46ab26324", "nn": "870c76fd1a74"}
 
     @staticmethod
     def workload_configs():
@@ -135,26 +135,61 @@ class TestConfigSchema:
             values = check_config(load_config(write_config(tmp_path, cfg)))
             assert values["kind"] == cfg["kind"]
 
+    @pytest.mark.parametrize("kind, overrides, unread", [
+        ("field", {}, {"seed"}),
+        ("gd", {}, {"seed", "n_samples"}),
+        ("gd", {"gradient_source": "empirical"}, set()),
+        ("ecm", {}, set()),
+        ("fim", {}, set()),
+        ("nn", {}, set()),
+    ], ids=["field", "gd-expected", "gd-empirical", "ecm", "fim", "nn"])
+    def test_runner_reads_every_schema_key(self, kind, overrides, unread):
+        """Every key a kind declares is read by its runner, except kind and
+        out_dir (read by cli and run) and the seed and sample size of runs
+        that draw no sample."""
+
+        class Recorder(dict):
+            def __init__(self, prefix, mapping):
+                super().__init__({key: Recorder(f"{prefix}{key}.", value)
+                                  if isinstance(value, dict) else value
+                                  for key, value in mapping.items()})
+                self.prefix = prefix
+
+            def __getitem__(self, key):
+                value = super().__getitem__(key)
+                if not isinstance(value, Recorder):
+                    read.add(self.prefix + key)
+                return value
+
+        def schema_paths(prefix, schema):
+            return {path for key, value in schema.items()
+                    for path in (schema_paths(f"{prefix}{key}.", value)
+                                 if isinstance(value, dict) else [prefix + key])}
+
+        read = set()
+        values = check_config({**default_config(kind), **overrides})
+        experiments.RUNNERS[kind](Recorder("", values))
+        schema = {**DEFAULTS[kind], **experiments.OPTIONAL[kind]}
+        assert read == schema_paths("", schema) - {"kind", "out_dir"} - unread
+
     def test_values_are_typed_and_filled(self):
-        cfg = {**default_config("gd"), "steps": 3.0, "eta": 1, "true_means": [0, 0],
-               "reparam": {"clearance": 1}}
+        cfg = {**default_config("gd"), "steps": 3.0, "eta": 1, "true_means": [0, 0]}
         loaded = json.loads(json.dumps(cfg))
         values = check_config(cfg)
         assert cfg == loaded
         assert type(values["steps"]) is int and type(values["eta"]) is float
         assert [type(m) for m in values["true_means"]] == [float, float]
-        assert values["reparam"] == {**DEFAULTS["gd"]["reparam"], "clearance": 1.0}
         assert (values["n_samples"], values["out_dir"]) == (200, "out/gd")
 
     @pytest.mark.parametrize("kind, bad, named", [
         ("ecm", {"n_sample": 5}, "unknown key n_sample"),
-        ("ecm", {"reparam": {"encodng": "raw"}}, "unknown key reparam.encodng"),
+        ("ecm", {"reparam": {"encodng": "raw"}}, "unknown key reparam"),
         ("field", {"grid": {"min": 0.0, "max": 1.0}}, "missing key grid.step"),
         ("nn", {"sizes": [3, 4.5, 1]}, "sizes[1] must be an integer"),
         ("nn", {"inject": ["elimnation"]}, "inject[0] must be one of"),
         ("nn", {"tol": float("nan")}, "tol must be a finite number"),
-        ("ecm", {"reparam": {"order_by": "sigma"}}, "reparam.order_by must be one of"),
-        ("fim", {"reparam": {"encoding": "squared"}}, "reparam.encoding must be"),
+        ("ecm", {"reparam": {"order_by": "sigma"}}, "unknown key reparam"),
+        ("fim", {"reparam": {"encoding": "squared"}}, "unknown key reparam"),
     ])
     def test_error_names_the_key(self, kind, bad, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
@@ -338,6 +373,20 @@ class TestExitCodes:
             assert loglik[-1] == "-inf"
             assert "nan" not in loglik
 
+    @pytest.mark.parametrize("args", [["--out", "o"], ["--print-defaults"]],
+                             ids=["run", "print-defaults"])
+    def test_unknown_log_level_is_config_error(self, tmp_path, args):
+        """A RELREPARAM_LOG that names no logging level exits 2 with one
+        stderr line, before anything runs or prints."""
+        proc = subprocess.run([sys.executable, "-m", "relreparam.cli", "nn", *args],
+                              env=child_env(RELREPARAM_LOG="verbose"), cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == ("config error: RELREPARAM_LOG must name a logging level, "
+                               "got 'verbose'\n")
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_default_run_stderr_is_empty(self, tmp_path, kind):
         """Each kind at its defaults, in a fresh interpreter, exits 0 and
@@ -402,13 +451,6 @@ class TestGoldenFixtures:
         assert sha256(out / "ecm_trajectories.csv") == GOLDEN["ecm/ecm_trajectories.csv"]
         expected = (FIXTURES / "ecm_trajectories_golden.csv").read_bytes()
         assert (out / "ecm_trajectories.csv").read_bytes() == expected
-
-    def test_partial_reparam_block_takes_kind_defaults(self, tmp_path):
-        # the left-out encoding is ecm's raw_constrained, so this is the default run
-        path = write_config(tmp_path, {"kind": "ecm", "reparam": {"clearance": 0.0}})
-        out = tmp_path / "ecm"
-        assert main(["ecm", "--config", str(path), "--out", str(out)]) == EXIT_OK
-        assert sha256(out / "ecm_trajectories.csv") == GOLDEN["ecm/ecm_trajectories.csv"]
 
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
                         or not _dynamic_arch_openblas(),

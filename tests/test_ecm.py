@@ -10,7 +10,7 @@ from relreparam.ecm import (DegenerateComponentError, ECMConfig,
                             Responsibilities, cm_step_delta,
                             cm_step_reference_mean, e_step, fit_ecm_relative,
                             fit_em_standard, m_step_standard, q_function)
-from relreparam.experiments import default_config
+from relreparam.experiments import RELATIVE_SPEC, default_config
 from relreparam.gmm import (Dataset, MixtureError, MixtureParams,
                             log_likelihood, make_rng, sample)
 from relreparam.reparam import (RelativeParams, ReparamSpec, decoded_gaps,
@@ -346,6 +346,15 @@ class TestFitEcmRelative:
         for p in res.trajectory_params:
             assert p.means[1] - p.means[0] >= spec.clearance
 
+    def test_rejects_positive_clearance(self):
+        # the KKT step projects onto Delta >= 0, not Delta >= lambda: from this
+        # start a fit at lambda = 2 would end at Delta = 0.887
+        spec = ReparamSpec(clearance=2.0, delta_encoding="raw_constrained")
+        data = sample(FIG_TRUTH, 200, seed=12)
+        init = MixtureParams((0.5, 0.5), (-2.5, 2.0), (1.0, 1.0))
+        with pytest.raises(MixtureError, match="zero clearance"):
+            fit_ecm_relative(data, to_relative(init, spec), ECMConfig(), spec=spec)
+
     def test_rejects_three_components(self):
         rel = RelativeParams(reference_value=0.0, deltas=(1.0, 1.0),
                              weights=(1 / 3, 1 / 3, 1 / 3),
@@ -500,15 +509,12 @@ class TestFitObservability:
         # with fixed equal weights and unit sigmas the clamp cannot fire in
         # exact arithmetic, so on working code both read 0
         cfg = default_config("ecm")
-        spec = ReparamSpec(ordering_coordinate=cfg["reparam"]["order_by"],
-                           clearance=cfg["reparam"]["clearance"],
-                           delta_encoding=cfg["reparam"]["encoding"])
         truth = MixtureParams((0.5, 0.5), tuple(cfg["true_means"]), (1.0, 1.0))
         init = MixtureParams((0.5, 0.5), tuple(cfg["init_means"]), (1.0, 1.0))
         data = sample(truth, cfg["n_samples"], seed=seed)
-        res = fit_ecm_relative(data, to_relative(init, spec),
+        res = fit_ecm_relative(data, to_relative(init, RELATIVE_SPEC),
                                ECMConfig(epsilon=cfg["epsilon"], max_iters=cfg["max_iters"]),
-                               spec=spec)
+                               spec=RELATIVE_SPEC)
         assert res.converged
         assert (res.kkt_active_steps, res.max_kkt_multiplier) == (0, 0.0)
 

@@ -372,6 +372,10 @@ def _constructor_cases():
         ("2d-mixed", (np.full((2, 2), 0.25), ((0.0, 1.0), (2.0, 3.0)), ((1.0, 1.0), (1.0, 1.0)))),
         ("strings-as-elements", (("0.5", "0.5"), ("0", "1"), ("1", "1"))),
         ("simplex-off", ((0.5, 0.6), (0.0, 1.0), (1.0, 1.0))),
+        # fields that are not a tuple, list or ndarray: numpy refused each
+        ("string-fields", ("1", "0", "1")),
+        ("set-field", ({0.25, 0.75}, (0.0, 1.0), (1.0, 1.0))),
+        ("generator-field", ((0.5, 0.5), (x for x in (0.0, 1.0)), (1.0, 1.0))),
     ]
     return cases
 
