@@ -15,15 +15,15 @@ from typing import Callable
 
 import numpy as np
 
-from .gmm import (MixtureParams, MixtureError, component_nodes, normal_quadrature, sample,
-                  score, score_means)
+from .gmm import (MixtureParams, MixtureError, checked_size, component_nodes, normal_quadrature,
+                  sample_slices, score, score_means)
 
 COORD_SETS = ("means", "relative_means", "full")
 QUADRATURE_NODES = 201
 MIN_MC_BUDGET = 100
-# Draws per slice of the Monte-Carlo accumulation. A slice's (k, k, c) score
-# products are the only temporaries that grow with k, so memory stays at a
-# few sample-sized arrays whatever the budget.
+# Draws per slice of the Monte-Carlo estimate. Each slice is drawn, scored
+# and accumulated before the next, so memory is set by the slice's (k, k, c)
+# score products, whatever the budget.
 _MC_CHUNK = 1 << 16
 # Largest |F - F^T| entry and most negative eigenvalue a FisherMatrix accepts.
 SYMMETRY_TOL = 1e-10
@@ -77,17 +77,19 @@ def _score_in_coords(params: MixtureParams, xs: np.ndarray, coords: str) -> np.n
     raise MixtureError(f"coords must be one of {COORD_SETS}")
 
 
-def _mc_moments(params: MixtureParams, xs: np.ndarray, coords: str):
-    """Mean and M2 (summed squared deviations) of the score outer products over xs.
+def _mc_moments(params: MixtureParams, budget: int, seed: int, coords: str):
+    """Mean and M2 (summed squared deviations) of the score outer products
+    over the draws of ``sample(params, budget, seed)``.
 
-    Streams over slices of _MC_CHUNK draws: each slice's mean and M2 about
-    that mean are merged into the running pair with the pairwise update of
-    Chan, Golub & LeVeque (1979). A slice's scores are used as the (k, c)
-    component-major rows they are computed in, without a copy.
+    Streams over slices of _MC_CHUNK draws, each drawn by ``sample_slices``
+    just before it is scored: each slice's mean and M2 about that mean are
+    merged into the running pair with the pairwise update of Chan, Golub &
+    LeVeque (1979). A slice's scores are used as the (k, c) component-major
+    rows they are computed in, without a copy.
     """
     n, mean, m2 = 0, 0.0, 0.0  # the first merge takes the first slice's pair as is
-    for start in range(0, len(xs), _MC_CHUNK):
-        s = _score_in_coords(params, xs[start:start + _MC_CHUNK], coords).T
+    for xs in sample_slices(params, budget, seed, _MC_CHUNK):
+        s = _score_in_coords(params, xs, coords).T
         outer = s[:, None, :] * s[None, :, :]  # (k, k, c), each entry's draws contiguous
         c = outer.shape[-1]
         c_mean = outer.mean(axis=-1)
@@ -98,6 +100,7 @@ def _mc_moments(params: MixtureParams, xs: np.ndarray, coords: str):
         mean = mean + d * (c / total)
         m2 = m2 + outer.sum(axis=-1) + d * d * (n * c / total)
         n = total
+        del outer  # freed before the next slice's products are made, not after
     return mean, m2
 
 
@@ -106,19 +109,21 @@ def fim_estimate(params: MixtureParams, coords: str = "means",
                  seed: int = 0) -> FisherMatrix:
     """Estimate E[s s^T] under the mixture, s the score in the chosen coordinates.
 
-    monte_carlo averages outer products over `budget` draws from one
-    ``sample`` call and reports entrywise standard errors sqrt(M2 / (n - 1)
-    / n); the products are accumulated in fixed-size slices of the drawn
-    sample whose means and M2 are merged pairwise (Chan, Golub & LeVeque),
-    so memory does not grow with budget * k^2. quadrature integrates per
+    monte_carlo averages outer products over the `budget` draws of
+    ``sample(params, budget, seed)`` and reports entrywise standard errors
+    sqrt(M2 / (n - 1) / n). It draws, scores and accumulates fixed-size
+    slices one at a time, merging their means and M2 pairwise (Chan, Golub &
+    LeVeque), so memory does not grow with the budget; `budget` must be an
+    integer of at least MIN_MC_BUDGET. quadrature integrates per
     mixture component with a 201-node Gauss-Hermite rule whose nodes span
     past +-10 sigma (budget ignored).
     Symmetrized after accumulation.
     """
     if method == "monte_carlo":
+        budget = checked_size(budget, "budget")
         if budget < MIN_MC_BUDGET:
             raise MixtureError(f"monte_carlo budget must be at least {MIN_MC_BUDGET}")
-        mean, m2 = _mc_moments(params, sample(params, budget, seed).points, coords)
+        mean, m2 = _mc_moments(params, budget, seed, coords)
         se = np.sqrt(m2 / (budget - 1)) / np.sqrt(budget)
         mat = 0.5 * (mean + mean.T)
         return FisherMatrix(entries=mat, coordinates=coords, estimator="monte_carlo",

@@ -10,7 +10,9 @@ fixtures are bit-reproducible across platforms for a fixed seed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,19 +319,77 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def sample(params: MixtureParams, n: int, seed: int) -> Dataset:
-    """Draw n points: component by weights, then a Gaussian draw. Deterministic per seed."""
+def checked_size(n, name: str) -> int:
+    """n as an int; MixtureError unless it is an integer (a bool, or a float
+    even when integral, is not)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise MixtureError(f"{name} must be an integer, got {n!r}")
+    return int(n)
+
+
+def _component_index(edges: list[float], u: np.ndarray) -> np.ndarray:
+    """The component each uniform u picks: how many of ``edges``, the
+    cumulative weights without the last, are <= u. The cumulative weights
+    never decrease, so this equals ``searchsorted(cumsum(weights), u,
+    side="right")`` capped at K - 1, also where the last sum rounds below
+    1.0, in K - 1 comparisons."""
+    comp = np.zeros(u.shape, dtype=np.intp)
+    for edge in edges:
+        comp += edge <= u
+    return comp
+
+
+def _stream_at(seed: int, words: int) -> np.random.Generator:
+    """``make_rng(seed)`` after its first `words` 64-bit draws: each Philox
+    counter step yields four words, so advance words // 4 steps and draw the
+    rest."""
+    bits = np.random.Philox(int(seed))
+    bits.advance(words // 4)
+    bits.random_raw(words % 4)
+    return np.random.Generator(bits)
+
+
+def sample_slices(params: MixtureParams, n: int, seed: int, size: int):
+    """The n draws of ``sample(params, n, seed)`` as consecutive arrays of at
+    most `size` points, with the same bits.
+
+    The stream holds n uniforms, which pick the components, then n standard
+    normals, one word per uniform. One cursor reads the uniforms and a second
+    the normals, n words further on, so each slice draws both of its parts
+    where the one-shot draw has them. With a single slice the uniform cursor
+    ends where the normals start and is the normal cursor too. Sizes are
+    checked here, before the first slice is drawn.
+    """
+    n, size = checked_size(n, "n"), checked_size(size, "size")
     if n < 1:
         raise MixtureError("need n >= 1 samples")
-    rng = make_rng(seed)
-    cum = np.cumsum(params.weights)
-    comp = np.searchsorted(cum, rng.random(n), side="right")
-    np.minimum(comp, params.n_components - 1, out=comp)
-    # in place, so at most three n-sized arrays are alive at once
-    z = rng.standard_normal(n)
-    z *= np.asarray(params.sigmas)[comp]
-    z += np.asarray(params.means)[comp]
-    return Dataset._adopt(z)
+    if size < 1:
+        raise MixtureError("need size >= 1 draws per slice")
+    return _slices(params, n, seed, size)
+
+
+def _slices(params: MixtureParams, n: int, seed: int, size: int):
+    uniforms = make_rng(seed)
+    normals = uniforms if size >= n else _stream_at(seed, n)
+    edges = list(itertools.accumulate(params.weights[:-1]))  # np.cumsum's bits
+    means, sigmas = np.asarray(params.means), np.asarray(params.sigmas)
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        comp = _component_index(edges, uniforms.random(m))
+        # in place, and the uniforms gone first, so at most three m-sized
+        # arrays are alive at once
+        z = normals.standard_normal(m)
+        z *= sigmas[comp]
+        z += means[comp]
+        del comp  # not held while the caller works on the slice
+        yield z
+
+
+def sample(params: MixtureParams, n: int, seed: int) -> Dataset:
+    """Draw n points: component by weights, then a Gaussian draw. Deterministic
+    per seed. The one slice of ``sample_slices`` of size n, so at most three
+    n-sized arrays are alive at once."""
+    return Dataset._adopt(next(sample_slices(params, n, seed, n)))
 
 
 def unit_variance_pair(mu1: float, mu2: float, v: float = 0.5) -> MixtureParams:

@@ -10,7 +10,7 @@ from relreparam.dynamics import (TrueModel, Trajectory, UVWState, expected_veloc
 from relreparam.gmm import (_FLOAT_MIN, _SIMPLEX_TOL, LOG_2PI, Dataset, MixtureError,
                             MixtureParams, _components_first, log_density, log_likelihood,
                             log_weights, make_rng, normal_quadrature, responsibilities_array,
-                            sample, score_means)
+                            score_means)
 from relreparam.nn import MLPParams
 from relreparam.svgplot import SvgCanvas, Viewport
 
@@ -335,10 +335,10 @@ def integrate_gd_per_step(init_means, true, eta: float, steps: int,
 
 
 def sample_points(params: MixtureParams, n: int, seed: int) -> np.ndarray:
-    """The draws of ``gmm.sample`` as the out-of-place formula mu + sig * z.
-
-    Same Philox calls in the same order: uniforms pick the components, then
-    one standard-normal draw per point.
+    """The one-shot draw that ``gmm.sample`` and ``gmm.sample_slices`` slice:
+    from one Philox generator, n uniforms pick the components by
+    ``searchsorted`` on the cumulative weights, then n standard normals place
+    the points, as the out-of-place formula mu + sig * z.
     """
     rng = make_rng(seed)
     comp = np.searchsorted(np.cumsum(params.weights), rng.random(n), side="right")
@@ -351,11 +351,11 @@ def sample_points(params: MixtureParams, n: int, seed: int) -> np.ndarray:
 def one_shot_mc_fim(params: MixtureParams, coords: str, budget: int, seed: int):
     """Monte-Carlo FIM entries and standard errors from one (budget, k, k) tensor.
 
-    The unchunked reference for ``fim_estimate``'s streamed accumulation:
-    the same draws and scores, then a mean and a ddof=1 std over axis 0,
-    each symmetrized.
+    The unchunked reference for ``fim_estimate``'s streamed draws and
+    accumulation: the one-shot draw of ``sample_points`` and the same scores,
+    then a mean and a ddof=1 std over axis 0, each symmetrized.
     """
-    s = fim._score_in_coords(params, sample(params, budget, seed).points, coords)
+    s = fim._score_in_coords(params, sample_points(params, budget, seed), coords)
     outer = s[:, :, None] * s[:, None, :]
     mean = outer.mean(axis=0)
     se = outer.std(axis=0, ddof=1) / np.sqrt(budget)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from childproc import assert_passes_under_reduced_simd, numpy_has_x86_v4
-from oracles import one_shot_mc_fim, rowmajor_mc_moments
+from oracles import one_shot_mc_fim, rowmajor_mc_moments, sample_points
 from relreparam.fim import (_MC_CHUNK, FisherMatrix, SingularFimError, _mc_moments,
                             bernoulli_family, crouzeix_check, fim_estimate,
                             gaussian_natural_family, length_element,
                             transform_fim)
-from relreparam.gmm import MixtureError, MixtureParams, make_rng, sample
+from relreparam.gmm import MixtureError, MixtureParams, make_rng
 
 # theta = (mu1, mu2), lambda = (mu1, Delta): J_ij = d theta_i / d lambda_j
 J_REL = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -63,6 +63,18 @@ class TestFimEstimate:
         with pytest.raises(MixtureError):
             fim_estimate(p, method="monte_carlo", budget=99)
 
+    @pytest.mark.parametrize("budget", [2.5, 300.0, np.float64(1000.0), True, "1000"])
+    def test_budget_must_be_an_integer(self, budget):
+        p = MixtureParams((1.0,), (0.0,), (1.0,))
+        with pytest.raises(MixtureError, match="budget must be an integer"):
+            fim_estimate(p, method="monte_carlo", budget=budget)
+
+    def test_numpy_integer_budget(self):
+        p = MixtureParams((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0))
+        a = fim_estimate(p, method="monte_carlo", budget=np.int64(1000), seed=5)
+        b = fim_estimate(p, method="monte_carlo", budget=1000, seed=5)
+        assert np.array_equal(a.entries, b.entries) and a.to_csv() == b.to_csv()
+
     def test_relative_coords_at_singularity_raise(self):
         p = MixtureParams((0.5, 0.5), (2.0, 2.0), (1.0, 1.0))
         with pytest.raises(SingularFimError):
@@ -92,16 +104,21 @@ class TestStreamedMonteCarlo:
         assert np.max(np.abs(m.entries - entries) / np.abs(entries)) < 1e-12
         assert np.max(np.abs(m.std_errors - se) / np.abs(se)) < 1e-12
 
-    def test_peak_memory_bounded_by_a_few_sample_arrays(self):
-        budget = 10 ** 6
-        tracemalloc.start()
-        try:
-            fim_estimate(P2, coords="means", method="monte_carlo", budget=budget, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a one-shot (budget, 2, 2) product tensor alone is 4 * 8 * budget bytes
-        assert peak < 4 * 8 * budget
+    def test_peak_memory_flat_in_the_budget(self):
+        for coords, k in (("relative_means", 2), ("full", 5)):
+            # one slice's (k, k, c) products, two (k, c) score arrays and
+            # four slice-sized vectors, at any budget
+            bound = (k * k + 2 * k + 4) * 8 * _MC_CHUNK
+            peaks = []
+            for budget in (10 ** 6, 4 * 10 ** 6):
+                tracemalloc.start()
+                try:
+                    fim_estimate(P2, coords=coords, method="monte_carlo", budget=budget, seed=3)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert max(peaks) < bound, (coords, peaks)
+            assert abs(peaks[1] - peaks[0]) < 8 * _MC_CHUNK, (coords, peaks)
 
 
 class TestMcMomentsMatchRowMajorOracle:
@@ -113,9 +130,9 @@ class TestMcMomentsMatchRowMajorOracle:
         (P2, "means"), (P2, "relative_means"), (P2, "full"), (P3, "means"), (P3, "full"),
     ], ids=["K2-means", "K2-relative_means", "K2-full", "K3-means", "K3-full"])
     def test_bit_identical(self, params, coords):
-        xs = sample(params, 2 * _MC_CHUNK + 123, 7).points  # the last slice partial
-        mean, m2 = _mc_moments(params, xs, coords)
-        want_mean, want_m2 = rowmajor_mc_moments(params, xs, coords)
+        budget = 2 * _MC_CHUNK + 123  # the last slice partial
+        mean, m2 = _mc_moments(params, budget, 7, coords)
+        want_mean, want_m2 = rowmajor_mc_moments(params, sample_points(params, budget, 7), coords)
         assert np.array_equal(mean, want_mean)
         assert np.array_equal(m2, want_m2)
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from childproc import assert_passes_under_reduced_simd, numpy_has_x86_v4
 from oracles import (axis0_log_sum_exp_rows, mean_distance, numpy_mixture_fields,
                      rowmajor_log_sum_exp, rowmajor_score, rowmajor_score_means, sample_points)
 
-from relreparam.gmm import (Dataset, MixtureParams, MixtureError, _log_sum_exp_rows,
-                            _numpy_sum, density, distances_to_truth, log_density,
+from relreparam.gmm import (Dataset, MixtureParams, MixtureError, _component_index,
+                            _log_sum_exp_rows, _numpy_sum, density, distances_to_truth, log_density,
                             log_density_means, log_likelihood, log_weights, make_rng,
                             mixture_moments, normal_quadrature,
-                            responsibilities_and_log_density, sample, score, score_means,
-                            unit_variance_pair)
+                            responsibilities_and_log_density, sample, sample_slices, score,
+                            score_means, unit_variance_pair)
 
 
 def naive_density(params, x):
@@ -230,6 +231,79 @@ class TestSample:
     ], ids=["K2", "K3"])
     def test_in_place_draws_match_formula_oracle(self, params, n):
         assert np.array_equal(sample(params, n, seed=31).points, sample_points(params, n, 31))
+
+    def test_peak_memory_three_sample_arrays(self):
+        n = 10 ** 6
+        p = MixtureParams((0.2, 0.5, 0.3), (-1.0, 0.5, 2.0), (0.7, 1.0, 1.3))
+        tracemalloc.start()
+        try:
+            sample(p, n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n + 2 ** 16
+
+    @pytest.mark.parametrize("n", [2.5, 300.0, np.float64(3.0), True, False, "5", None])
+    def test_rejects_a_size_that_is_not_an_integer(self, n):
+        p = MixtureParams((1.0,), (0.0,), (1.0,))
+        with pytest.raises(MixtureError, match="n must be an integer"):
+            sample(p, n, seed=0)
+        with pytest.raises(MixtureError, match="n must be an integer"):
+            sample_slices(p, n, 0, 4)
+        with pytest.raises(MixtureError, match="size must be an integer"):
+            sample_slices(p, 10, 0, n)
+
+    def test_slices_check_their_sizes_before_drawing(self):
+        p = MixtureParams((1.0,), (0.0,), (1.0,))
+        for n, size in ((0, 4), (4, 0)):
+            with pytest.raises(MixtureError, match=">= 1"):
+                sample_slices(p, n, 0, size)
+
+    def test_numpy_integer_sizes(self):
+        p = MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0))
+        want = sample_points(p, 10, 3)
+        assert np.array_equal(sample(p, np.int64(10), 3).points, want)
+        assert np.array_equal(np.concatenate(list(sample_slices(p, np.int64(10), 3, np.int32(4)))),
+                              want)
+
+
+SLICED_MIXTURES = [
+    MixtureParams((1.0,), (0.3,), (1.7,)),
+    MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0)),
+    MixtureParams((0.7, 0.2, 0.1), (-1.0, 0.5, 2.0), (0.7, 1.0, 1.3)),  # cumsum ends below 1.0
+]
+
+
+class TestSampleSlicesMatchOneShotDraw:
+    """Concatenated slices against the one-shot searchsorted draw. The
+    normals' cursor is moved past the n uniforms in four-word Philox counter
+    steps plus n % 4 single words, so these pin numpy's Philox ``advance``
+    and its four-word output: a change there fails here, not in the bytes."""
+
+    @pytest.mark.parametrize("n, size", [
+        (12, 5), (13, 5), (14, 5), (15, 5),      # n mod 4 = 0, 1, 2, 3
+        (15, 16), (16, 16), (17, 16), (35, 16),  # size - 1, size, size + 1, 2 size + 3
+    ])
+    @pytest.mark.parametrize("params", SLICED_MIXTURES, ids=["K1", "K2", "K3"])
+    def test_concatenated_slices_equal_one_shot(self, params, n, size):
+        slices = list(sample_slices(params, n, 23, size))
+        assert [len(z) for z in slices] == [min(size, n - i) for i in range(0, n, size)]
+        assert np.array_equal(np.concatenate(slices), sample_points(params, n, 23))
+
+    @pytest.mark.parametrize("weights", [
+        (0.7, 0.2, 0.1), (0.0, 0.5, 0.5), (0.5, 0.5, 0.0), (0.25, 0.0, 0.75), (0.5, 0.5), (1.0,),
+    ])
+    def test_component_index_is_capped_searchsorted(self, weights):
+        cum = np.cumsum(weights)
+        edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges[edges < 1.0],
+                            make_rng(5).random(1000)])
+        want = np.minimum(np.searchsorted(cum, u, side="right"), len(weights) - 1)
+        assert np.array_equal(_component_index(cum[:-1].tolist(), u), want)
+
+    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    def test_under_reduced_numpy_simd(self):
+        assert_passes_under_reduced_simd(f"{__file__}::TestSampleSlicesMatchOneShotDraw")
 
 
 class TestDataset:
