@@ -177,14 +177,33 @@ def write_csv(path: Path, header_cols: list[str], columns) -> None:
     """Write equal-length columns (arrays, lists or ranges) under a schema line.
 
     Each cell is ``str`` of the element ``.tolist()`` gives, so a float is
-    written as its ``repr`` and reads back to the same bits.
+    written as its ``repr`` and reads back to the same bits. The float64
+    arrays of the whole table are formatted together, each distinct value
+    once, and the texts gathered into the cells; the values are keyed on
+    their bits, not compared as floats, so -0.0 keeps its sign apart from
+    0.0. The bytes are those of formatting cell by cell.
     """
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    if len({len(c) for c in cols}) > 1:
+    columns = [c.tolist() if isinstance(c, np.ndarray) and c.dtype != np.float64 else c
+               for c in columns]
+    if len({len(c) for c in columns}) > 1:
         raise ValueError(f"columns of unequal length for {path.name}")
+    texts = iter(_float_texts([c for c in columns if isinstance(c, np.ndarray)]))
+    cells = [next(texts) if isinstance(c, np.ndarray) else map(str, c) for c in columns]
     lines = [f"# schema={SCHEMA_VERSION}", ",".join(header_cols)]
-    lines += [",".join(map(str, cells)) for cells in zip(*cols)]
+    lines += map(",".join, zip(*cells))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _float_texts(arrays: list[np.ndarray]) -> list[list[str]]:
+    """``str`` of every element of the equal-length float64 ``arrays``, one list
+    per array, formatting each distinct bit pattern once."""
+    if not arrays:
+        return []
+    distinct, inverse = np.unique(np.concatenate(arrays).view(np.int64), return_inverse=True)
+    text = [str(x) for x in distinct.view(np.float64).tolist()]
+    cells = list(map(text.__getitem__, inverse.tolist()))
+    n = len(arrays[0])
+    return [cells[k * n:(k + 1) * n] for k in range(len(arrays))]
 
 
 def _finish(cfg: dict, out_dir: Path, started: float, names) -> dict:

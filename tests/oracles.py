@@ -7,6 +7,7 @@ import numpy as np
 from relreparam import fim, svgplot
 from relreparam.dynamics import (TrueModel, Trajectory, UVWState, expected_velocity_relative,
                                  velocity_in_means)
+from relreparam.experiments import SCHEMA_VERSION
 from relreparam.gmm import (_FLOAT_MIN, _SIMPLEX_TOL, LOG_2PI, Dataset, MixtureError,
                             MixtureParams, _components_first, log_density, log_likelihood,
                             log_weights, make_rng, normal_quadrature, responsibilities_array,
@@ -411,3 +412,16 @@ def quiver_per_arrow(canvas: SvgCanvas, vp: Viewport, xs, ys, us, vs):
         for da in (+2.6, -2.6):
             line_per_stroke(canvas, hx, hy, hx + 0.3 * length * np.cos(ang + da),
                             hy + 0.3 * length * np.sin(ang + da), stroke=svgplot.ARROW_STROKE)
+
+
+# The slow CSV path: one ``str`` per cell, row by row.
+
+def rowwise_write_csv(path, header_cols: list[str], columns) -> None:
+    """``experiments.write_csv`` cell by cell: each cell is ``str`` of the
+    element ``.tolist()`` gives, with no value formatted once for many cells."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError(f"columns of unequal length for {path.name}")
+    lines = [f"# schema={SCHEMA_VERSION}", ",".join(header_cols)]
+    lines += [",".join(map(str, cells)) for cells in zip(*cols)]
+    path.write_text("\n".join(lines) + "\n")

@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from childproc import REDUCED_SIMD, child_env, numpy_has_x86_v4
+from oracles import rowwise_write_csv
 from relreparam import experiments
 from relreparam.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_SINGULAR, main)
@@ -478,21 +479,25 @@ class TestGoldenFixtures:
         assert sha256(reduced / "flow_field.svg") == native
 
 
+def cell_text(value) -> str:
+    """The text a CSV cell holds for an in-memory value: a string as it is,
+    an integer as ``str(int)``, a float as the ``repr`` of its double, so
+    that -0.0 is not 0.0."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
 def assert_csv_cells(path: Path, header: list[str], rows: list[tuple]) -> None:
-    """Every CSV cell equals its in-memory value exactly: text cells as
-    strings, numeric cells through float() (NaN matching NaN)."""
+    """Every CSV cell is exactly the text of its in-memory value (``cell_text``)."""
     lines = path.read_text().splitlines()
     assert lines[:2] == ["# schema=1", ",".join(header)]
     cells = [line.split(",") for line in lines[2:]]
     assert len(cells) == len(rows)
     for r, (got, want) in enumerate(zip(cells, rows)):
-        assert len(got) == len(want), (path.name, r)
-        for cell, value in zip(got, want):
-            if isinstance(value, str):
-                assert cell == value, (path.name, r)
-            else:
-                parsed = float(cell)
-                assert parsed == value or (np.isnan(parsed) and np.isnan(value)), (path.name, r)
+        assert got == [cell_text(value) for value in want], (path.name, r)
 
 
 class TestCsvCells:
@@ -566,6 +571,97 @@ class TestCsvCells:
         assert (len(rows) > 0) == bool(inject)
         assert_csv_cells(out / "nn_report.csv",
                          ["kind", "layer", "index_a", "index_b", "value"], rows)
+
+    def test_repeated_values_and_negative_zero(self, tmp_path):
+        """A value shared by many cells and columns keeps each cell's own
+        text: -0.0 next to 0.0, within a column and across columns."""
+        a = np.array([0.0, -0.0, 0.1, 0.1, -0.0, np.nan, -np.nan, np.inf, 0.1])
+        b = a[::-1].copy()
+        header = ["a", "b", "a_again", "step", "name"]
+        columns = [a, b, a, np.arange(a.size), ["x"] * a.size]
+        experiments.write_csv(tmp_path / "t.csv", header, columns)
+        assert_csv_cells(tmp_path / "t.csv", header,
+                         list(zip(a, b, a, range(a.size), columns[-1])))
+        assert (tmp_path / "t.csv").read_text().splitlines()[3] == "-0.0,inf,-0.0,1,x"
+
+
+# Floats at the repr switch points, the signed zeros and NaNs, the infinities
+# and the smallest subnormal, in one column.
+NEGATIVE_NAN = np.copysign(np.nan, -1.0)
+EDGE_FLOATS = np.array([0.0, -0.0, np.nan, NEGATIVE_NAN, np.inf, -np.inf, 5e-324, -5e-324,
+                        1e16, 9999999999999998.0, 1e-05, 0.0001, 0.1, 1.0 / 3.0, -2.5])
+EDGE_TABLES = {
+    "edge-floats": [EDGE_FLOATS],
+    "signed-zeros-across-columns": [np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0, 0.0])],
+    "value-shared-by-columns": [EDGE_FLOATS, EDGE_FLOATS[::-1], EDGE_FLOATS.copy(),
+                                np.full(EDGE_FLOATS.size, 0.1)],
+    "mixed-columns": [
+        np.arange(EDGE_FLOATS.size), range(EDGE_FLOATS.size), EDGE_FLOATS,
+        ["s"] * EDGE_FLOATS.size, list(range(-7, 8)), EDGE_FLOATS.tolist(),
+        EDGE_FLOATS.astype(np.float32), EDGE_FLOATS.astype(">f8"), EDGE_FLOATS > 0.0,
+        np.stack([EDGE_FLOATS, EDGE_FLOATS[::-1]], axis=1)[:, 1]],
+    "zero-rows": [np.empty(0), np.arange(0), range(0), [], np.empty(0, dtype=np.float32)],
+    "no-float64": [np.arange(3), ["a", "b", "c"], [0.5, -0.0, 2.0]],
+}
+
+
+class TestWriteCsv:
+    """``write_csv`` against ``rowwise_write_csv``, the cell-by-cell writer
+    it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("name", list(EDGE_TABLES))
+    def test_edge_tables_match_rowwise_writer(self, tmp_path, name):
+        columns = EDGE_TABLES[name]
+        header = [f"c{i}" for i in range(len(columns))]
+        experiments.write_csv(tmp_path / "fast.csv", header, columns)
+        rowwise_write_csv(tmp_path / "rowwise.csv", header, columns)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
+
+    def test_edge_floats_text(self, tmp_path):
+        experiments.write_csv(tmp_path / "t.csv", ["x"], [EDGE_FLOATS])
+        assert (tmp_path / "t.csv").read_text().splitlines()[2:] == [
+            "0.0", "-0.0", "nan", "nan", "inf", "-inf", "5e-324", "-5e-324", "1e+16",
+            "9999999999999998.0", "1e-05", "0.0001", "0.1", "0.3333333333333333", "-2.5"]
+
+    # fim is left out: its CSVs are FisherMatrix.to_csv text, not tables
+    @pytest.mark.parametrize("kind, overrides", [(kind, {}) for kind in KINDS if kind != "fim"] + [
+        ("field", {"grid": {"min": -2.0, "max": 2.0, "step": 0.05}}),
+        ("field", {"grid": {"min": -1.0e103, "max": 1.0e103, "step": 1.0e102}}),
+        ("gd", {"steps": 1000}),
+        ("nn", {"inject": [], "activation": "tanh"}),
+    ], ids=[kind for kind in KINDS if kind != "fim"]
+        + ["field-81x81", "field-overflowing", "gd-1000-steps", "nn-no-hits"])
+    def test_every_csv_matches_rowwise_writer(self, tmp_path, monkeypatch, kind, overrides):
+        fast = experiments.write_csv
+        rowwise_dir = tmp_path / "rowwise"
+        rowwise_dir.mkdir()
+        written = []
+
+        def both(path, header_cols, columns):
+            fast(path, header_cols, columns)
+            rowwise_write_csv(rowwise_dir / path.name, header_cols, columns)
+            written.append(path.name)
+
+        monkeypatch.setattr(experiments, "write_csv", both)
+        cfg = {**default_config(kind), **overrides}
+        out = tmp_path / "o"
+        assert main([kind, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_OK
+        assert len(written) == (2 if kind == "gd" else 1)
+        for name in written:
+            assert (out / name).read_bytes() == (rowwise_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize("columns", [[np.zeros(2), [1]], [np.zeros(2), np.zeros(3)],
+                                         [range(2), ["a"]]], ids=["mixed", "float64", "other"])
+    def test_unequal_columns_raise_and_write_nothing(self, tmp_path, columns):
+        with pytest.raises(ValueError, match="unequal length for t.csv"):
+            experiments.write_csv(tmp_path / "t.csv", ["a", "b"], columns)
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_zero_row_table_writes_the_header_only(self, tmp_path):
+        cfg = {**default_config("nn"), "inject": [], "activation": "tanh"}
+        out = tmp_path / "o"
+        assert main(["nn", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_OK
+        assert (out / "nn_report.csv").read_text() == "# schema=1\nkind,layer,index_a,index_b,value\n"
 
 
 class TestRunField:
