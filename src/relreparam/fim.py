@@ -10,20 +10,23 @@ the mixture itself).
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .gmm import (MixtureParams, MixtureError, checked_size, component_nodes, normal_quadrature,
-                  sample_slices, score, score_means)
+from .gmm import (MixtureParams, MixtureError, _fill_slice, _slice_scratch, _slice_streams,
+                  checked_size, component_nodes, normal_quadrature, score, score_means)
 
 COORD_SETS = ("means", "relative_means", "full")
 QUADRATURE_NODES = 201
 MIN_MC_BUDGET = 100
-# Draws per slice of the Monte-Carlo estimate. Each slice is drawn, scored
-# and accumulated before the next, so memory is set by the slice's (k, k, c)
-# score products, whatever the budget.
+# Draws per slice of the Monte-Carlo estimate. Each slice is scored and
+# accumulated before the next, so memory is set by the slice's k(k + 1)/2
+# score products and two slice buffers, whatever the budget.
 _MC_CHUNK = 1 << 16
 # Largest |F - F^T| entry and most negative eigenvalue a FisherMatrix accepts.
 SYMMETRY_TOL = 1e-10
@@ -60,48 +63,152 @@ class FisherMatrix:
         return header + rows + "\n"
 
 
-def _score_in_coords(params: MixtureParams, xs: np.ndarray, coords: str) -> np.ndarray:
-    """Scores of xs, shape (n, k): a view whose ``.T`` is the contiguous (k, n) rows."""
-    if coords == "means":
-        return score_means(params, xs)
+def _check_coords(params: MixtureParams, coords: str) -> None:
+    """The coordinates' requirements on params, checked once per estimate
+    before anything is drawn or scored."""
+    if coords not in COORD_SETS:
+        raise MixtureError(f"coords must be one of {COORD_SETS}")
     if coords == "relative_means":
         if params.n_components != 2:
             raise MixtureError("relative_means coordinates need K = 2")
         if abs(params.means[0] - params.means[1]) < 1e-12:
             raise SingularFimError("FIM degenerates at the overlap singularity")
-        s = score_means(params, xs).T
-        # lambda = (mu1, Delta) with mu2 = mu1 + Delta
-        return np.stack([s[0] + s[1], s[1]]).T
+
+
+def _score_in_coords(params: MixtureParams, xs: np.ndarray, coords: str) -> np.ndarray:
+    """Scores of xs, shape (n, k): a view whose ``.T`` is the contiguous (k, n) rows.
+    `coords` is one that ``_check_coords`` passed for params."""
+    if coords == "means":
+        return score_means(params, xs)
     if coords == "full":
         return score(params, xs)
-    raise MixtureError(f"coords must be one of {COORD_SETS}")
+    s = score_means(params, xs).T
+    # lambda = (mu1, Delta) with mu2 = mu1 + Delta
+    return np.stack([s[0] + s[1], s[1]]).T
+
+
+def _merged(n: int, mean, m2, s: np.ndarray):
+    """(n, mean, m2) merged with the slice of (k, c) score rows s, over the
+    k(k + 1)/2 products s_i s_j, i <= j, in row-major upper-triangle order.
+
+    Each slice's mean and M2 about that mean are merged into the running
+    pair with the pairwise update of Chan, Golub & LeVeque (1979).
+    """
+    k, c = s.shape
+    prods = np.empty((k * (k + 1) // 2, c))  # each product's draws contiguous
+    row = 0
+    for i in range(k):
+        np.multiply(s[i], s[i:], out=prods[row:row + k - i])
+        row += k - i
+    c_mean = prods.mean(axis=-1)
+    prods -= c_mean[:, None]
+    prods *= prods
+    total = n + c
+    d = c_mean - mean
+    return total, mean + d * (c / total), m2 + prods.sum(axis=-1) + d * d * (n * c / total)
+
+
+def _mirrored(upper: np.ndarray) -> np.ndarray:
+    """The symmetric (k, k) matrix of a row-major upper triangle."""
+    k = math.isqrt(2 * len(upper))  # k^2 <= k(k + 1) < (k + 1)^2
+    iu = np.triu_indices(k)
+    full = np.empty((k, k))
+    full[iu] = upper
+    full.T[iu] = upper
+    return full
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Drawer:
+    """A second thread that fills one slice at a time with `fill`:
+    ``start(z)`` hands it z, and ``wait()`` returns once z is filled and
+    raises what the fill raised. ``close()`` stops and joins the thread."""
+
+    def __init__(self, fill):
+        self._fill = fill
+        self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._slice = self._failure = None
+        self._thread = threading.Thread(target=self._run, name="fim-drawer")
+        self._thread.start()
+
+    def _run(self):
+        while True:
+            self._todo.acquire()
+            z = self._slice
+            if z is None:
+                return
+            try:
+                self._fill(z)
+            except BaseException as exc:  # raised again by wait() in the calling thread
+                self._failure = exc
+            self._done.release()
+
+    def start(self, z: np.ndarray) -> None:
+        self._slice = z
+        self._todo.release()
+
+    def wait(self) -> None:
+        self._done.acquire()
+        if self._failure is not None:
+            raise self._failure
+
+    def close(self) -> None:
+        self._slice = None
+        self._todo.release()
+        self._thread.join()
 
 
 def _mc_moments(params: MixtureParams, budget: int, seed: int, coords: str):
     """Mean and M2 (summed squared deviations) of the score outer products
     over the draws of ``sample(params, budget, seed)``.
 
-    Streams over slices of _MC_CHUNK draws, each drawn by ``sample_slices``
-    just before it is scored: each slice's mean and M2 about that mean are
-    merged into the running pair with the pairwise update of Chan, Golub &
-    LeVeque (1979). A slice's scores are used as the (k, c) component-major
-    rows they are computed in, without a copy.
+    Streams over slices of _MC_CHUNK draws, filled in order by
+    ``gmm._fill_slice``, and merges each slice's upper-triangle products as
+    it is scored (``_merged``); the triangle is mirrored at the end, which
+    keeps the bits, as s_i s_j == s_j s_i. With more than one slice and more
+    than one CPU, a drawer thread fills slice i + 1 into the second of two
+    buffers while this thread scores slice i. The drawer allocates nothing;
+    the buffers, the scores and every product are made here. Otherwise
+    every slice is filled here, into one buffer, and no thread starts.
+    Where a slice is drawn does not change its bits, and the merge order is
+    the slice order, so the result is the same either way.
     """
+    size = min(budget, _MC_CHUNK)
+    streams = _slice_streams(params, budget, seed, size)
+    scratch = _slice_scratch(size)
+    sizes = [min(size, budget - start) for start in range(0, budget, size)]
+
+    def fill(z):
+        _fill_slice(z, *streams, scratch)
+
     n, mean, m2 = 0, 0.0, 0.0  # the first merge takes the first slice's pair as is
-    for xs in sample_slices(params, budget, seed, _MC_CHUNK):
-        s = _score_in_coords(params, xs, coords).T
-        outer = s[:, None, :] * s[None, :, :]  # (k, k, c), each entry's draws contiguous
-        c = outer.shape[-1]
-        c_mean = outer.mean(axis=-1)
-        outer -= c_mean[..., None]
-        outer *= outer
-        total = n + c
-        d = c_mean - mean
-        mean = mean + d * (c / total)
-        m2 = m2 + outer.sum(axis=-1) + d * d * (n * c / total)
-        n = total
-        del outer  # freed before the next slice's products are made, not after
-    return mean, m2
+    if len(sizes) == 1 or _cpus() == 1:
+        buf = np.empty(size)
+        for m in sizes:
+            z = buf[:m]
+            fill(z)
+            n, mean, m2 = _merged(n, mean, m2, _score_in_coords(params, z, coords).T)
+        return _mirrored(mean), _mirrored(m2)
+    bufs = np.empty(size), np.empty(size)
+    slices = [bufs[i % 2][:m] for i, m in enumerate(sizes)]
+    drawer = _Drawer(fill)  # starts while this thread fills the first slice
+    try:
+        fill(slices[0])
+        for z, ahead in zip(slices, slices[1:] + [None]):
+            if ahead is not None:
+                drawer.start(ahead)
+            n, mean, m2 = _merged(n, mean, m2, _score_in_coords(params, z, coords).T)
+            if ahead is not None:
+                drawer.wait()
+    finally:
+        drawer.close()
+    return _mirrored(mean), _mirrored(m2)
 
 
 def fim_estimate(params: MixtureParams, coords: str = "means",
@@ -111,14 +218,17 @@ def fim_estimate(params: MixtureParams, coords: str = "means",
 
     monte_carlo averages outer products over the `budget` draws of
     ``sample(params, budget, seed)`` and reports entrywise standard errors
-    sqrt(M2 / (n - 1) / n). It draws, scores and accumulates fixed-size
-    slices one at a time, merging their means and M2 pairwise (Chan, Golub &
-    LeVeque), so memory does not grow with the budget; `budget` must be an
-    integer of at least MIN_MC_BUDGET. quadrature integrates per
-    mixture component with a 201-node Gauss-Hermite rule whose nodes span
-    past +-10 sigma (budget ignored).
+    sqrt(M2 / (n - 1) / n). It scores and accumulates fixed-size slices one
+    at a time, merging their means and M2 pairwise (Chan, Golub & LeVeque),
+    so memory does not grow with the budget; with a second CPU the next
+    slice is drawn on a second thread while the current one is scored.
+    `budget` must be an integer of at least MIN_MC_BUDGET, and `seed` an
+    integer. quadrature integrates per mixture component with a 201-node
+    Gauss-Hermite rule whose nodes span past +-10 sigma (budget ignored).
+    The coordinates are checked once, before anything is drawn or scored.
     Symmetrized after accumulation.
     """
+    _check_coords(params, coords)
     if method == "monte_carlo":
         budget = checked_size(budget, "budget")
         if budget < MIN_MC_BUDGET:

@@ -315,8 +315,9 @@ def score_means(params: MixtureParams, x) -> np.ndarray:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based Philox generator; the project-wide RNG for reproducibility."""
-    return np.random.Generator(np.random.Philox(int(seed)))
+    """Counter-based Philox generator; the project-wide RNG for reproducibility.
+    MixtureError unless the seed is an integer (a bool or a float is not)."""
+    return np.random.Generator(np.random.Philox(checked_size(seed, "seed")))
 
 
 def checked_size(n, name: str) -> int:
@@ -327,16 +328,27 @@ def checked_size(n, name: str) -> int:
     return int(n)
 
 
-def _component_index(edges: list[float], u: np.ndarray) -> np.ndarray:
-    """The component each uniform u picks: how many of ``edges``, the
-    cumulative weights without the last, are <= u. The cumulative weights
-    never decrease, so this equals ``searchsorted(cumsum(weights), u,
+def _component_index(edges: list[float], u: np.ndarray, comp: np.ndarray,
+                     scratch: np.ndarray) -> None:
+    """Into comp, the component each uniform u picks: how many of ``edges``,
+    the cumulative weights without the last, are <= u. The cumulative
+    weights never decrease, so this equals ``searchsorted(cumsum(weights), u,
     side="right")`` capped at K - 1, also where the last sum rounds below
-    1.0, in K - 1 comparisons."""
-    comp = np.zeros(u.shape, dtype=np.intp)
+    1.0, in K - 1 comparisons.
+
+    Nothing is allocated: each comparison's mask sits in comp's bytes, and
+    the float64 `scratch`, as long as u, holds the running count and the
+    mask as int32s, so that no step casts through a buffer.
+    """
+    m = len(u)
+    count, step = scratch.view(np.int32)[:m], scratch.view(np.int32)[m:]
+    mask = comp.view(bool)[:m]
+    count.fill(0)
     for edge in edges:
-        comp += edge <= u
-    return comp
+        np.less_equal(edge, u, out=mask)
+        np.copyto(step, mask)
+        count += step
+    np.copyto(comp, count)
 
 
 def _stream_at(seed: int, words: int) -> np.random.Generator:
@@ -357,32 +369,61 @@ def sample_slices(params: MixtureParams, n: int, seed: int, size: int):
     normals, one word per uniform. One cursor reads the uniforms and a second
     the normals, n words further on, so each slice draws both of its parts
     where the one-shot draw has them. With a single slice the uniform cursor
-    ends where the normals start and is the normal cursor too. Sizes are
-    checked here, before the first slice is drawn.
+    ends where the normals start and is the normal cursor too. The sizes
+    and the seed are checked here, before the first slice is drawn.
     """
     n, size = checked_size(n, "n"), checked_size(size, "size")
     if n < 1:
         raise MixtureError("need n >= 1 samples")
     if size < 1:
         raise MixtureError("need size >= 1 draws per slice")
-    return _slices(params, n, seed, size)
+    return _slices(_slice_streams(params, n, seed, size), n, size)
 
 
-def _slices(params: MixtureParams, n: int, seed: int, size: int):
+def _slices(streams: tuple, n: int, size: int):
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        z = np.empty(m)
+        _fill_slice(z, *streams, _slice_scratch(m))
+        yield z
+
+
+def _slice_streams(params: MixtureParams, n: int, seed: int, size: int) -> tuple:
+    """The arguments of ``_fill_slice`` between the slice and the scratch
+    for the draws of ``sample(params, n, seed)`` in slices of `size`: the
+    uniforms' and the normals' cursors, the cumulative weights without the
+    last, the means and the sigmas."""
     uniforms = make_rng(seed)
     normals = uniforms if size >= n else _stream_at(seed, n)
     edges = list(itertools.accumulate(params.weights[:-1]))  # np.cumsum's bits
-    means, sigmas = np.asarray(params.means), np.asarray(params.sigmas)
-    for start in range(0, n, size):
-        m = min(size, n - start)
-        comp = _component_index(edges, uniforms.random(m))
-        # in place, and the uniforms gone first, so at most three m-sized
-        # arrays are alive at once
-        z = normals.standard_normal(m)
-        z *= sigmas[comp]
-        z += means[comp]
-        del comp  # not held while the caller works on the slice
-        yield z
+    return uniforms, normals, edges, np.asarray(params.means), np.asarray(params.sigmas)
+
+
+def _slice_scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch for ``_fill_slice`` on slices of up to `size` draws."""
+    return np.empty(size), np.empty(size, dtype=np.intp)
+
+
+def _fill_slice(z: np.ndarray, uniforms, normals, edges: list[float], means: np.ndarray,
+                sigmas: np.ndarray, scratch: tuple) -> None:
+    """Draw the next len(z) points of the streams into z, allocating nothing.
+
+    The uniforms are drawn first, into z, because a single slice draws both
+    parts from one cursor, and pick the components. The float scratch then
+    holds the picked sigmas, then the picked means, so three slice-sized
+    arrays, z among them, are alive at once.
+    """
+    m = len(z)
+    picked, comp = scratch[0][:m], scratch[1][:m]
+    uniforms.random(out=z)
+    _component_index(edges, z, comp, picked)
+    normals.standard_normal(out=z)
+    # every index lies in [0, K - 1], so clipping changes none; it spares
+    # take the copy of its output that the default mode makes
+    np.take(sigmas, comp, out=picked, mode="clip")
+    z *= picked
+    np.take(means, comp, out=picked, mode="clip")
+    z += picked
 
 
 def sample(params: MixtureParams, n: int, seed: int) -> Dataset:

@@ -11,7 +11,7 @@ from relreparam.experiments import SCHEMA_VERSION
 from relreparam.gmm import (_FLOAT_MIN, _SIMPLEX_TOL, LOG_2PI, Dataset, MixtureError,
                             MixtureParams, _components_first, log_density, log_likelihood,
                             log_weights, make_rng, normal_quadrature, responsibilities_array,
-                            score_means)
+                            sample_slices, score_means)
 from relreparam.nn import MLPParams
 from relreparam.svgplot import SvgCanvas, Viewport
 
@@ -192,6 +192,27 @@ def rowmajor_mc_moments(params: MixtureParams, xs: np.ndarray, coords: str):
         mean = mean + d * (c / total)
         m2 = m2 + outer.sum(axis=-1) + d * d * (n * c / total)
         n = total
+    return mean, m2
+
+
+def serial_mc_moments(params: MixtureParams, budget: int, seed: int, coords: str):
+    """``fim._mc_moments`` in one thread: each slice of ``sample_slices``
+    drawn just before it is scored, and all k^2 products of a slice taken
+    as one (k, k, c) tensor."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for xs in sample_slices(params, budget, seed, fim._MC_CHUNK):
+        s = fim._score_in_coords(params, xs, coords).T
+        outer = s[:, None, :] * s[None, :, :]
+        c = outer.shape[-1]
+        c_mean = outer.mean(axis=-1)
+        outer -= c_mean[..., None]
+        outer *= outer
+        total = n + c
+        d = c_mean - mean
+        mean = mean + d * (c / total)
+        m2 = m2 + outer.sum(axis=-1) + d * d * (n * c / total)
+        n = total
+        del outer
     return mean, m2
 
 

@@ -1,10 +1,13 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from childproc import assert_passes_under_reduced_simd, numpy_has_x86_v4
-from oracles import one_shot_mc_fim, rowmajor_mc_moments, sample_points
+from oracles import one_shot_mc_fim, rowmajor_mc_moments, sample_points, serial_mc_moments
+from relreparam import fim
 from relreparam.fim import (_MC_CHUNK, FisherMatrix, SingularFimError, _mc_moments,
                             bernoulli_family, crouzeix_check, fim_estimate,
                             gaussian_natural_family, length_element,
@@ -75,6 +78,18 @@ class TestFimEstimate:
         b = fim_estimate(p, method="monte_carlo", budget=1000, seed=5)
         assert np.array_equal(a.entries, b.entries) and a.to_csv() == b.to_csv()
 
+    @pytest.mark.parametrize("seed", [1.7, 1.0, np.float64(1.0), True, "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        p = MixtureParams((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0))
+        with pytest.raises(MixtureError, match="seed must be an integer"):
+            fim_estimate(p, method="monte_carlo", budget=1000, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        p = MixtureParams((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0))
+        a = fim_estimate(p, method="monte_carlo", budget=1000, seed=np.int64(5))
+        b = fim_estimate(p, method="monte_carlo", budget=1000, seed=5)
+        assert np.array_equal(a.entries, b.entries) and a.to_csv() == b.to_csv()
+
     def test_relative_coords_at_singularity_raise(self):
         p = MixtureParams((0.5, 0.5), (2.0, 2.0), (1.0, 1.0))
         with pytest.raises(SingularFimError):
@@ -139,6 +154,146 @@ class TestMcMomentsMatchRowMajorOracle:
     @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
     def test_under_reduced_numpy_simd(self):
         assert_passes_under_reduced_simd(f"{__file__}::TestMcMomentsMatchRowMajorOracle")
+
+
+def set_cpus(monkeypatch, n: int) -> None:
+    """Make the process see n CPUs, as ``os.sched_getaffinity`` reports them."""
+    monkeypatch.setattr(fim.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def record_fills(monkeypatch, fail_on: int = 0, error=None) -> list[int]:
+    """Route every slice fill of the estimate through a wrapper that records
+    the thread it runs on and raises `error` on fill number `fail_on`."""
+    threads, fill = [], fim._fill_slice
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        if len(threads) == fail_on:
+            raise error
+        fill(*args)
+
+    monkeypatch.setattr(fim, "_fill_slice", recorded)
+    return threads
+
+
+class DrawFailed(RuntimeError):
+    pass
+
+
+MC_CASES = [(P2, "means"), (P2, "relative_means"), (P2, "full"), (P3, "means"), (P3, "full")]
+MC_CASE_IDS = ["K2-means", "K2-relative_means", "K2-full", "K3-means", "K3-full"]
+
+
+class TestPipelineMatchesSerialOracle:
+    """The drawer-thread pipeline against the serial loop it replaced: the
+    same slices merged in the same order, the products' upper triangle
+    mirrored, so mean and M2 are equal bit for bit."""
+
+    @pytest.mark.parametrize("budget", [100, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1,
+                                        3 * _MC_CHUNK + 123])
+    @pytest.mark.parametrize("params, coords", MC_CASES, ids=MC_CASE_IDS)
+    def test_bit_identical(self, params, coords, budget, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        mean, m2 = _mc_moments(params, budget, 7, coords)
+        want_mean, want_m2 = serial_mc_moments(params, budget, 7, coords)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(m2, want_m2)
+
+    @pytest.mark.parametrize("params, coords", MC_CASES, ids=MC_CASE_IDS)
+    def test_one_cpu_draws_inline(self, params, coords, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        threads = record_fills(monkeypatch)
+        budget = 3 * _MC_CHUNK + 123
+        mean, m2 = _mc_moments(params, budget, 7, coords)
+        assert threads == [threading.get_ident()] * 4
+        want_mean, want_m2 = serial_mc_moments(params, budget, 7, coords)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(m2, want_m2)
+
+    def test_two_cpus_draw_ahead_on_a_second_thread(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        threads = record_fills(monkeypatch)
+        _mc_moments(P2, 3 * _MC_CHUNK + 123, 7, "means")
+        me = threading.get_ident()
+        assert len(threads) == 4 and threads[0] == me
+        assert len(set(threads[1:])) == 1 and me not in threads[1:]
+
+    def test_concurrent_estimates_under_fast_switching(self, monkeypatch):
+        # more estimates than CPUs, each with its own drawer, switching
+        # threads every microsecond: a slice scored before it is filled, or
+        # overwritten while it is scored, changes the bits
+        set_cpus(monkeypatch, 2)
+        budget = 2 * _MC_CHUNK + 123
+        want = serial_mc_moments(P2, budget, 11, "relative_means")
+        results = []
+
+        def estimate():
+            results.append(_mc_moments(P2, budget, 11, "relative_means"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=estimate) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(results) == 4
+        for mean, m2 in results:
+            assert np.array_equal(mean, want[0]) and np.array_equal(m2, want[1])
+
+
+class TestPipelineLifecycle:
+    """Checks run before any draw, and the drawer thread is gone when the
+    estimate returns or raises."""
+
+    @pytest.mark.parametrize("params, coords, error", [
+        (P2, "polar", MixtureError),
+        (P3, "relative_means", MixtureError),
+        (MixtureParams((0.5, 0.5), (2.0, 2.0), (1.0, 1.0)), "relative_means", SingularFimError),
+    ], ids=["unknown-coords", "K3-relative", "singular"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_checks_before_any_draw(self, params, coords, error, cpus, monkeypatch):
+        set_cpus(monkeypatch, cpus)
+        threads = record_fills(monkeypatch, fail_on=1, error=AssertionError("drew a slice"))
+        before = threading.active_count()
+        with pytest.raises(error):
+            fim_estimate(params, coords=coords, method="monte_carlo", budget=3 * _MC_CHUNK)
+        assert threads == [] and threading.active_count() == before
+
+    def test_no_thread_left_after_return(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        fim_estimate(P2, coords="full", method="monte_carlo", budget=3 * _MC_CHUNK + 123)
+        assert threading.active_count() == before
+
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        threads = record_fills(monkeypatch, fail_on=2, error=DrawFailed("second slice"))
+        before = threading.active_count()
+        with pytest.raises(DrawFailed, match="second slice"):
+            fim_estimate(P2, coords="means", method="monte_carlo", budget=3 * _MC_CHUNK + 123)
+        assert len(threads) == 2 and threads[1] != threading.get_ident()
+        assert threading.active_count() == before
+
+    def test_a_failed_score_stops_the_drawer(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        calls, score_means = [], fim.score_means
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DrawFailed("second score")
+            return score_means(*args)
+
+        monkeypatch.setattr(fim, "score_means", failing)
+        before = threading.active_count()
+        with pytest.raises(DrawFailed, match="second score"):
+            fim_estimate(P2, coords="means", method="monte_carlo", budget=3 * _MC_CHUNK + 123)
+        assert threading.active_count() == before
 
 
 class TestTransformFim:

@@ -259,6 +259,22 @@ class TestSample:
             with pytest.raises(MixtureError, match=">= 1"):
                 sample_slices(p, n, 0, size)
 
+    @pytest.mark.parametrize("seed", [1.7, 1.0, np.float64(1.0), True, False, "1", None])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        p = MixtureParams((1.0,), (0.0,), (1.0,))
+        with pytest.raises(MixtureError, match="seed must be an integer"):
+            make_rng(seed)
+        with pytest.raises(MixtureError, match="seed must be an integer"):
+            sample(p, 5, seed)
+        with pytest.raises(MixtureError, match="seed must be an integer"):
+            sample_slices(p, 5, seed, 2)  # on the call, before the first slice
+
+    def test_numpy_integer_seed(self):
+        p = MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0))
+        want = sample_points(p, 10, 3)
+        assert np.array_equal(sample(p, 10, np.int64(3)).points, want)
+        assert np.array_equal(np.concatenate(list(sample_slices(p, 10, np.uint32(3), 4))), want)
+
     def test_numpy_integer_sizes(self):
         p = MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0))
         want = sample_points(p, 10, 3)
@@ -299,7 +315,9 @@ class TestSampleSlicesMatchOneShotDraw:
         u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges[edges < 1.0],
                             make_rng(5).random(1000)])
         want = np.minimum(np.searchsorted(cum, u, side="right"), len(weights) - 1)
-        assert np.array_equal(_component_index(cum[:-1].tolist(), u), want)
+        comp = np.empty(len(u), dtype=np.intp)
+        _component_index(cum[:-1].tolist(), u, comp, np.empty(len(u)))
+        assert np.array_equal(comp, want)
 
     @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
     def test_under_reduced_numpy_simd(self):
