@@ -1,8 +1,12 @@
 """Command-line experiment runner.
 
-Subcommands map one-to-one onto experiment kinds (field, gd, ecm, fim, nn),
-each run by ``experiments.run``. Exit codes: 0 success, 2 config error, 3
-numerical failure or non-convergence, 4 singularity guard. Verbosity via RELREPARAM_LOG.
+One parser: the experiment kind (field, gd, ecm, fim, nn) is a positional
+argument, followed by ``--config``, ``--out``, ``--seed`` and
+``--print-defaults``. ``experiments.load_config`` parses a config file, with
+libyaml when PyYAML has it, and ``experiments.run`` runs it, writing each
+output as a new file that replaces any old one.
+Exit codes: 0 success, 2 config error, 3 numerical failure or
+non-convergence, 4 singularity guard. Verbosity via RELREPARAM_LOG.
 """
 
 from __future__ import annotations
@@ -33,14 +37,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Relative-reparameterization experiments: flow fields, "
                     "GD/ECM trajectories, Fisher-information checks, NN singularities.",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run a '{kind}' experiment")
-        p.add_argument("--config", type=Path, help="YAML config file")
-        p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--print-defaults", action="store_true",
-                       help="print the default config for this kind and exit")
+    parser.add_argument("kind", choices=KINDS, help="the experiment to run")
+    parser.add_argument("--config", type=Path, help="YAML config file")
+    parser.add_argument("--out", type=Path, help="output directory")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--print-defaults", action="store_true",
+                        help="print the default config for this kind and exit")
     return parser
 
 
@@ -63,7 +65,7 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         if cfg["kind"] != args.kind:
             raise ConfigError(
-                f"config kind {cfg['kind']!r} does not match subcommand {args.kind!r}")
+                f"config kind {cfg['kind']!r} does not match the requested kind {args.kind!r}")
         values = check_config(cfg)  # before out_dir is resolved; run checks it again
         out_dir = args.out or Path(values["out_dir"])
     except ConfigError as exc:

@@ -8,6 +8,8 @@ file names mapped to text or to a CSV's ``(header, columns)``, and None or the
 ConvergenceError of a diverged or unconverged run. ``run`` alone writes: after
 the runner returns it creates the directory, writes the deterministic files
 (CSVs under a schema header comment) and run_manifest.json of their sha256s.
+Each file is written by ``_write`` as a new file, replacing any old one, and
+hashed from the bytes written.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from .reparam import RELATIVE_SPEC, jacobian, to_relative
 from .svgplot import SvgCanvas, Viewport, draw_axes, draw_quiver, map_polyline
 
 SCHEMA_VERSION = 1
+# libyaml parses when PyYAML was built with it; either way PyYAML's own safe
+# resolver and constructor build the values, so both loaders give the same ones
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -78,7 +83,7 @@ def load_config(path: str | Path) -> dict:
     """The kind's defaults updated by the YAML file, as loaded; ``check_config``
     checks it."""
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict) or "kind" not in raw:
@@ -173,8 +178,18 @@ def check_config(cfg: dict) -> dict:
     return _block("", cfg, {**DEFAULTS[kind], **OPTIONAL[kind]}, OPTIONAL[kind])
 
 
-def write_csv(path: Path, header_cols: list[str], columns) -> None:
-    """Write equal-length columns (arrays, lists or ranges) under a schema line.
+def _write(path: Path, data: bytes) -> str:
+    """Write ``data`` to ``path`` as a new file and return its sha256. An old
+    file, or a symlink, at ``path`` is unlinked first, not written through:
+    replacing a file costs less than truncating it."""
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_csv(path: Path, header_cols: list[str], columns) -> str:
+    """Write equal-length columns (arrays, lists or ranges) under a schema line
+    and return the file's sha256.
 
     Each cell is ``str`` of the element ``.tolist()`` gives, so a float is
     written as its ``repr`` and reads back to the same bits. The float64
@@ -191,7 +206,7 @@ def write_csv(path: Path, header_cols: list[str], columns) -> None:
     cells = [next(texts) if isinstance(c, np.ndarray) else map(str, c) for c in columns]
     lines = [f"# schema={SCHEMA_VERSION}", ",".join(header_cols)]
     lines += map(",".join, zip(*cells))
-    path.write_text("\n".join(lines) + "\n")
+    return _write(path, ("\n".join(lines) + "\n").encode())
 
 
 def _float_texts(arrays: list[np.ndarray]) -> list[list[str]]:
@@ -206,18 +221,17 @@ def _float_texts(arrays: list[np.ndarray]) -> list[list[str]]:
     return [cells[k * n:(k + 1) * n] for k in range(len(arrays))]
 
 
-def _finish(cfg: dict, out_dir: Path, started: float, names) -> dict:
-    """Write run_manifest.json (config digest, tool version, wall time, digests
-    of the named files) and return its contents."""
+def _finish(cfg: dict, out_dir: Path, started: float, digests: dict) -> dict:
+    """Write run_manifest.json (config digest, tool version, wall time, and
+    ``digests``, the written files' sha256s by name) and return its contents."""
     manifest = {
         "config_digest": hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
-        "files": {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-                  for name in names},
+        "files": digests,
     }
-    (out_dir / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(out_dir / "run_manifest.json",
+           (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return manifest
 
 
@@ -229,12 +243,9 @@ def run(cfg: dict, out_dir: Path) -> dict:
     started = time.monotonic()
     files, failure = RUNNERS[cfg["kind"]](check_config(cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        if isinstance(content, str):
-            (out_dir / name).write_text(content)
-        else:
-            write_csv(out_dir / name, *content)
-    manifest = _finish(cfg, out_dir, started, files)
+    digests = {name: _write(out_dir / name, content.encode()) if isinstance(content, str)
+               else write_csv(out_dir / name, *content) for name, content in files.items()}
+    manifest = _finish(cfg, out_dir, started, digests)
     if failure is not None:
         raise failure
     return manifest

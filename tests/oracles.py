@@ -1,13 +1,15 @@
 """Test-only oracles: independent or earlier, slower paths the fast kernels are checked against."""
 
+import argparse
 import math
+from pathlib import Path
 
 import numpy as np
 
 from relreparam import fim, svgplot
 from relreparam.dynamics import (TrueModel, Trajectory, UVWState, expected_velocity_relative,
                                  velocity_in_means)
-from relreparam.experiments import SCHEMA_VERSION
+from relreparam.experiments import KINDS, SCHEMA_VERSION
 from relreparam.gmm import (_FLOAT_MIN, _SIMPLEX_TOL, LOG_2PI, Dataset, MixtureError,
                             MixtureParams, _components_first, log_density, log_likelihood,
                             log_weights, make_rng, normal_quadrature, responsibilities_array,
@@ -446,3 +448,17 @@ def rowwise_write_csv(path, header_cols: list[str], columns) -> None:
     lines = [f"# schema={SCHEMA_VERSION}", ",".join(header_cols)]
     lines += [",".join(map(str, cells)) for cells in zip(*cols)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def subparser_build_parser() -> argparse.ArgumentParser:
+    """``cli.build_parser`` with one subparser per kind, each with the same
+    four options: the namespaces ``cli``'s one parser must reproduce."""
+    parser = argparse.ArgumentParser(prog="relreparam")
+    sub = parser.add_subparsers(dest="kind", required=True)
+    for kind in KINDS:
+        p = sub.add_parser(kind)
+        p.add_argument("--config", type=Path)
+        p.add_argument("--out", type=Path)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--print-defaults", action="store_true")
+    return parser

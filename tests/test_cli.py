@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import itertools
 import json
 import platform
 import re
@@ -13,10 +14,10 @@ import pytest
 import yaml
 
 from childproc import REDUCED_SIMD, child_env, numpy_has_x86_v4
-from oracles import rowwise_write_csv
+from oracles import rowwise_write_csv, subparser_build_parser
 from relreparam import experiments
 from relreparam.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                            EXIT_SINGULAR, main)
+                            EXIT_SINGULAR, build_parser, main)
 from relreparam.experiments import (DEFAULTS, KINDS, ConfigError, check_config,
                                     default_config, load_config, run)
 
@@ -98,6 +99,125 @@ class TestConfig:
             load_config(path)
 
 
+class TestParser:
+    """One parser with the kind as a positional argument, against the
+    subparser-per-kind parser it replaced."""
+
+    OPTIONS = (["--config", "cfg.yaml"], ["--out", "o"], ["--seed", "7"], ["--print-defaults"])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_option_order_parses_as_before(self, kind):
+        new, old = build_parser(), subparser_build_parser()
+        argvs = [[kind, *itertools.chain(*opts)]
+                 for r in range(len(self.OPTIONS) + 1)
+                 for opts in itertools.permutations(self.OPTIONS, r)]
+        argvs += [[kind, "--seed=3", "--out=o"], [kind, "--print"], [kind, "--seed", "-2"]]
+        assert len(argvs) == 68
+        for argv in argvs:
+            assert vars(new.parse_args(argv)) == vars(old.parse_args(argv)), argv
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--out", "o"], ["Field"],
+                                      ["nn", "--seed", "x"], ["nn", "extra"]],
+                             ids=["no-kind", "unknown-kind", "options-only", "wrong-case",
+                                  "bad-seed", "extra-argument"])
+    def test_bad_argv_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "usage: relreparam" in capsys.readouterr().err
+
+    def test_print_defaults_bytes_unchanged(self, capsys):
+        pinned = json.loads((FIXTURES / "print_defaults.json").read_text())
+        assert tuple(pinned) == KINDS
+        for kind in KINDS:
+            assert main([kind, "--print-defaults"]) == EXIT_OK
+            assert capsys.readouterr().out == pinned[kind], kind
+
+    def test_help_lists_every_kind(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        assert "{field,gd,ecm,fim,nn}" in capsys.readouterr().out
+
+
+def same_typed(a, b) -> bool:
+    """``a == b`` with every nested value of the same type (so 2.0 is not 2,
+    and the string '1e-8' is not a float)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_typed(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_typed, a, b))
+    return a == b
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestYamlLoader:
+    """Configs are parsed by libyaml's CSafeLoader, when PyYAML has it, with
+    the pure-Python SafeLoader as the oracle: the same values of the same types."""
+
+    EDGE_CASES = ["epsilon: 1e-8", "epsilon: 1.0e-8", "steps: 2.0", "steps: 2", "flag: true",
+                  "budget: .inf", "low: -.inf", "seed: '5'", "tol: 0x10", "name: null",
+                  "sizes: [3, 4.5, 1]", "grid: {min: -2, max: 2.0, step: 1e-1}"]
+
+    @staticmethod
+    def assert_loaders_agree(text: str):
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        slow = yaml.load(text, Loader=yaml.SafeLoader)
+        assert same_typed(fast, slow), (text, fast, slow)
+
+    def test_module_loader_is_libyaml(self):
+        assert experiments._YAML_LOADER is yaml.CSafeLoader
+
+    def test_print_defaults_documents(self, capsys):
+        for kind in KINDS:
+            assert main([kind, "--print-defaults"]) == EXIT_OK
+            self.assert_loaders_agree(capsys.readouterr().out)
+
+    def test_workload_configs(self):
+        for cfg in TestConfigSchema.workload_configs():
+            self.assert_loaders_agree(yaml.safe_dump(cfg))
+
+    @pytest.mark.parametrize("text", EDGE_CASES)
+    def test_edge_cases(self, text):
+        self.assert_loaders_agree(text)
+
+    def test_edge_case_values(self):
+        """The README's cases: YAML 1.1 reads 1e-8 as a string, and 2.0 stays a float."""
+        loaded = yaml.load("[1e-8, 1.0e-8, 2.0, true, .inf, '5']", Loader=yaml.CSafeLoader)
+        assert same_typed(loaded, ["1e-8", 1e-8, 2.0, True, float("inf"), "5"])
+
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    def test_either_loader_builds_the_same_config(self, tmp_path, monkeypatch, loader):
+        monkeypatch.setattr(experiments, "_YAML_LOADER", getattr(yaml, loader))
+        for cfg in TestConfigSchema.workload_configs():
+            path = write_config(tmp_path, cfg)
+            assert same_typed(load_config(path), {**default_config(cfg["kind"]), **cfg})
+
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    def test_malformed_yaml_exits_2_with_either_loader(self, tmp_path, monkeypatch, capsys,
+                                                       loader):
+        monkeypatch.setattr(experiments, "_YAML_LOADER", getattr(yaml, loader))
+        bad = tmp_path / "broken.yaml"
+        bad.write_text("kind: [unclosed")
+        assert main(["nn", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {bad}")
+        assert not (tmp_path / "o").exists()
+
+    def test_without_libyaml_the_python_loader_is_bound(self, tmp_path, monkeypatch):
+        """A PyYAML built without libyaml has no CSafeLoader: the module binds
+        SafeLoader and loads the same config."""
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        spec = importlib.util.spec_from_file_location("relreparam._experiments_no_libyaml",
+                                                      experiments.__file__)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module._YAML_LOADER is yaml.SafeLoader
+        path = write_config(tmp_path, {"kind": "ecm", "epsilon": 1.0e-6, "init_means": [1, 2.5]})
+        assert same_typed(module.load_config(path), load_config(path))
+
+
 class TestConfigSchema:
     """Every config the project ships or benchmarks passes check_config, and
     checking leaves the config, and so its digest, as loaded."""
@@ -120,7 +240,7 @@ class TestConfigSchema:
         cfg = default_config(kind)
         check_config(cfg)
         assert cfg == DEFAULTS[kind]
-        digest = experiments._finish(cfg, tmp_path, 0.0, ())["config_digest"]
+        digest = experiments._finish(cfg, tmp_path, 0.0, {})["config_digest"]
         assert digest.startswith(self.DIGESTS[kind])
         assert main([kind, "--print-defaults"]) == EXIT_OK
         printed = tmp_path / "printed.yaml"
@@ -418,6 +538,45 @@ class TestDeterminism:
             man_b = json.loads((b / "run_manifest.json").read_text())
             assert man_a["files"] == man_b["files"]
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rerun_over_stale_files_matches_a_fresh_run(self, tmp_path, kind):
+        """Two runs into one --out over larger stale files leave the bytes of
+        a run into a fresh directory, and the manifest hashes what is on disk."""
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        assert main([kind, "--out", str(fresh)]) == EXIT_OK
+        names = sorted(p.name for p in fresh.iterdir())
+        reused.mkdir()
+        for name in names:
+            (reused / name).write_bytes((fresh / name).read_bytes() * 2 + b"stale\n")
+        for _ in range(2):
+            assert main([kind, "--out", str(reused)]) == EXIT_OK
+            assert sorted(p.name for p in reused.iterdir()) == names
+            for name in names:
+                if name != "run_manifest.json":
+                    assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+            manifest = json.loads((reused / "run_manifest.json").read_text())
+            fresh_manifest = json.loads((fresh / "run_manifest.json").read_text())
+            del manifest["wall_time_s"], fresh_manifest["wall_time_s"]
+            assert manifest == fresh_manifest
+            for name, digest in manifest["files"].items():
+                assert sha256(reused / name) == digest, name
+
+    def test_symlink_at_an_output_name_is_replaced(self, tmp_path):
+        """A symlink at an output name is replaced by a regular file; the file
+        it pointed to is left as it was."""
+        out, target = tmp_path / "o", tmp_path / "elsewhere.txt"
+        out.mkdir()
+        target.write_text("keep me\n")
+        for name in ("nn_report.txt", "nn_report.csv", "run_manifest.json"):
+            (out / name).symlink_to(target)
+        assert main(["nn", "--out", str(out)]) == EXIT_OK
+        assert target.read_text() == "keep me\n"
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        for name in ("nn_report.txt", "nn_report.csv", "run_manifest.json"):
+            assert not (out / name).is_symlink() and (out / name).is_file()
+        for name, digest in manifest["files"].items():
+            assert sha256(out / name) == digest
+
     def test_seed_changes_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["ecm", "--out", str(a)]) == EXIT_OK
@@ -639,9 +798,9 @@ class TestWriteCsv:
         written = []
 
         def both(path, header_cols, columns):
-            fast(path, header_cols, columns)
             rowwise_write_csv(rowwise_dir / path.name, header_cols, columns)
             written.append(path.name)
+            return fast(path, header_cols, columns)
 
         monkeypatch.setattr(experiments, "write_csv", both)
         cfg = {**default_config(kind), **overrides}
