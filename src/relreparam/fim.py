@@ -18,15 +18,17 @@ from typing import Callable
 
 import numpy as np
 
-from .gmm import (MixtureParams, MixtureError, _fill_slice, _slice_scratch, _slice_streams,
-                  checked_size, component_nodes, normal_quadrature, score, score_means)
+from .gmm import (MixtureParams, MixtureError, _fill_slice, _score_means_rows, _slice_scratch,
+                  _slice_streams, checked_size, component_nodes, normal_quadrature, score,
+                  score_means)
 
 COORD_SETS = ("means", "relative_means", "full")
 QUADRATURE_NODES = 201
 MIN_MC_BUDGET = 100
 # Draws per slice of the Monte-Carlo estimate. Each slice is scored and
-# accumulated before the next, so memory is set by the slice's k(k + 1)/2
-# score products and two slice buffers, whatever the budget.
+# accumulated before the next, in buffers made once per estimate, so memory
+# is set by one slice's score and product rows and two slice buffers,
+# whatever the budget.
 _MC_CHUNK = 1 << 16
 # Largest |F - F^T| entry and most negative eigenvalue a FisherMatrix accepts.
 SYMMETRY_TOL = 1e-10
@@ -87,15 +89,56 @@ def _score_in_coords(params: MixtureParams, xs: np.ndarray, coords: str) -> np.n
     return np.stack([s[0] + s[1], s[1]]).T
 
 
-def _merged(n: int, mean, m2, s: np.ndarray):
+def _rows(buf: np.ndarray, k: int, m: int) -> np.ndarray:
+    """The first k m floats of the flat buffer as contiguous (k, m) rows."""
+    return buf[:k * m].reshape(k, m)
+
+
+def _slice_buffers(params: MixtureParams, coords: str, size: int):
+    """(work, rows): the buffers of ``_score_slice`` and ``_merged`` for
+    slices of up to `size` draws, made once per estimate. While a slice is
+    scored, `work` holds its K log-density rows and one slice vector and
+    `rows` its k score rows; `work` then holds the k(k + 1)/2 product rows,
+    as many as the log-density rows and the vector at k = 2. `full` scores
+    come from ``gmm.score``, whose temporaries would add to product rows
+    kept beside them (16.5 MiB against 12.0 MiB at k = 5), so they get no
+    buffers and ``_merged`` allocates their products per slice."""
+    if coords == "full":
+        return None, None
+    k = params.n_components
+    return np.empty(max(k + 1, k * (k + 1) // 2) * size), np.empty(k * size)
+
+
+def _score_slice(params: MixtureParams, z: np.ndarray, coords: str,
+                 work: np.ndarray | None, rows: np.ndarray | None) -> np.ndarray:
+    """The (k, len(z)) score rows of the draws z, with the bits of
+    ``_score_in_coords(params, z, coords).T``, in the buffers of
+    ``_slice_buffers``: for the means and the relative means the same
+    operations in the same order (``gmm._score_means_rows``), with no
+    slice-sized array allocated."""
+    if coords == "full":
+        return score(params, z).T
+    m, k = len(z), params.n_components
+    s = _score_means_rows(params, z, _rows(rows, k, m), _rows(work, k, m),
+                          work[k * m:(k + 1) * m])
+    if coords == "relative_means":
+        s[0] += s[1]  # lambda = (mu1, Delta) with mu2 = mu1 + Delta
+    return s
+
+
+def _merged(n: int, mean, m2, s: np.ndarray, work: np.ndarray | None):
     """(n, mean, m2) merged with the slice of (k, c) score rows s, over the
-    k(k + 1)/2 products s_i s_j, i <= j, in row-major upper-triangle order.
+    k(k + 1)/2 products s_i s_j, i <= j, in row-major upper-triangle order,
+    which are taken into the first rows of the flat `work`, or into new
+    rows without it.
 
     Each slice's mean and M2 about that mean are merged into the running
     pair with the pairwise update of Chan, Golub & LeVeque (1979).
     """
     k, c = s.shape
-    prods = np.empty((k * (k + 1) // 2, c))  # each product's draws contiguous
+    n_prods = k * (k + 1) // 2
+    # each product's draws contiguous
+    prods = np.empty((n_prods, c)) if work is None else _rows(work, n_prods, c)
     row = 0
     for i in range(k):
         np.multiply(s[i], s[i:], out=prods[row:row + k - i])
@@ -169,23 +212,30 @@ def _mc_moments(params: MixtureParams, budget: int, seed: int, coords: str):
     over the draws of ``sample(params, budget, seed)``.
 
     Streams over slices of _MC_CHUNK draws, filled in order by
-    ``gmm._fill_slice``, and merges each slice's upper-triangle products as
-    it is scored (``_merged``); the triangle is mirrored at the end, which
-    keeps the bits, as s_i s_j == s_j s_i. With more than one slice and more
+    ``gmm._fill_slice``, scores each (``_score_slice``) and merges its
+    upper-triangle products (``_merged``); the triangle is mirrored at the
+    end, which keeps the bits, as s_i s_j == s_j s_i. The scores and the
+    products go into buffers made here once (``_slice_buffers``), so the
+    means and relative means allocate nothing slice-sized per slice, with
+    the bits of ``_score_in_coords``. With more than one slice and more
     than one CPU, a drawer thread fills slice i + 1 into the second of two
-    buffers while this thread scores slice i. The drawer allocates nothing;
-    the buffers, the scores and every product are made here. Otherwise
-    every slice is filled here, into one buffer, and no thread starts.
-    Where a slice is drawn does not change its bits, and the merge order is
-    the slice order, so the result is the same either way.
+    slice buffers while this thread scores slice i. The drawer only draws
+    and allocates nothing; every buffer belongs to this thread. Otherwise
+    every slice is filled here, into one slice buffer, and no thread
+    starts. Where a slice is drawn does not change its bits, and the merge
+    order is the slice order, so the result is the same either way.
     """
     size = min(budget, _MC_CHUNK)
     streams = _slice_streams(params, budget, seed, size)
     scratch = _slice_scratch(size)
+    work, rows = _slice_buffers(params, coords, size)
     sizes = [min(size, budget - start) for start in range(0, budget, size)]
 
     def fill(z):
         _fill_slice(z, *streams, scratch)
+
+    def merged(n, mean, m2, z):
+        return _merged(n, mean, m2, _score_slice(params, z, coords, work, rows), work)
 
     n, mean, m2 = 0, 0.0, 0.0  # the first merge takes the first slice's pair as is
     if len(sizes) == 1 or _cpus() == 1:
@@ -193,7 +243,7 @@ def _mc_moments(params: MixtureParams, budget: int, seed: int, coords: str):
         for m in sizes:
             z = buf[:m]
             fill(z)
-            n, mean, m2 = _merged(n, mean, m2, _score_in_coords(params, z, coords).T)
+            n, mean, m2 = merged(n, mean, m2, z)
         return _mirrored(mean), _mirrored(m2)
     bufs = np.empty(size), np.empty(size)
     slices = [bufs[i % 2][:m] for i, m in enumerate(sizes)]
@@ -203,7 +253,7 @@ def _mc_moments(params: MixtureParams, budget: int, seed: int, coords: str):
         for z, ahead in zip(slices, slices[1:] + [None]):
             if ahead is not None:
                 drawer.start(ahead)
-            n, mean, m2 = _merged(n, mean, m2, _score_in_coords(params, z, coords).T)
+            n, mean, m2 = merged(n, mean, m2, z)
             if ahead is not None:
                 drawer.wait()
     finally:
@@ -219,12 +269,13 @@ def fim_estimate(params: MixtureParams, coords: str = "means",
     monte_carlo averages outer products over the `budget` draws of
     ``sample(params, budget, seed)`` and reports entrywise standard errors
     sqrt(M2 / (n - 1) / n). It scores and accumulates fixed-size slices one
-    at a time, merging their means and M2 pairwise (Chan, Golub & LeVeque),
-    so memory does not grow with the budget; with a second CPU the next
-    slice is drawn on a second thread while the current one is scored.
-    `budget` must be an integer of at least MIN_MC_BUDGET, and `seed` an
-    integer. quadrature integrates per mixture component with a 201-node
-    Gauss-Hermite rule whose nodes span past +-10 sigma (budget ignored).
+    at a time, in buffers made once per estimate, merging their means and
+    M2 pairwise (Chan, Golub & LeVeque), so memory does not grow with the
+    budget; with a second CPU the next slice is drawn on a second thread
+    while the current one is scored. `budget` must be an integer of at
+    least MIN_MC_BUDGET, and `seed` a non-negative integer. quadrature
+    integrates per mixture component with a 201-node Gauss-Hermite rule
+    whose nodes span past +-10 sigma (budget ignored).
     The coordinates are checked once, before anything is drawn or scored.
     Symmetrized after accumulation.
     """

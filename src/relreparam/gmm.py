@@ -162,10 +162,18 @@ def _components_first(v: np.ndarray, ndim: int) -> np.ndarray:
     return v.reshape((-1,) + (1,) * ndim)
 
 
-def _log_normal(xs: np.ndarray, mu: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """ln N(xs | mu, sig^2) elementwise, mu and sig broadcast against xs."""
-    z = (xs - mu) / sig
-    return -0.5 * z * z - np.log(sig) - 0.5 * LOG_2PI
+def _log_normal(xs: np.ndarray, mu: np.ndarray, sig: np.ndarray,
+                out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """ln N(xs | mu, sig^2) elementwise, mu and sig broadcast against xs:
+    -0.5 z z - ln sig - ln(2 pi) / 2 with z = (xs - mu) / sig, one operation
+    at a time. Written into `out`, with `tmp` as scratch, both of the
+    broadcast shape; each is allocated when not given."""
+    z = np.subtract(xs, mu, out=out)
+    z /= sig
+    z *= np.multiply(z, -0.5, out=tmp)  # z (-0.5 z), the bits of (-0.5 z) z
+    z -= np.log(sig)
+    z -= 0.5 * LOG_2PI
+    return z
 
 
 def log_component_densities(params: MixtureParams, x) -> np.ndarray:
@@ -184,18 +192,24 @@ def log_weights(weights) -> np.ndarray:
     return np.log(np.asarray(weights) + np.finfo(float).tiny)
 
 
-def _log_sum_exp_rows(a: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _log_sum_exp_rows(a: np.ndarray, weights, amax: np.ndarray | None = None,
+                      total: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """exp(a_k - m), sum_k exp(a_k - m) and m = max_k a_k after a_k += ln pi_k.
 
     ``a`` holds ln N_k component-major, shape (K, ...), and is overwritten;
-    the sum and m have shape (...). m is floored at the most negative float,
-    so a point where every a_k is -inf gets a zero sum and ln p = -inf, not
-    -inf - (-inf) = NaN; a finite m keeps its bits. Max and sum run
-    elementwise between the rows, which is how ``np.max``/``np.sum`` over
-    axis 0 reduce them, so the bits are theirs.
+    the sum and m have shape (...), and are written into `total` and `amax`
+    when given (else allocated). `total` may be `amax` itself: the sum then
+    overwrites m once the exponentials are taken. m is floored at the most
+    negative float, so a point where every a_k is -inf gets a zero sum and
+    ln p = -inf, not -inf - (-inf) = NaN; a finite m keeps its bits. Max and
+    sum run elementwise between the rows, which is how ``np.max``/``np.sum``
+    over axis 0 reduce them, so the bits are theirs.
     """
     a += _components_first(log_weights(weights), a.ndim - 1)
-    amax = a[0, ...].copy()  # an array also when x is 0-d
+    if amax is None:
+        amax = a[0, ...].copy()  # an array also when x is 0-d
+    else:
+        np.copyto(amax, a[0])
     np.maximum(amax, _FLOAT_MIN, out=amax)
     for row in a[1:]:
         np.maximum(amax, row, out=amax)
@@ -204,8 +218,11 @@ def _log_sum_exp_rows(a: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, n
     if amax.size == 1:
         # np.sum adds a single point's K terms pairwise, which from K = 8 on
         # can round apart from adding them row by row
-        return e, e.sum(axis=0), amax
-    total = e[0].copy()
+        return e, np.sum(e, axis=0, out=total), amax
+    if total is None:
+        total = e[0].copy()
+    else:
+        np.copyto(total, e[0])
     for row in e[1:]:
         total += row
     return e, total, amax
@@ -300,11 +317,32 @@ def score(params: MixtureParams, x) -> np.ndarray:
     return _components_last(np.concatenate([d_pi, d_mu, d_sigma], axis=0))
 
 
-def _score_means_given(params: MixtureParams, xs: np.ndarray, gam: np.ndarray) -> np.ndarray:
-    """Component-major (K, ...) scores of the means from the responsibilities gam of xs."""
+def _score_means_given(params: MixtureParams, xs: np.ndarray, gam: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Component-major (K, ...) scores of the means from the responsibilities
+    gam of xs, gam (xs - mu) / sig^2, written into `out` when given."""
     mu = _components_first(np.asarray(params.means), xs.ndim)
     sig = _components_first(np.asarray(params.sigmas), xs.ndim)
-    return gam * (xs - mu) / (sig * sig)
+    s = np.subtract(xs, mu, out=out)
+    np.multiply(gam, s, out=s)
+    s /= sig * sig
+    return s
+
+
+def _score_means_rows(params: MixtureParams, xs: np.ndarray, out: np.ndarray,
+                      a: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The (K, n) rows of ``score_means(params, xs).T`` for 1-D draws xs,
+    with their bits, written into `out`: the same operations in the same
+    order, with no slice-sized array allocated. `a`, of out's shape, holds
+    ln pi_k N_k and then the responsibilities; `out` is scratch until the
+    scores; the vector `vec`, as long as xs, holds the row max and then the
+    row total. xs is not checked, so it must be finite."""
+    mu = _components_first(np.asarray(params.means), 1)
+    sig = _components_first(np.asarray(params.sigmas), 1)
+    _log_normal(xs, mu, sig, out=a, tmp=out)
+    e, total, _ = _log_sum_exp_rows(a, params.weights, amax=vec, total=vec)
+    e /= total
+    return _score_means_given(params, xs, e, out=out)
 
 
 def score_means(params: MixtureParams, x) -> np.ndarray:
@@ -316,8 +354,12 @@ def score_means(params: MixtureParams, x) -> np.ndarray:
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based Philox generator; the project-wide RNG for reproducibility.
-    MixtureError unless the seed is an integer (a bool or a float is not)."""
-    return np.random.Generator(np.random.Philox(checked_size(seed, "seed")))
+    MixtureError unless the seed is a non-negative integer (a bool or a
+    float is not)."""
+    seed = checked_size(seed, "seed")
+    if seed < 0:
+        raise MixtureError(f"seed must be non-negative, got {seed}")
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def checked_size(n, name: str) -> int:

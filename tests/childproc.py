@@ -1,6 +1,7 @@
 """Child interpreters for the tests that pin bits across numpy SIMD dispatch
 levels and OpenBLAS kernels: those settings act only on a fresh process."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import relreparam
 
+HERE = Path(__file__).resolve().parent
 # numpy's SIMD dispatch without its AVX-512 kernels
 REDUCED_SIMD = "X86_V4 AVX512_ICL AVX512_SPR"
 
@@ -34,13 +36,35 @@ def child_env(**env_vars) -> dict:
     return env
 
 
-def assert_passes_under_reduced_simd(node_id: str) -> None:
-    """Run the tests at `node_id` (``path::Class``) in a child pytest without
-    numpy's AVX-512 kernels, leaving out their own reduced-SIMD rerun, and
-    require that some ran and all passed."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node_id,
+# The test classes whose bits are pinned under reduced SIMD, as node ids
+# relative to this directory. Each class's rerun test passes them all to
+# ``assert_passes_under_reduced_simd``, so one child pytest reruns them.
+REDUCED_SIMD_CLASSES = (
+    "test_dynamics.py::TestIntegrateGdOracle",
+    "test_dynamics.py::TestIntegrateGdRowMajorOracle",
+    "test_fim.py::TestMcMomentsMatchRowMajorOracle",
+    "test_gmm.py::TestLogSumExpRowsMatchesOracles",
+    "test_gmm.py::TestSampleSlicesMatchOneShotDraw",
+)
+
+
+@functools.cache
+def _run_under_reduced_simd(node_ids: tuple[str, ...]) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider", *node_ids,
          "-k", "not reduced_numpy_simd"],
-        env=child_env(NPY_DISABLE_CPU_FEATURES=REDUCED_SIMD), capture_output=True, text=True)
+        cwd=HERE, env=child_env(NPY_DISABLE_CPU_FEATURES=REDUCED_SIMD),
+        capture_output=True, text=True)
+
+
+def assert_passes_under_reduced_simd(*node_ids: str) -> None:
+    """Run the tests at `node_ids` (``file::Class``, relative to this
+    directory) in one child pytest without numpy's AVX-512 kernels, leaving
+    out their own reduced-SIMD reruns, and require that all passed, none was
+    skipped and some of each class ran. The child runs once per process for
+    the same node ids; later calls check its output again."""
+    proc = _run_under_reduced_simd(node_ids)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert " passed" in proc.stdout and "skipped" not in proc.stdout, proc.stdout
+    for node_id in node_ids:
+        assert f"{node_id}::" in proc.stdout, (node_id, proc.stdout)

@@ -13,7 +13,7 @@ from relreparam.dynamics import (TrueModel, UVWState, base_partials,
                                  expected_velocity_relative, flow_field,
                                  integrate_gd, velocity_in_means)
 
-from childproc import assert_passes_under_reduced_simd, numpy_has_x86_v4
+from childproc import REDUCED_SIMD_CLASSES, assert_passes_under_reduced_simd, numpy_has_x86_v4
 from oracles import (exact_mean_gradient, exact_partials_per_sample, integrate_gd_per_step,
                      means_from_uvw, original_gram, relative_gram, relative_jacobian,
                      uvw_from_means)
@@ -352,7 +352,7 @@ class TestIntegrateGdOracle:
     def test_under_reduced_numpy_simd(self):
         """The oracle cases above in a child interpreter without numpy's
         AVX-512 kernels: the blocked pass and the per-iterate one still agree."""
-        assert_passes_under_reduced_simd(f"{__file__}::TestIntegrateGdOracle")
+        assert_passes_under_reduced_simd(*REDUCED_SIMD_CLASSES)
 
 
 def assert_close_columns(traj, want, rtol):
@@ -427,7 +427,7 @@ class TestIntegrateGdRowMajorOracle:
 
     @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
     def test_under_reduced_numpy_simd(self):
-        assert_passes_under_reduced_simd(f"{__file__}::TestIntegrateGdRowMajorOracle")
+        assert_passes_under_reduced_simd(*REDUCED_SIMD_CLASSES)
 
 
 class TestDensityPasses:

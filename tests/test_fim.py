@@ -5,14 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from childproc import assert_passes_under_reduced_simd, numpy_has_x86_v4
+from childproc import REDUCED_SIMD_CLASSES, assert_passes_under_reduced_simd, numpy_has_x86_v4
 from oracles import one_shot_mc_fim, rowmajor_mc_moments, sample_points, serial_mc_moments
 from relreparam import fim
 from relreparam.fim import (_MC_CHUNK, FisherMatrix, SingularFimError, _mc_moments,
+                            _score_in_coords, _score_slice, _slice_buffers,
                             bernoulli_family, crouzeix_check, fim_estimate,
                             gaussian_natural_family, length_element,
                             transform_fim)
-from relreparam.gmm import MixtureError, MixtureParams, make_rng
+from relreparam.gmm import (MixtureError, MixtureParams, log_component_densities, make_rng,
+                            responsibilities_array)
 
 # theta = (mu1, mu2), lambda = (mu1, Delta): J_ij = d theta_i / d lambda_j
 J_REL = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -103,7 +105,13 @@ class TestFimEstimate:
 
 
 P2 = MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0))
+P2_UNEQUAL = MixtureParams((0.3, 0.7), (-1.0, 1.5), (0.6, 1.4))
+P2_SYMMETRIC = MixtureParams((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0))
 P3 = MixtureParams((0.2, 0.5, 0.3), (-1.0, 0.5, 2.0), (0.7, 1.0, 1.3))
+SCORER_CASES = [(P2, "means"), (P2, "relative_means"), (P2_UNEQUAL, "means"),
+                (P2_UNEQUAL, "relative_means"), (P3, "means")]
+SCORER_CASE_IDS = ["K2-means", "K2-relative_means", "K2-unequal-means",
+                   "K2-unequal-relative_means", "K3-means"]
 
 
 class TestStreamedMonteCarlo:
@@ -124,8 +132,10 @@ class TestStreamedMonteCarlo:
         # here, so neither budget's peak counts that import
         make_rng(0)
         for coords, k in (("relative_means", 2), ("full", 5)):
-            # one slice's (k, k, c) products, two (k, c) score arrays and
-            # four slice-sized vectors, at any budget
+            # one slice's k(k + 1)/2 product rows, its score rows and the
+            # scorer's temporaries, two slice buffers and the drawer's
+            # scratch: fewer than k^2 + 2k + 4 slice-sized vectors at any
+            # budget
             bound = (k * k + 2 * k + 4) * 8 * _MC_CHUNK
             peaks = []
             for budget in (10 ** 6, 4 * 10 ** 6):
@@ -137,6 +147,24 @@ class TestStreamedMonteCarlo:
                     tracemalloc.stop()
             assert max(peaks) < bound, (coords, peaks)
             assert abs(peaks[1] - peaks[0]) < 8 * _MC_CHUNK, (coords, peaks)
+            if k == 2:
+                # scored into fresh arrays per slice the peak was 5.02 MiB;
+                # in the estimate's buffers it is 4.52 MiB
+                assert peaks[0] < 5.02 * 2 ** 20, peaks
+
+    @pytest.mark.parametrize("params, coords", [
+        (P2, "means"), (P2, "relative_means"), (P3, "means"),
+    ], ids=["K2-means", "K2-relative_means", "K3-means"])
+    def test_a_slice_is_scored_and_merged_without_slice_sized_arrays(self, params, coords):
+        z = sample_points(params, _MC_CHUNK, 7)
+        work, rows = _slice_buffers(params, coords, _MC_CHUNK)
+        tracemalloc.start()
+        try:
+            fim._merged(0, 0.0, 0.0, _score_slice(params, z, coords, work, rows), work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _MC_CHUNK // 16, peak
 
 
 class TestMcMomentsMatchRowMajorOracle:
@@ -154,9 +182,38 @@ class TestMcMomentsMatchRowMajorOracle:
         assert np.array_equal(mean, want_mean)
         assert np.array_equal(m2, want_m2)
 
+    # the buffered scorer against _score_in_coords, into buffers sized for
+    # a whole slice and reused from one call to the next
+    @pytest.mark.parametrize("m", [1, 100, _MC_CHUNK - 1])
+    @pytest.mark.parametrize("params, coords", SCORER_CASES, ids=SCORER_CASE_IDS)
+    def test_buffered_scorer_bit_identical(self, params, coords, m):
+        work, rows = _slice_buffers(params, coords, _MC_CHUNK)
+        for seed in (7, 8):
+            z = sample_points(params, m, seed)
+            got = _score_slice(params, z, coords, work, rows)
+            assert np.array_equal(got, _score_in_coords(params, z, coords).T)
+
+    @pytest.mark.parametrize("coords", ["means", "relative_means"])
+    def test_buffered_scorer_where_a_responsibility_underflows(self, coords):
+        z = np.array([-1e3, -60.0, -30.0, 30.0, 60.0, 1e3])
+        assert np.all(np.any(responsibilities_array(P2_UNEQUAL, z) == 0.0, axis=1))
+        work, rows = _slice_buffers(P2_UNEQUAL, coords, _MC_CHUNK)
+        got = _score_slice(P2_UNEQUAL, z, coords, work, rows)
+        assert np.array_equal(got, _score_in_coords(P2_UNEQUAL, z, coords).T)
+
+    @pytest.mark.parametrize("coords", ["means", "relative_means"])
+    def test_buffered_scorer_at_a_tie(self, coords):
+        # at x = 0 the two components' log-densities are equal, bit for bit
+        z = np.array([0.0, -0.0, 0.5, 0.0])
+        a = log_component_densities(P2_SYMMETRIC, z)
+        assert a[0, 0] == a[1, 0] and a[0, 1] == a[1, 1]
+        work, rows = _slice_buffers(P2_SYMMETRIC, coords, _MC_CHUNK)
+        got = _score_slice(P2_SYMMETRIC, z, coords, work, rows)
+        assert np.array_equal(got, _score_in_coords(P2_SYMMETRIC, z, coords).T)
+
     @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
     def test_under_reduced_numpy_simd(self):
-        assert_passes_under_reduced_simd(f"{__file__}::TestMcMomentsMatchRowMajorOracle")
+        assert_passes_under_reduced_simd(*REDUCED_SIMD_CLASSES)
 
 
 def set_cpus(monkeypatch, n: int) -> None:
@@ -267,6 +324,15 @@ class TestPipelineLifecycle:
             fim_estimate(params, coords=coords, method="monte_carlo", budget=3 * _MC_CHUNK)
         assert threads == [] and threading.active_count() == before
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_negative_seed_is_rejected_before_any_draw(self, cpus, monkeypatch):
+        set_cpus(monkeypatch, cpus)
+        threads = record_fills(monkeypatch, fail_on=1, error=AssertionError("drew a slice"))
+        before = threading.active_count()
+        with pytest.raises(MixtureError, match="seed must be non-negative, got -1"):
+            fim_estimate(P2, coords="means", method="monte_carlo", budget=3 * _MC_CHUNK, seed=-1)
+        assert threads == [] and threading.active_count() == before
+
     def test_no_thread_left_after_return(self, monkeypatch):
         set_cpus(monkeypatch, 2)
         before = threading.active_count()
@@ -284,15 +350,15 @@ class TestPipelineLifecycle:
 
     def test_a_failed_score_stops_the_drawer(self, monkeypatch):
         set_cpus(monkeypatch, 2)
-        calls, score_means = [], fim.score_means
+        calls, score_slice = [], fim._score_slice
 
         def failing(*args):
             calls.append(None)
             if len(calls) == 2:
                 raise DrawFailed("second score")
-            return score_means(*args)
+            return score_slice(*args)
 
-        monkeypatch.setattr(fim, "score_means", failing)
+        monkeypatch.setattr(fim, "_score_slice", failing)
         before = threading.active_count()
         with pytest.raises(DrawFailed, match="second score"):
             fim_estimate(P2, coords="means", method="monte_carlo", budget=3 * _MC_CHUNK + 123)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from childproc import assert_passes_under_reduced_simd, numpy_has_x86_v4
+from childproc import REDUCED_SIMD_CLASSES, assert_passes_under_reduced_simd, numpy_has_x86_v4
 from oracles import (axis0_log_sum_exp_rows, mean_distance, numpy_mixture_fields,
                      rowmajor_log_sum_exp, rowmajor_score, rowmajor_score_means, sample_points)
 
@@ -269,6 +269,16 @@ class TestSample:
         with pytest.raises(MixtureError, match="seed must be an integer"):
             sample_slices(p, 5, seed, 2)  # on the call, before the first slice
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2 ** 70)])
+    def test_rejects_a_negative_seed(self, seed):
+        p = MixtureParams((1.0,), (0.0,), (1.0,))
+        with pytest.raises(MixtureError, match="seed must be non-negative"):
+            make_rng(seed)
+        with pytest.raises(MixtureError, match="seed must be non-negative"):
+            sample(p, 10, seed)
+        with pytest.raises(MixtureError, match="seed must be non-negative"):
+            sample_slices(p, 10, seed, 4)  # on the call, before the first slice
+
     def test_numpy_integer_seed(self):
         p = MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0))
         want = sample_points(p, 10, 3)
@@ -321,7 +331,7 @@ class TestSampleSlicesMatchOneShotDraw:
 
     @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
     def test_under_reduced_numpy_simd(self):
-        assert_passes_under_reduced_simd(f"{__file__}::TestSampleSlicesMatchOneShotDraw")
+        assert_passes_under_reduced_simd(*REDUCED_SIMD_CLASSES)
 
 
 class TestDataset:
@@ -607,7 +617,7 @@ class TestLogSumExpRowsMatchesOracles:
 
     @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
     def test_under_reduced_numpy_simd(self):
-        assert_passes_under_reduced_simd(f"{__file__}::TestLogSumExpRowsMatchesOracles")
+        assert_passes_under_reduced_simd(*REDUCED_SIMD_CLASSES)
 
 
 class TestSampledDataset:
