@@ -11,8 +11,6 @@ the mixture itself).
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,9 +23,9 @@ from .gmm import (MixtureParams, MixtureError, _fill_slice, _score_means_rows, _
 COORD_SETS = ("means", "relative_means", "full")
 QUADRATURE_NODES = 201
 MIN_MC_BUDGET = 100
-# Draws per slice of the Monte-Carlo estimate. Each slice is scored and
-# accumulated before the next, in buffers made once per estimate, so memory
-# is set by one slice's score and product rows and two slice buffers,
+# Draws per slice of the Monte-Carlo estimate. Each slice is drawn, scored
+# and accumulated before the next, in buffers made once per estimate, so
+# memory is set by one slice buffer and one slice's score and product rows,
 # whatever the budget.
 _MC_CHUNK = 1 << 16
 # Largest |F - F^T| entry and most negative eigenvalue a FisherMatrix accepts.
@@ -97,9 +95,10 @@ def _rows(buf: np.ndarray, k: int, m: int) -> np.ndarray:
 def _slice_buffers(params: MixtureParams, coords: str, size: int):
     """(work, rows): the buffers of ``_score_slice`` and ``_merged`` for
     slices of up to `size` draws, made once per estimate. While a slice is
-    scored, `work` holds its K log-density rows and one slice vector and
-    `rows` its k score rows; `work` then holds the k(k + 1)/2 product rows,
-    as many as the log-density rows and the vector at k = 2. `full` scores
+    drawn, two rows of `work` are the draw's scratch; while it is scored,
+    `work` holds its K log-density rows and one slice vector and `rows` its
+    k score rows; `work` then holds the k(k + 1)/2 product rows, as many as
+    the log-density rows and the vector at k = 2. `full` scores
     come from ``gmm.score``, whose temporaries would add to product rows
     kept beside them (16.5 MiB against 12.0 MiB at k = 5), so they get no
     buffers and ``_merged`` allocates their products per slice."""
@@ -161,103 +160,33 @@ def _mirrored(upper: np.ndarray) -> np.ndarray:
     return full
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _Drawer:
-    """A second thread that fills one slice at a time with `fill`:
-    ``start(z)`` hands it z, and ``wait()`` returns once z is filled and
-    raises what the fill raised. ``close()`` stops and joins the thread."""
-
-    def __init__(self, fill):
-        self._fill = fill
-        self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._slice = self._failure = None
-        self._thread = threading.Thread(target=self._run, name="fim-drawer")
-        self._thread.start()
-
-    def _run(self):
-        while True:
-            self._todo.acquire()
-            z = self._slice
-            if z is None:
-                return
-            try:
-                self._fill(z)
-            except BaseException as exc:  # raised again by wait() in the calling thread
-                self._failure = exc
-            self._done.release()
-
-    def start(self, z: np.ndarray) -> None:
-        self._slice = z
-        self._todo.release()
-
-    def wait(self) -> None:
-        self._done.acquire()
-        if self._failure is not None:
-            raise self._failure
-
-    def close(self) -> None:
-        self._slice = None
-        self._todo.release()
-        self._thread.join()
-
-
 def _mc_moments(params: MixtureParams, budget: int, seed: int, coords: str):
     """Mean and M2 (summed squared deviations) of the score outer products
     over the draws of ``sample(params, budget, seed)``.
 
-    Streams over slices of _MC_CHUNK draws, filled in order by
-    ``gmm._fill_slice``, scores each (``_score_slice``) and merges its
-    upper-triangle products (``_merged``); the triangle is mirrored at the
-    end, which keeps the bits, as s_i s_j == s_j s_i. The scores and the
-    products go into buffers made here once (``_slice_buffers``), so the
-    means and relative means allocate nothing slice-sized per slice, with
-    the bits of ``_score_in_coords``. With more than one slice and more
-    than one CPU, a drawer thread fills slice i + 1 into the second of two
-    slice buffers while this thread scores slice i. The drawer only draws
-    and allocates nothing; every buffer belongs to this thread. Otherwise
-    every slice is filled here, into one slice buffer, and no thread
-    starts. Where a slice is drawn does not change its bits, and the merge
-    order is the slice order, so the result is the same either way.
+    One serial chain on the calling thread: each slice of _MC_CHUNK draws
+    is filled (``gmm._fill_slice``), scored (``_score_slice``) and its
+    upper-triangle products merged (``_merged``) before the next is drawn,
+    and the triangle is mirrored at the end, which keeps the bits, as
+    s_i s_j == s_j s_i. The slice, the scores and the products live in
+    buffers made here once (``_slice_buffers``), so the means and relative
+    means allocate nothing slice-sized per slice, with the bits of
+    ``_score_in_coords``. Their draws' scratch is two rows of the work
+    buffer, which is free while a slice is drawn: six slice vectors at
+    k = 2. No thread starts here; ``experiments.run_fim`` runs its two
+    estimates side by side instead.
     """
     size = min(budget, _MC_CHUNK)
     streams = _slice_streams(params, budget, seed, size)
-    scratch = _slice_scratch(size)
     work, rows = _slice_buffers(params, coords, size)
-    sizes = [min(size, budget - start) for start in range(0, budget, size)]
-
-    def fill(z):
-        _fill_slice(z, *streams, scratch)
-
-    def merged(n, mean, m2, z):
-        return _merged(n, mean, m2, _score_slice(params, z, coords, work, rows), work)
-
+    scratch = (_slice_scratch(size) if work is None
+               else (work[:size], work[size:2 * size].view(np.intp)))
+    buf = np.empty(size)
     n, mean, m2 = 0, 0.0, 0.0  # the first merge takes the first slice's pair as is
-    if len(sizes) == 1 or _cpus() == 1:
-        buf = np.empty(size)
-        for m in sizes:
-            z = buf[:m]
-            fill(z)
-            n, mean, m2 = merged(n, mean, m2, z)
-        return _mirrored(mean), _mirrored(m2)
-    bufs = np.empty(size), np.empty(size)
-    slices = [bufs[i % 2][:m] for i, m in enumerate(sizes)]
-    drawer = _Drawer(fill)  # starts while this thread fills the first slice
-    try:
-        fill(slices[0])
-        for z, ahead in zip(slices, slices[1:] + [None]):
-            if ahead is not None:
-                drawer.start(ahead)
-            n, mean, m2 = merged(n, mean, m2, z)
-            if ahead is not None:
-                drawer.wait()
-    finally:
-        drawer.close()
+    for start in range(0, budget, size):
+        z = buf[:min(size, budget - start)]
+        _fill_slice(z, *streams, scratch)
+        n, mean, m2 = _merged(n, mean, m2, _score_slice(params, z, coords, work, rows), work)
     return _mirrored(mean), _mirrored(m2)
 
 
@@ -271,11 +200,11 @@ def fim_estimate(params: MixtureParams, coords: str = "means",
     sqrt(M2 / (n - 1) / n). It scores and accumulates fixed-size slices one
     at a time, in buffers made once per estimate, merging their means and
     M2 pairwise (Chan, Golub & LeVeque), so memory does not grow with the
-    budget; with a second CPU the next slice is drawn on a second thread
-    while the current one is scored. `budget` must be an integer of at
-    least MIN_MC_BUDGET, and `seed` a non-negative integer. quadrature
-    integrates per mixture component with a 201-node Gauss-Hermite rule
-    whose nodes span past +-10 sigma (budget ignored).
+    budget. It runs on the calling thread and starts no thread. `budget`
+    must be an integer of at least MIN_MC_BUDGET, and `seed` a
+    non-negative integer. quadrature integrates per mixture component with
+    a 201-node Gauss-Hermite rule whose nodes span past +-10 sigma (budget
+    ignored).
     The coordinates are checked once, before anything is drawn or scored.
     Symmetrized after accumulation.
     """

@@ -198,9 +198,9 @@ def rowmajor_mc_moments(params: MixtureParams, xs: np.ndarray, coords: str):
 
 
 def serial_mc_moments(params: MixtureParams, budget: int, seed: int, coords: str):
-    """``fim._mc_moments`` in one thread: each slice of ``sample_slices``
-    drawn just before it is scored, and all k^2 products of a slice taken
-    as one (k, k, c) tensor."""
+    """``fim._mc_moments`` from fresh arrays: each slice of
+    ``sample_slices`` drawn just before it is scored, and all k^2 products
+    of a slice taken as one (k, k, c) tensor."""
     n, mean, m2 = 0, 0.0, 0.0
     for xs in sample_slices(params, budget, seed, fim._MC_CHUNK):
         s = fim._score_in_coords(params, xs, coords).T

@@ -1,20 +1,25 @@
+import json
+import os
 import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
 from childproc import REDUCED_SIMD_CLASSES, assert_passes_under_reduced_simd, numpy_has_x86_v4
 from oracles import one_shot_mc_fim, rowmajor_mc_moments, sample_points, serial_mc_moments
-from relreparam import fim
+from relreparam import experiments, fim
+from relreparam.cli import EXIT_OK, EXIT_SINGULAR, main
+from relreparam.experiments import check_config, default_config
 from relreparam.fim import (_MC_CHUNK, FisherMatrix, SingularFimError, _mc_moments,
                             _score_in_coords, _score_slice, _slice_buffers,
                             bernoulli_family, crouzeix_check, fim_estimate,
                             gaussian_natural_family, length_element,
                             transform_fim)
 from relreparam.gmm import (MixtureError, MixtureParams, log_component_densities, make_rng,
-                            responsibilities_array)
+                            responsibilities_array, unit_variance_pair)
 
 # theta = (mu1, mu2), lambda = (mu1, Delta): J_ij = d theta_i / d lambda_j
 J_REL = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -133,9 +138,8 @@ class TestStreamedMonteCarlo:
         make_rng(0)
         for coords, k in (("relative_means", 2), ("full", 5)):
             # one slice's k(k + 1)/2 product rows, its score rows and the
-            # scorer's temporaries, two slice buffers and the drawer's
-            # scratch: fewer than k^2 + 2k + 4 slice-sized vectors at any
-            # budget
+            # scorer's temporaries, the slice buffer and the draw's scratch:
+            # fewer than k^2 + 2k + 4 slice-sized vectors at any budget
             bound = (k * k + 2 * k + 4) * 8 * _MC_CHUNK
             peaks = []
             for budget in (10 ** 6, 4 * 10 ** 6):
@@ -151,6 +155,10 @@ class TestStreamedMonteCarlo:
                 # scored into fresh arrays per slice the peak was 5.02 MiB;
                 # in the estimate's buffers it is 4.52 MiB
                 assert peaks[0] < 5.02 * 2 ** 20, peaks
+                # one chain, the draw's scratch in the work buffer: six
+                # slice vectors (3.01 MiB), where the drawer pipeline's
+                # second slice buffer and own scratch made nine
+                assert peaks[0] < 3.5 * 2 ** 20, peaks
 
     @pytest.mark.parametrize("params, coords", [
         (P2, "means"), (P2, "relative_means"), (P3, "means"),
@@ -218,7 +226,7 @@ class TestMcMomentsMatchRowMajorOracle:
 
 def set_cpus(monkeypatch, n: int) -> None:
     """Make the process see n CPUs, as ``os.sched_getaffinity`` reports them."""
-    monkeypatch.setattr(fim.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def record_fills(monkeypatch, fail_on: int = 0, error=None) -> list[int]:
@@ -245,9 +253,9 @@ MC_CASE_IDS = ["K2-means", "K2-relative_means", "K2-full", "K3-means", "K3-full"
 
 
 class TestPipelineMatchesSerialOracle:
-    """The drawer-thread pipeline against the serial loop it replaced: the
-    same slices merged in the same order, the products' upper triangle
-    mirrored, so mean and M2 are equal bit for bit."""
+    """The buffered chain against the serial loop of fresh arrays: the same
+    slices merged in the same order, the products' upper triangle mirrored,
+    so mean and M2 are equal bit for bit, whatever the CPU count."""
 
     @pytest.mark.parametrize("budget", [100, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1,
                                         3 * _MC_CHUNK + 123])
@@ -270,18 +278,10 @@ class TestPipelineMatchesSerialOracle:
         assert np.array_equal(mean, want_mean)
         assert np.array_equal(m2, want_m2)
 
-    def test_two_cpus_draw_ahead_on_a_second_thread(self, monkeypatch):
-        set_cpus(monkeypatch, 2)
-        threads = record_fills(monkeypatch)
-        _mc_moments(P2, 3 * _MC_CHUNK + 123, 7, "means")
-        me = threading.get_ident()
-        assert len(threads) == 4 and threads[0] == me
-        assert len(set(threads[1:])) == 1 and me not in threads[1:]
-
     def test_concurrent_estimates_under_fast_switching(self, monkeypatch):
-        # more estimates than CPUs, each with its own drawer, switching
-        # threads every microsecond: a slice scored before it is filled, or
-        # overwritten while it is scored, changes the bits
+        # more estimates than CPUs, each on its own thread, switching
+        # threads every microsecond: a buffer shared between estimates, or
+        # a slice scored before it is filled, changes the bits
         set_cpus(monkeypatch, 2)
         budget = 2 * _MC_CHUNK + 123
         want = serial_mc_moments(P2, budget, 11, "relative_means")
@@ -307,8 +307,8 @@ class TestPipelineMatchesSerialOracle:
 
 
 class TestPipelineLifecycle:
-    """Checks run before any draw, and the drawer thread is gone when the
-    estimate returns or raises."""
+    """Checks run before any draw, and an estimate leaves no thread behind
+    when it returns or raises."""
 
     @pytest.mark.parametrize("params, coords, error", [
         (P2, "polar", MixtureError),
@@ -345,7 +345,7 @@ class TestPipelineLifecycle:
         before = threading.active_count()
         with pytest.raises(DrawFailed, match="second slice"):
             fim_estimate(P2, coords="means", method="monte_carlo", budget=3 * _MC_CHUNK + 123)
-        assert len(threads) == 2 and threads[1] != threading.get_ident()
+        assert len(threads) == 2
         assert threading.active_count() == before
 
     def test_a_failed_score_stops_the_drawer(self, monkeypatch):
@@ -363,6 +363,118 @@ class TestPipelineLifecycle:
         with pytest.raises(DrawFailed, match="second score"):
             fim_estimate(P2, coords="means", method="monte_carlo", budget=3 * _MC_CHUNK + 123)
         assert threading.active_count() == before
+
+
+def run_fim_cli(tmp_path, name: str, **overrides):
+    """The exit code of the `fim` kind run through the CLI into tmp_path /
+    name, and its files' bytes (None if it made no directory), the
+    manifest's wall time left out."""
+    cfg = tmp_path / f"{name}.yaml"
+    cfg.write_text(yaml.safe_dump({**default_config("fim"), **overrides}))
+    out = tmp_path / name
+    code = main(["fim", "--config", str(cfg), "--out", str(out)])
+    if not out.exists():
+        return code, None
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(files.pop("run_manifest.json"))
+    assert set(manifest["files"]) == set(files)
+    return code, (files, manifest["files"])
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak of fn(), in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRunFimSideBySide:
+    """``run_fim``'s two estimates: with more than one CPU `absolute` runs on
+    a worker thread beside `direct`, with one both run on the calling
+    thread. No thread is left after any of these tests."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left(self):
+        before = set(threading.enumerate())
+        yield
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("budget", [default_config("fim")["budget"], 3 * _MC_CHUNK + 123])
+    def test_files_identical_on_one_and_two_cpus(self, budget, tmp_path, monkeypatch):
+        runs = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            runs.append(run_fim_cli(tmp_path, f"cpus{cpus}", budget=budget))
+        assert runs[0][0] == runs[1][0] == EXIT_OK
+        assert runs[0][1] == runs[1][1]
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        threads = record_fills(monkeypatch)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        experiments.run_fim(check_config(default_config("fim")))
+        assert threads == [threading.get_ident()] * 8  # 4 slices per estimate
+
+    def test_two_cpus_draw_absolute_on_one_worker(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        threads = record_fills(monkeypatch)
+        experiments.run_fim(check_config(default_config("fim")))
+        me = threading.get_ident()
+        assert len(threads) == 8 and threads.count(me) == 4 and len(set(threads)) == 2
+
+    def test_a_failure_in_the_worker_reaches_the_caller(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        me, error, fill = threading.get_ident(), DrawFailed("worker's slice"), fim._fill_slice
+
+        def failing(*args):
+            if threading.get_ident() != me:
+                raise error
+            fill(*args)
+
+        monkeypatch.setattr(fim, "_fill_slice", failing)
+        with pytest.raises(DrawFailed) as info:
+            experiments.run_fim(check_config(default_config("fim")))
+        assert info.value is error
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_singular_point_exits_4_with_no_directory(self, cpus, tmp_path, monkeypatch):
+        set_cpus(monkeypatch, cpus)
+        assert run_fim_cli(tmp_path, "o", means=[1.0, 1.0]) == (EXIT_SINGULAR, None)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_traced_name_runs_once_on_the_calling_thread(self, cpus, tmp_path, monkeypatch):
+        # perfbench/tracer.py wraps experiments.fim_estimate in a span and a
+        # tracemalloc session; its one span stack belongs to this thread
+        set_cpus(monkeypatch, cpus)
+        calls, estimate = [], experiments.fim_estimate
+
+        def recorded(*args, **kwargs):
+            calls.append(threading.get_ident())
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "fim_estimate", recorded)
+        assert run_fim_cli(tmp_path, "o")[0] == EXIT_OK
+        assert calls == [threading.get_ident()]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_peak_memory_of_the_pair(self, cpus, monkeypatch):
+        # side by side the two estimates' buffers add up; one after the
+        # other the second's are made once the first's are freed
+        set_cpus(monkeypatch, cpus)
+        make_rng(0)  # the first Philox's `secrets` import, outside both peaks
+        values = check_config({**default_config("fim"), "budget": 10 ** 6})
+        params = unit_variance_pair(*values["means"], values["v"])
+        one = traced_peak(lambda: fim_estimate(params, coords="relative_means",
+                                               method="monte_carlo", budget=10 ** 6))
+        pair = traced_peak(lambda: experiments.run_fim(values))
+        assert pair < cpus * one + 64 * 2 ** 10, (one, pair)
 
 
 class TestTransformFim:
