@@ -411,6 +411,9 @@ def run_fim(values: dict) -> tuple[dict, ConvergenceError | None]:
     params = unit_variance_pair(*values["means"], values["v"])
     jac = jacobian(to_relative(params, RELATIVE_SPEC), RELATIVE_SPEC)
     budget, seed = values["budget"], values["seed"]
+    # `direct`'s coordinates are checked before `absolute` starts, so a
+    # singular point draws nothing
+    fim._check_coords(params, "relative_means")
     # `absolute` calls fim.fim_estimate, not this module's fim_estimate,
     # and nothing under it is a name perfbench/tracer.py wraps: the tracer
     # wraps this module's fim_estimate in a span and a tracemalloc session,

@@ -16,9 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .gmm import (MixtureParams, MixtureError, _fill_slice, _score_means_rows, _slice_scratch,
-                  _slice_streams, checked_size, component_nodes, normal_quadrature, score,
-                  score_means)
+# Neither estimator calls score_means; it stays importable from this
+# module, where perfbench/tracer.py wraps it.
+from .gmm import (MixtureParams, MixtureError, _fill_slice, _score_means_rows, _slice_streams,
+                  checked_size, component_nodes, normal_quadrature, score, score_means)
 
 COORD_SETS = ("means", "relative_means", "full")
 QUADRATURE_NODES = 201
@@ -51,6 +52,9 @@ class FisherMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise MixtureError("FisherMatrix must be square")
+        # a NaN fails no comparison, so the checks below would pass it
+        if not np.all(np.isfinite(e)):
+            raise MixtureError("FisherMatrix entries must be finite")
         if np.max(np.abs(e - e.T)) > SYMMETRY_TOL:
             raise MixtureError("FisherMatrix must be symmetric")
         if np.min(np.linalg.eigvalsh(e)) < -PSD_TOL:
@@ -75,18 +79,6 @@ def _check_coords(params: MixtureParams, coords: str) -> None:
             raise SingularFimError("FIM degenerates at the overlap singularity")
 
 
-def _score_in_coords(params: MixtureParams, xs: np.ndarray, coords: str) -> np.ndarray:
-    """Scores of xs, shape (n, k): a view whose ``.T`` is the contiguous (k, n) rows.
-    `coords` is one that ``_check_coords`` passed for params."""
-    if coords == "means":
-        return score_means(params, xs)
-    if coords == "full":
-        return score(params, xs)
-    s = score_means(params, xs).T
-    # lambda = (mu1, Delta) with mu2 = mu1 + Delta
-    return np.stack([s[0] + s[1], s[1]]).T
-
-
 def _rows(buf: np.ndarray, k: int, m: int) -> np.ndarray:
     """The first k m floats of the flat buffer as contiguous (k, m) rows."""
     return buf[:k * m].reshape(k, m)
@@ -94,8 +86,9 @@ def _rows(buf: np.ndarray, k: int, m: int) -> np.ndarray:
 
 def _slice_buffers(params: MixtureParams, coords: str, size: int):
     """(work, rows): the buffers of ``_score_slice`` and ``_merged`` for
-    slices of up to `size` draws, made once per estimate. While a slice is
-    drawn, two rows of `work` are the draw's scratch; while it is scored,
+    slices of up to `size` points, made once per estimate or per quadrature
+    rule. While a slice is drawn, the first two rows of `work` are the
+    draw's scratch (``gmm._fill_slice``); while it is scored,
     `work` holds its K log-density rows and one slice vector and `rows` its
     k score rows; `work` then holds the k(k + 1)/2 product rows, as many as
     the log-density rows and the vector at k = 2. `full` scores
@@ -110,11 +103,13 @@ def _slice_buffers(params: MixtureParams, coords: str, size: int):
 
 def _score_slice(params: MixtureParams, z: np.ndarray, coords: str,
                  work: np.ndarray | None, rows: np.ndarray | None) -> np.ndarray:
-    """The (k, len(z)) score rows of the draws z, with the bits of
-    ``_score_in_coords(params, z, coords).T``, in the buffers of
-    ``_slice_buffers``: for the means and the relative means the same
-    operations in the same order (``gmm._score_means_rows``), with no
-    slice-sized array allocated."""
+    """The (k, len(z)) score rows of the points z in the chosen coordinates,
+    each row contiguous, so that ``.T`` is the (len(z), k) scores. For the
+    means and the relative means they are written into the buffers of
+    ``_slice_buffers`` (``gmm._score_means_rows``), with no slice-sized
+    array allocated, and are overwritten by the next call; `full` scores
+    are ``gmm.score``'s rows. `coords` is one that ``_check_coords`` passed
+    for params."""
     if coords == "full":
         return score(params, z).T
     m, k = len(z), params.n_components
@@ -170,17 +165,16 @@ def _mc_moments(params: MixtureParams, budget: int, seed: int, coords: str):
     and the triangle is mirrored at the end, which keeps the bits, as
     s_i s_j == s_j s_i. The slice, the scores and the products live in
     buffers made here once (``_slice_buffers``), so the means and relative
-    means allocate nothing slice-sized per slice, with the bits of
-    ``_score_in_coords``. Their draws' scratch is two rows of the work
-    buffer, which is free while a slice is drawn: six slice vectors at
-    k = 2. No thread starts here; ``experiments.run_fim`` runs its two
+    means allocate nothing slice-sized per slice. Their draws' scratch is
+    the first two rows of the work buffer, which is free while a slice is
+    drawn: six slice vectors at k = 2. `full` draws into scratch of its
+    own. No thread starts here; ``experiments.run_fim`` runs its two
     estimates side by side instead.
     """
     size = min(budget, _MC_CHUNK)
     streams = _slice_streams(params, budget, seed, size)
     work, rows = _slice_buffers(params, coords, size)
-    scratch = (_slice_scratch(size) if work is None
-               else (work[:size], work[size:2 * size].view(np.intp)))
+    scratch = np.empty(2 * size) if work is None else work[:2 * size]
     buf = np.empty(size)
     n, mean, m2 = 0, 0.0, 0.0  # the first merge takes the first slice's pair as is
     for start in range(0, budget, size):
@@ -204,9 +198,10 @@ def fim_estimate(params: MixtureParams, coords: str = "means",
     must be an integer of at least MIN_MC_BUDGET, and `seed` a
     non-negative integer. quadrature integrates per mixture component with
     a 201-node Gauss-Hermite rule whose nodes span past +-10 sigma (budget
-    ignored).
+    ignored), scoring each component's nodes with ``_score_slice`` in
+    buffers made once for the rule.
     The coordinates are checked once, before anything is drawn or scored.
-    Symmetrized after accumulation.
+    Symmetrized after accumulation. MixtureError if an entry is not finite.
     """
     _check_coords(params, coords)
     if method == "monte_carlo":
@@ -220,9 +215,10 @@ def fim_estimate(params: MixtureParams, coords: str = "means",
                             budget=budget, std_errors=0.5 * (se + se.T))
     if method == "quadrature":
         nodes, wts = normal_quadrature(QUADRATURE_NODES)
+        work, rows = _slice_buffers(params, coords, QUADRATURE_NODES)
         acc = 0.0
         for pi, xs in component_nodes(params, nodes):
-            s = _score_in_coords(params, xs, coords)
+            s = _score_slice(params, xs, coords, work, rows).T
             acc = acc + pi * np.einsum("n,ni,nj->ij", wts, s, s)
         mat = 0.5 * (acc + acc.T)
         return FisherMatrix(entries=mat, coordinates=coords, estimator="quadrature",

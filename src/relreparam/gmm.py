@@ -403,60 +403,37 @@ def _stream_at(seed: int, words: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def sample_slices(params: MixtureParams, n: int, seed: int, size: int):
-    """The n draws of ``sample(params, n, seed)`` as consecutive arrays of at
-    most `size` points, with the same bits.
+def _slice_streams(params: MixtureParams, n: int, seed: int, size: int) -> tuple:
+    """The arguments of ``_fill_slice`` between the slice and the scratch
+    for the draws of ``sample(params, n, seed)`` in slices of `size`: the
+    uniforms' and the normals' cursors, the cumulative weights without the
+    last, the means and the sigmas. The seed is checked here.
 
     The stream holds n uniforms, which pick the components, then n standard
     normals, one word per uniform. One cursor reads the uniforms and a second
     the normals, n words further on, so each slice draws both of its parts
     where the one-shot draw has them. With a single slice the uniform cursor
-    ends where the normals start and is the normal cursor too. The sizes
-    and the seed are checked here, before the first slice is drawn.
+    ends where the normals start and is the normal cursor too.
     """
-    n, size = checked_size(n, "n"), checked_size(size, "size")
-    if n < 1:
-        raise MixtureError("need n >= 1 samples")
-    if size < 1:
-        raise MixtureError("need size >= 1 draws per slice")
-    return _slices(_slice_streams(params, n, seed, size), n, size)
-
-
-def _slices(streams: tuple, n: int, size: int):
-    for start in range(0, n, size):
-        m = min(size, n - start)
-        z = np.empty(m)
-        _fill_slice(z, *streams, _slice_scratch(m))
-        yield z
-
-
-def _slice_streams(params: MixtureParams, n: int, seed: int, size: int) -> tuple:
-    """The arguments of ``_fill_slice`` between the slice and the scratch
-    for the draws of ``sample(params, n, seed)`` in slices of `size`: the
-    uniforms' and the normals' cursors, the cumulative weights without the
-    last, the means and the sigmas."""
     uniforms = make_rng(seed)
     normals = uniforms if size >= n else _stream_at(seed, n)
     edges = list(itertools.accumulate(params.weights[:-1]))  # np.cumsum's bits
     return uniforms, normals, edges, np.asarray(params.means), np.asarray(params.sigmas)
 
 
-def _slice_scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch for ``_fill_slice`` on slices of up to `size` draws."""
-    return np.empty(size), np.empty(size, dtype=np.intp)
-
-
 def _fill_slice(z: np.ndarray, uniforms, normals, edges: list[float], means: np.ndarray,
-                sigmas: np.ndarray, scratch: tuple) -> None:
+                sigmas: np.ndarray, scratch: np.ndarray) -> None:
     """Draw the next len(z) points of the streams into z, allocating nothing.
 
-    The uniforms are drawn first, into z, because a single slice draws both
-    parts from one cursor, and pick the components. The float scratch then
-    holds the picked sigmas, then the picked means, so three slice-sized
-    arrays, z among them, are alive at once.
+    `scratch` is a contiguous float64 array of at least 2 len(z): its first
+    len(z) floats are the float row and the next len(z) the picked
+    components, as intps. The uniforms are drawn first, into z, because a
+    single slice draws both parts from one cursor, and pick the components.
+    The float row then holds the picked sigmas, then the picked means, so
+    three slice-sized vectors, z among them, are alive at once.
     """
     m = len(z)
-    picked, comp = scratch[0][:m], scratch[1][:m]
+    picked, comp = scratch[:m], scratch[m:2 * m].view(np.intp)[:m]
     uniforms.random(out=z)
     _component_index(edges, z, comp, picked)
     normals.standard_normal(out=z)
@@ -470,9 +447,14 @@ def _fill_slice(z: np.ndarray, uniforms, normals, edges: list[float], means: np.
 
 def sample(params: MixtureParams, n: int, seed: int) -> Dataset:
     """Draw n points: component by weights, then a Gaussian draw. Deterministic
-    per seed. The one slice of ``sample_slices`` of size n, so at most three
-    n-sized arrays are alive at once."""
-    return Dataset._adopt(next(sample_slices(params, n, seed, n)))
+    per seed. The points are one slice of n filled by ``_fill_slice``, so
+    three n-sized vectors, the points and two of scratch, are alive at once."""
+    n = checked_size(n, "n")
+    if n < 1:
+        raise MixtureError("need n >= 1 samples")
+    z = np.empty(n)
+    _fill_slice(z, *_slice_streams(params, n, seed, n), np.empty(2 * n))
+    return Dataset._adopt(z)
 
 
 def unit_variance_pair(mu1: float, mu2: float, v: float = 0.5) -> MixtureParams:

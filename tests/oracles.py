@@ -11,9 +11,9 @@ from relreparam.dynamics import (TrueModel, Trajectory, UVWState, expected_veloc
                                  velocity_in_means)
 from relreparam.experiments import KINDS, SCHEMA_VERSION
 from relreparam.gmm import (_FLOAT_MIN, _SIMPLEX_TOL, LOG_2PI, Dataset, MixtureError,
-                            MixtureParams, _components_first, log_density, log_likelihood,
-                            log_weights, make_rng, normal_quadrature, responsibilities_array,
-                            sample_slices, score_means)
+                            MixtureParams, _components_first, _fill_slice, _slice_streams,
+                            component_nodes, log_density, log_likelihood, log_weights, make_rng,
+                            normal_quadrature, responsibilities_array, score_means)
 from relreparam.nn import MLPParams
 from relreparam.svgplot import SvgCanvas, Viewport
 
@@ -168,7 +168,7 @@ def rowmajor_score(params: MixtureParams, x) -> np.ndarray:
 
 
 def rowmajor_score_in_coords(params: MixtureParams, xs: np.ndarray, coords: str) -> np.ndarray:
-    """``fim._score_in_coords`` from the row-major scores: (n, k), C-contiguous."""
+    """``fim._score_slice(...).T`` from the row-major scores: (n, k), C-contiguous."""
     if coords == "full":
         return rowmajor_score(params, xs)
     s = rowmajor_score_means(params, xs)
@@ -194,27 +194,6 @@ def rowmajor_mc_moments(params: MixtureParams, xs: np.ndarray, coords: str):
         mean = mean + d * (c / total)
         m2 = m2 + outer.sum(axis=-1) + d * d * (n * c / total)
         n = total
-    return mean, m2
-
-
-def serial_mc_moments(params: MixtureParams, budget: int, seed: int, coords: str):
-    """``fim._mc_moments`` from fresh arrays: each slice of
-    ``sample_slices`` drawn just before it is scored, and all k^2 products
-    of a slice taken as one (k, k, c) tensor."""
-    n, mean, m2 = 0, 0.0, 0.0
-    for xs in sample_slices(params, budget, seed, fim._MC_CHUNK):
-        s = fim._score_in_coords(params, xs, coords).T
-        outer = s[:, None, :] * s[None, :, :]
-        c = outer.shape[-1]
-        c_mean = outer.mean(axis=-1)
-        outer -= c_mean[..., None]
-        outer *= outer
-        total = n + c
-        d = c_mean - mean
-        mean = mean + d * (c / total)
-        m2 = m2 + outer.sum(axis=-1) + d * d * (n * c / total)
-        n = total
-        del outer
     return mean, m2
 
 
@@ -359,7 +338,7 @@ def integrate_gd_per_step(init_means, true, eta: float, steps: int,
 
 
 def sample_points(params: MixtureParams, n: int, seed: int) -> np.ndarray:
-    """The one-shot draw that ``gmm.sample`` and ``gmm.sample_slices`` slice:
+    """The one-shot draw that ``gmm.sample`` makes and ``fim._mc_moments`` slices:
     from one Philox generator, n uniforms pick the components by
     ``searchsorted`` on the cumulative weights, then n standard normals place
     the points, as the out-of-place formula mu + sig * z.
@@ -372,6 +351,21 @@ def sample_points(params: MixtureParams, n: int, seed: int) -> np.ndarray:
     return mu + sig * rng.standard_normal(n)
 
 
+def filled_slices(params: MixtureParams, n: int, seed: int, size: int) -> list[np.ndarray]:
+    """The n draws of ``sample(params, n, seed)`` as ``fim._mc_moments``
+    draws them: consecutive slices of at most `size` points, each filled by
+    ``gmm._fill_slice`` from the cursors of ``gmm._slice_streams``, with one
+    scratch array reused from slice to slice."""
+    streams = _slice_streams(params, n, seed, size)
+    scratch = np.empty(2 * size)
+    slices = []
+    for start in range(0, n, size):
+        z = np.empty(min(size, n - start))
+        _fill_slice(z, *streams, scratch)
+        slices.append(z)
+    return slices
+
+
 def one_shot_mc_fim(params: MixtureParams, coords: str, budget: int, seed: int):
     """Monte-Carlo FIM entries and standard errors from one (budget, k, k) tensor.
 
@@ -379,11 +373,24 @@ def one_shot_mc_fim(params: MixtureParams, coords: str, budget: int, seed: int):
     accumulation: the one-shot draw of ``sample_points`` and the same scores,
     then a mean and a ddof=1 std over axis 0, each symmetrized.
     """
-    s = fim._score_in_coords(params, sample_points(params, budget, seed), coords)
+    s = rowmajor_score_in_coords(params, sample_points(params, budget, seed), coords)
     outer = s[:, :, None] * s[:, None, :]
     mean = outer.mean(axis=0)
     se = outer.std(axis=0, ddof=1) / np.sqrt(budget)
     return 0.5 * (mean + mean.T), 0.5 * (se + se.T)
+
+
+def quadrature_fim(params: MixtureParams, coords: str) -> np.ndarray:
+    """``fim_estimate(params, coords, "quadrature").entries`` from the
+    row-major scores, each component's copied to rows and transposed back,
+    so that the einsum reads them with the strides of ``fim._score_slice``'s
+    rows and sums in the same order."""
+    nodes, wts = normal_quadrature(fim.QUADRATURE_NODES)
+    acc = 0.0
+    for pi, xs in component_nodes(params, nodes):
+        s = np.ascontiguousarray(rowmajor_score_in_coords(params, xs, coords).T).T
+        acc = acc + pi * np.einsum("n,ni,nj->ij", wts, s, s)
+    return 0.5 * (acc + acc.T)
 
 
 # The slow SVG path: one formatted string per coordinate, one element per stroke.

@@ -9,12 +9,13 @@ import pytest
 import yaml
 
 from childproc import REDUCED_SIMD_CLASSES, assert_passes_under_reduced_simd, numpy_has_x86_v4
-from oracles import one_shot_mc_fim, rowmajor_mc_moments, sample_points, serial_mc_moments
+from oracles import (one_shot_mc_fim, quadrature_fim, rowmajor_mc_moments,
+                     rowmajor_score_in_coords, sample_points)
 from relreparam import experiments, fim
 from relreparam.cli import EXIT_OK, EXIT_SINGULAR, main
 from relreparam.experiments import check_config, default_config
 from relreparam.fim import (_MC_CHUNK, FisherMatrix, SingularFimError, _mc_moments,
-                            _score_in_coords, _score_slice, _slice_buffers,
+                            _score_slice, _slice_buffers,
                             bernoulli_family, crouzeix_check, fim_estimate,
                             gaussian_natural_family, length_element,
                             transform_fim)
@@ -34,11 +35,32 @@ class TestFisherMatrixType:
         with pytest.raises(MixtureError):
             FisherMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), "means", "quadrature", 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # a NaN passes the symmetry and PSD comparisons vacuously; an inf
+        # makes eigvalsh fail with its own error
+        for entries in ([[1.0, bad], [bad, 1.0]], [[bad, 0.0], [0.0, 1.0]]):
+            with pytest.raises(MixtureError, match="must be finite"):
+                FisherMatrix(np.array(entries), "means", "quadrature", 0)
+
     def test_csv_header_names_coordinates(self):
         m = FisherMatrix(np.eye(2), "means", "quadrature", 201)
         text = m.to_csv()
         assert text.startswith("# fisher, coordinates=means, estimator=quadrature")
         assert len(text.strip().splitlines()) == 3
+
+
+P1 = MixtureParams((1.0,), (0.3,), (1.7,))
+P2 = MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0))
+P2_UNEQUAL = MixtureParams((0.3, 0.7), (-1.0, 1.5), (0.6, 1.4))
+P2_SYMMETRIC = MixtureParams((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0))
+P3 = MixtureParams((0.2, 0.5, 0.3), (-1.0, 0.5, 2.0), (0.7, 1.0, 1.3))
+P2_OVERLAP = MixtureParams((0.5, 0.5), (0.0, 0.0), (1.0, 1.0))
+ALL_COORDS = ("means", "relative_means", "full")
+QUADRATURE_CASES = [pytest.param(p, coords, id=f"{name}-{coords}") for name, p, coord_sets in (
+    ("K1", P1, ("means", "full")), ("K2", P2, ALL_COORDS), ("K2-unequal", P2_UNEQUAL, ALL_COORDS),
+    ("K2-symmetric", P2_SYMMETRIC, ALL_COORDS), ("K2-overlap", P2_OVERLAP, ("means", "full")),
+    ("K3", P3, ("means", "full"))) for coords in coord_sets]
 
 
 class TestFimEstimate:
@@ -85,16 +107,17 @@ class TestFimEstimate:
         b = fim_estimate(p, method="monte_carlo", budget=1000, seed=5)
         assert np.array_equal(a.entries, b.entries) and a.to_csv() == b.to_csv()
 
-    @pytest.mark.parametrize("seed", [1.7, 1.0, np.float64(1.0), True, "1", None])
+    @pytest.mark.parametrize("seed", [1.7, 1.0, np.float64(1.0), True, False, "1", None])
     def test_seed_must_be_an_integer(self, seed):
         p = MixtureParams((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0))
         with pytest.raises(MixtureError, match="seed must be an integer"):
             fim_estimate(p, method="monte_carlo", budget=1000, seed=seed)
 
     def test_numpy_integer_seed(self):
+        # two slices: the normals' cursor is advanced from the numpy seed
         p = MixtureParams((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0))
-        a = fim_estimate(p, method="monte_carlo", budget=1000, seed=np.int64(5))
-        b = fim_estimate(p, method="monte_carlo", budget=1000, seed=5)
+        a = fim_estimate(p, method="monte_carlo", budget=_MC_CHUNK + 1000, seed=np.int64(5))
+        b = fim_estimate(p, method="monte_carlo", budget=_MC_CHUNK + 1000, seed=5)
         assert np.array_equal(a.entries, b.entries) and a.to_csv() == b.to_csv()
 
     def test_relative_coords_at_singularity_raise(self):
@@ -108,11 +131,24 @@ class TestFimEstimate:
         b = fim_estimate(p, method="monte_carlo", budget=1000, seed=5)
         assert np.array_equal(a.entries, b.entries)
 
+    @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+    @pytest.mark.parametrize("params, coords", [
+        # a sigma so small that the scores overflow to inf and then NaN
+        (MixtureParams((0.5, 0.5), (0.0, 1.0), (1.0, 1e-300)), "means"),
+        # a zero weight: the weight score divides by it
+        (MixtureParams((0.0, 1.0), (0.0, 1.0), (1.0, 1.0)), "full"),
+    ], ids=["tiny-sigma", "zero-weight-full"])
+    def test_non_finite_entries_raise_a_mixture_error(self, params, coords, method):
+        with np.errstate(all="ignore"), pytest.raises(MixtureError, match="must be finite"):
+            fim_estimate(params, coords=coords, method=method, budget=1000)
 
-P2 = MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0))
-P2_UNEQUAL = MixtureParams((0.3, 0.7), (-1.0, 1.5), (0.6, 1.4))
-P2_SYMMETRIC = MixtureParams((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0))
-P3 = MixtureParams((0.2, 0.5, 0.3), (-1.0, 0.5, 2.0), (0.7, 1.0, 1.3))
+    @pytest.mark.parametrize("params, coords", QUADRATURE_CASES)
+    def test_quadrature_matches_rowmajor_oracle(self, params, coords):
+        # the same scores read with the same strides: equal bit for bit
+        m = fim_estimate(params, coords=coords, method="quadrature")
+        assert np.array_equal(m.entries, quadrature_fim(params, coords))
+
+
 SCORER_CASES = [(P2, "means"), (P2, "relative_means"), (P2_UNEQUAL, "means"),
                 (P2_UNEQUAL, "relative_means"), (P3, "means")]
 SCORER_CASE_IDS = ["K2-means", "K2-relative_means", "K2-unequal-means",
@@ -155,9 +191,8 @@ class TestStreamedMonteCarlo:
                 # scored into fresh arrays per slice the peak was 5.02 MiB;
                 # in the estimate's buffers it is 4.52 MiB
                 assert peaks[0] < 5.02 * 2 ** 20, peaks
-                # one chain, the draw's scratch in the work buffer: six
-                # slice vectors (3.01 MiB), where the drawer pipeline's
-                # second slice buffer and own scratch made nine
+                # the draw's scratch in the work buffer: six slice vectors
+                # (3.01 MiB), the slice, two score rows and three work rows
                 assert peaks[0] < 3.5 * 2 ** 20, peaks
 
     @pytest.mark.parametrize("params, coords", [
@@ -173,55 +208,6 @@ class TestStreamedMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 8 * _MC_CHUNK // 16, peak
-
-
-class TestMcMomentsMatchRowMajorOracle:
-    """The slices' component-major score rows against row-major scores
-    copied to rows per slice: the same products summed in the same order,
-    so mean and M2 are equal bit for bit."""
-
-    @pytest.mark.parametrize("params, coords", [
-        (P2, "means"), (P2, "relative_means"), (P2, "full"), (P3, "means"), (P3, "full"),
-    ], ids=["K2-means", "K2-relative_means", "K2-full", "K3-means", "K3-full"])
-    def test_bit_identical(self, params, coords):
-        budget = 2 * _MC_CHUNK + 123  # the last slice partial
-        mean, m2 = _mc_moments(params, budget, 7, coords)
-        want_mean, want_m2 = rowmajor_mc_moments(params, sample_points(params, budget, 7), coords)
-        assert np.array_equal(mean, want_mean)
-        assert np.array_equal(m2, want_m2)
-
-    # the buffered scorer against _score_in_coords, into buffers sized for
-    # a whole slice and reused from one call to the next
-    @pytest.mark.parametrize("m", [1, 100, _MC_CHUNK - 1])
-    @pytest.mark.parametrize("params, coords", SCORER_CASES, ids=SCORER_CASE_IDS)
-    def test_buffered_scorer_bit_identical(self, params, coords, m):
-        work, rows = _slice_buffers(params, coords, _MC_CHUNK)
-        for seed in (7, 8):
-            z = sample_points(params, m, seed)
-            got = _score_slice(params, z, coords, work, rows)
-            assert np.array_equal(got, _score_in_coords(params, z, coords).T)
-
-    @pytest.mark.parametrize("coords", ["means", "relative_means"])
-    def test_buffered_scorer_where_a_responsibility_underflows(self, coords):
-        z = np.array([-1e3, -60.0, -30.0, 30.0, 60.0, 1e3])
-        assert np.all(np.any(responsibilities_array(P2_UNEQUAL, z) == 0.0, axis=1))
-        work, rows = _slice_buffers(P2_UNEQUAL, coords, _MC_CHUNK)
-        got = _score_slice(P2_UNEQUAL, z, coords, work, rows)
-        assert np.array_equal(got, _score_in_coords(P2_UNEQUAL, z, coords).T)
-
-    @pytest.mark.parametrize("coords", ["means", "relative_means"])
-    def test_buffered_scorer_at_a_tie(self, coords):
-        # at x = 0 the two components' log-densities are equal, bit for bit
-        z = np.array([0.0, -0.0, 0.5, 0.0])
-        a = log_component_densities(P2_SYMMETRIC, z)
-        assert a[0, 0] == a[1, 0] and a[0, 1] == a[1, 1]
-        work, rows = _slice_buffers(P2_SYMMETRIC, coords, _MC_CHUNK)
-        got = _score_slice(P2_SYMMETRIC, z, coords, work, rows)
-        assert np.array_equal(got, _score_in_coords(P2_SYMMETRIC, z, coords).T)
-
-    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
-    def test_under_reduced_numpy_simd(self):
-        assert_passes_under_reduced_simd(*REDUCED_SIMD_CLASSES)
 
 
 def set_cpus(monkeypatch, n: int) -> None:
@@ -252,39 +238,120 @@ MC_CASES = [(P2, "means"), (P2, "relative_means"), (P2, "full"), (P3, "means"), 
 MC_CASE_IDS = ["K2-means", "K2-relative_means", "K2-full", "K3-means", "K3-full"]
 
 
-class TestPipelineMatchesSerialOracle:
-    """The buffered chain against the serial loop of fresh arrays: the same
-    slices merged in the same order, the products' upper triangle mirrored,
-    so mean and M2 are equal bit for bit, whatever the CPU count."""
+class TestMcMomentsMatchRowMajorOracle:
+    """The slices' component-major score rows against row-major scores
+    copied to rows per slice: the same products summed in the same order,
+    so mean and M2 are equal bit for bit."""
 
-    @pytest.mark.parametrize("budget", [100, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1,
-                                        3 * _MC_CHUNK + 123])
+    # one slice, short of one and full; then more than one, with the
+    # budget n at each n mod 4, which sets how the normals' cursor is
+    # advanced past the n uniforms, and the last slice partial
+    @pytest.mark.parametrize("budget", [100, _MC_CHUNK - 1, _MC_CHUNK,
+                                        _MC_CHUNK + 1, _MC_CHUNK + 2,
+                                        2 * _MC_CHUNK + 124, 3 * _MC_CHUNK + 123])
     @pytest.mark.parametrize("params, coords", MC_CASES, ids=MC_CASE_IDS)
     def test_bit_identical(self, params, coords, budget, monkeypatch):
-        set_cpus(monkeypatch, 2)
-        mean, m2 = _mc_moments(params, budget, 7, coords)
-        want_mean, want_m2 = serial_mc_moments(params, budget, 7, coords)
-        assert np.array_equal(mean, want_mean)
-        assert np.array_equal(m2, want_m2)
-
-    @pytest.mark.parametrize("params, coords", MC_CASES, ids=MC_CASE_IDS)
-    def test_one_cpu_draws_inline(self, params, coords, monkeypatch):
-        set_cpus(monkeypatch, 1)
         threads = record_fills(monkeypatch)
-        budget = 3 * _MC_CHUNK + 123
         mean, m2 = _mc_moments(params, budget, 7, coords)
-        assert threads == [threading.get_ident()] * 4
-        want_mean, want_m2 = serial_mc_moments(params, budget, 7, coords)
+        # each slice filled in order on the calling thread
+        assert threads == [threading.get_ident()] * -(-budget // _MC_CHUNK)
+        want_mean, want_m2 = rowmajor_mc_moments(params, sample_points(params, budget, 7), coords)
         assert np.array_equal(mean, want_mean)
         assert np.array_equal(m2, want_m2)
 
-    def test_concurrent_estimates_under_fast_switching(self, monkeypatch):
+    # the buffered scorer against the row-major scores, into buffers sized
+    # for a whole slice and reused from one call to the next
+    @pytest.mark.parametrize("m", [1, 100, _MC_CHUNK - 1])
+    @pytest.mark.parametrize("params, coords", SCORER_CASES, ids=SCORER_CASE_IDS)
+    def test_buffered_scorer_bit_identical(self, params, coords, m):
+        work, rows = _slice_buffers(params, coords, _MC_CHUNK)
+        for seed in (7, 8):
+            z = sample_points(params, m, seed)
+            got = _score_slice(params, z, coords, work, rows)
+            assert np.array_equal(got, rowmajor_score_in_coords(params, z, coords).T)
+
+    @pytest.mark.parametrize("coords", ["means", "relative_means"])
+    def test_buffered_scorer_where_a_responsibility_underflows(self, coords):
+        z = np.array([-1e3, -60.0, -30.0, 30.0, 60.0, 1e3])
+        assert np.all(np.any(responsibilities_array(P2_UNEQUAL, z) == 0.0, axis=1))
+        work, rows = _slice_buffers(P2_UNEQUAL, coords, _MC_CHUNK)
+        got = _score_slice(P2_UNEQUAL, z, coords, work, rows)
+        assert np.array_equal(got, rowmajor_score_in_coords(P2_UNEQUAL, z, coords).T)
+
+    @pytest.mark.parametrize("coords", ["means", "relative_means"])
+    def test_buffered_scorer_at_a_tie(self, coords):
+        # at x = 0 the two components' log-densities are equal, bit for bit
+        z = np.array([0.0, -0.0, 0.5, 0.0])
+        a = log_component_densities(P2_SYMMETRIC, z)
+        assert a[0, 0] == a[1, 0] and a[0, 1] == a[1, 1]
+        work, rows = _slice_buffers(P2_SYMMETRIC, coords, _MC_CHUNK)
+        got = _score_slice(P2_SYMMETRIC, z, coords, work, rows)
+        assert np.array_equal(got, rowmajor_score_in_coords(P2_SYMMETRIC, z, coords).T)
+
+    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    def test_under_reduced_numpy_simd(self):
+        assert_passes_under_reduced_simd(*REDUCED_SIMD_CLASSES)
+
+
+class TestPipelineLifecycle:
+    """The draw-score-merge chain of one estimate: checks run before any
+    draw, a failure in any stage reaches the caller as itself, the chain
+    starts no thread, and estimates on threads of their own share nothing."""
+
+    @pytest.mark.parametrize("params, coords, error", [
+        (P2, "polar", MixtureError),
+        (P3, "relative_means", MixtureError),
+        (MixtureParams((0.5, 0.5), (2.0, 2.0), (1.0, 1.0)), "relative_means", SingularFimError),
+    ], ids=["unknown-coords", "K3-relative", "singular"])
+    def test_checks_before_any_draw(self, params, coords, error, monkeypatch):
+        threads = record_fills(monkeypatch, fail_on=1, error=AssertionError("drew a slice"))
+        with pytest.raises(error):
+            fim_estimate(params, coords=coords, method="monte_carlo", budget=3 * _MC_CHUNK)
+        assert threads == []
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2 ** 70)])
+    def test_a_negative_seed_is_rejected_before_any_draw(self, seed, monkeypatch):
+        threads = record_fills(monkeypatch, fail_on=1, error=AssertionError("drew a slice"))
+        with pytest.raises(MixtureError, match=f"seed must be non-negative, got {seed}"):
+            fim_estimate(P2, coords="means", method="monte_carlo", budget=3 * _MC_CHUNK, seed=seed)
+        assert threads == []
+
+    def test_no_thread_left_after_return(self):
+        before = threading.active_count()
+        fim_estimate(P2, coords="full", method="monte_carlo", budget=3 * _MC_CHUNK + 123)
+        assert threading.active_count() == before
+
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
+        threads = record_fills(monkeypatch, fail_on=2, error=DrawFailed("second slice"))
+        before = threading.active_count()
+        with pytest.raises(DrawFailed, match="second slice"):
+            fim_estimate(P2, coords="means", method="monte_carlo", budget=3 * _MC_CHUNK + 123)
+        assert len(threads) == 2
+        assert threading.active_count() == before
+
+    def test_a_failed_score_reaches_the_caller(self, monkeypatch):
+        calls, score_slice = [], fim._score_slice
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DrawFailed("second score")
+            return score_slice(*args)
+
+        monkeypatch.setattr(fim, "_score_slice", failing)
+        threads = record_fills(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(DrawFailed, match="second score"):
+            fim_estimate(P2, coords="means", method="monte_carlo", budget=3 * _MC_CHUNK + 123)
+        assert len(calls) == len(threads) == 2  # no slice drawn after the failure
+        assert threading.active_count() == before
+
+    def test_concurrent_estimates_under_fast_switching(self):
         # more estimates than CPUs, each on its own thread, switching
         # threads every microsecond: a buffer shared between estimates, or
         # a slice scored before it is filled, changes the bits
-        set_cpus(monkeypatch, 2)
         budget = 2 * _MC_CHUNK + 123
-        want = serial_mc_moments(P2, budget, 11, "relative_means")
+        want = rowmajor_mc_moments(P2, sample_points(P2, budget, 11), "relative_means")
         results = []
 
         def estimate():
@@ -304,65 +371,6 @@ class TestPipelineMatchesSerialOracle:
         assert len(results) == 4
         for mean, m2 in results:
             assert np.array_equal(mean, want[0]) and np.array_equal(m2, want[1])
-
-
-class TestPipelineLifecycle:
-    """Checks run before any draw, and an estimate leaves no thread behind
-    when it returns or raises."""
-
-    @pytest.mark.parametrize("params, coords, error", [
-        (P2, "polar", MixtureError),
-        (P3, "relative_means", MixtureError),
-        (MixtureParams((0.5, 0.5), (2.0, 2.0), (1.0, 1.0)), "relative_means", SingularFimError),
-    ], ids=["unknown-coords", "K3-relative", "singular"])
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_checks_before_any_draw(self, params, coords, error, cpus, monkeypatch):
-        set_cpus(monkeypatch, cpus)
-        threads = record_fills(monkeypatch, fail_on=1, error=AssertionError("drew a slice"))
-        before = threading.active_count()
-        with pytest.raises(error):
-            fim_estimate(params, coords=coords, method="monte_carlo", budget=3 * _MC_CHUNK)
-        assert threads == [] and threading.active_count() == before
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_a_negative_seed_is_rejected_before_any_draw(self, cpus, monkeypatch):
-        set_cpus(monkeypatch, cpus)
-        threads = record_fills(monkeypatch, fail_on=1, error=AssertionError("drew a slice"))
-        before = threading.active_count()
-        with pytest.raises(MixtureError, match="seed must be non-negative, got -1"):
-            fim_estimate(P2, coords="means", method="monte_carlo", budget=3 * _MC_CHUNK, seed=-1)
-        assert threads == [] and threading.active_count() == before
-
-    def test_no_thread_left_after_return(self, monkeypatch):
-        set_cpus(monkeypatch, 2)
-        before = threading.active_count()
-        fim_estimate(P2, coords="full", method="monte_carlo", budget=3 * _MC_CHUNK + 123)
-        assert threading.active_count() == before
-
-    def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
-        set_cpus(monkeypatch, 2)
-        threads = record_fills(monkeypatch, fail_on=2, error=DrawFailed("second slice"))
-        before = threading.active_count()
-        with pytest.raises(DrawFailed, match="second slice"):
-            fim_estimate(P2, coords="means", method="monte_carlo", budget=3 * _MC_CHUNK + 123)
-        assert len(threads) == 2
-        assert threading.active_count() == before
-
-    def test_a_failed_score_stops_the_drawer(self, monkeypatch):
-        set_cpus(monkeypatch, 2)
-        calls, score_slice = [], fim._score_slice
-
-        def failing(*args):
-            calls.append(None)
-            if len(calls) == 2:
-                raise DrawFailed("second score")
-            return score_slice(*args)
-
-        monkeypatch.setattr(fim, "_score_slice", failing)
-        before = threading.active_count()
-        with pytest.raises(DrawFailed, match="second score"):
-            fim_estimate(P2, coords="means", method="monte_carlo", budget=3 * _MC_CHUNK + 123)
-        assert threading.active_count() == before
 
 
 def run_fim_cli(tmp_path, name: str, **overrides):
@@ -445,8 +453,12 @@ class TestRunFimSideBySide:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_the_singular_point_exits_4_with_no_directory(self, cpus, tmp_path, monkeypatch):
+        # `direct`'s coordinates are checked before `absolute` starts, so
+        # neither estimate draws a slice
         set_cpus(monkeypatch, cpus)
+        threads = record_fills(monkeypatch)
         assert run_fim_cli(tmp_path, "o", means=[1.0, 1.0]) == (EXIT_SINGULAR, None)
+        assert threads == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_the_traced_name_runs_once_on_the_calling_thread(self, cpus, tmp_path, monkeypatch):

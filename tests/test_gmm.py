@@ -7,14 +7,14 @@ import pytest
 from scipy.integrate import quad
 
 from childproc import REDUCED_SIMD_CLASSES, assert_passes_under_reduced_simd, numpy_has_x86_v4
-from oracles import (axis0_log_sum_exp_rows, mean_distance, numpy_mixture_fields,
+from oracles import (axis0_log_sum_exp_rows, filled_slices, mean_distance, numpy_mixture_fields,
                      rowmajor_log_sum_exp, rowmajor_score, rowmajor_score_means, sample_points)
 
 from relreparam.gmm import (Dataset, MixtureParams, MixtureError, _component_index,
                             _log_sum_exp_rows, _numpy_sum, density, distances_to_truth, log_density,
                             log_density_means, log_likelihood, log_weights, make_rng,
                             mixture_moments, normal_quadrature,
-                            responsibilities_and_log_density, sample, sample_slices, score,
+                            responsibilities_and_log_density, sample, score,
                             score_means, unit_variance_pair)
 
 
@@ -221,10 +221,11 @@ class TestSample:
 
     def test_rejects_zero_samples(self):
         p = MixtureParams((1.0,), (0.0,), (1.0,))
-        with pytest.raises(MixtureError):
-            sample(p, 0, seed=0)
+        for n in (0, -1, np.int64(-3)):
+            with pytest.raises(MixtureError, match="need n >= 1 samples"):
+                sample(p, n, seed=0)
 
-    @pytest.mark.parametrize("n", [1, 1234, 200000, 10 ** 6])
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 1234, 65537, 200000, 10 ** 6])
     @pytest.mark.parametrize("params", [
         MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0)),
         MixtureParams((0.2, 0.5, 0.3), (-1.0, 0.5, 2.0), (0.7, 1.0, 1.3)),
@@ -248,16 +249,6 @@ class TestSample:
         p = MixtureParams((1.0,), (0.0,), (1.0,))
         with pytest.raises(MixtureError, match="n must be an integer"):
             sample(p, n, seed=0)
-        with pytest.raises(MixtureError, match="n must be an integer"):
-            sample_slices(p, n, 0, 4)
-        with pytest.raises(MixtureError, match="size must be an integer"):
-            sample_slices(p, 10, 0, n)
-
-    def test_slices_check_their_sizes_before_drawing(self):
-        p = MixtureParams((1.0,), (0.0,), (1.0,))
-        for n, size in ((0, 4), (4, 0)):
-            with pytest.raises(MixtureError, match=">= 1"):
-                sample_slices(p, n, 0, size)
 
     @pytest.mark.parametrize("seed", [1.7, 1.0, np.float64(1.0), True, False, "1", None])
     def test_rejects_a_seed_that_is_not_an_integer(self, seed):
@@ -266,8 +257,6 @@ class TestSample:
             make_rng(seed)
         with pytest.raises(MixtureError, match="seed must be an integer"):
             sample(p, 5, seed)
-        with pytest.raises(MixtureError, match="seed must be an integer"):
-            sample_slices(p, 5, seed, 2)  # on the call, before the first slice
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2 ** 70)])
     def test_rejects_a_negative_seed(self, seed):
@@ -276,21 +265,18 @@ class TestSample:
             make_rng(seed)
         with pytest.raises(MixtureError, match="seed must be non-negative"):
             sample(p, 10, seed)
-        with pytest.raises(MixtureError, match="seed must be non-negative"):
-            sample_slices(p, 10, seed, 4)  # on the call, before the first slice
 
     def test_numpy_integer_seed(self):
         p = MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0))
         want = sample_points(p, 10, 3)
         assert np.array_equal(sample(p, 10, np.int64(3)).points, want)
-        assert np.array_equal(np.concatenate(list(sample_slices(p, 10, np.uint32(3), 4))), want)
+        # the normals' cursor is advanced from a numpy seed
+        assert np.array_equal(np.concatenate(filled_slices(p, 10, np.uint32(3), 4)), want)
 
     def test_numpy_integer_sizes(self):
         p = MixtureParams((0.5, 0.5), (-5.1, -5.0), (1.0, 1.0))
         want = sample_points(p, 10, 3)
         assert np.array_equal(sample(p, np.int64(10), 3).points, want)
-        assert np.array_equal(np.concatenate(list(sample_slices(p, np.int64(10), 3, np.int32(4)))),
-                              want)
 
 
 SLICED_MIXTURES = [
@@ -301,7 +287,8 @@ SLICED_MIXTURES = [
 
 
 class TestSampleSlicesMatchOneShotDraw:
-    """Concatenated slices against the one-shot searchsorted draw. The
+    """Concatenated slices, filled as ``fim._mc_moments`` fills them
+    (``oracles.filled_slices``), against the one-shot searchsorted draw. The
     normals' cursor is moved past the n uniforms in four-word Philox counter
     steps plus n % 4 single words, so these pin numpy's Philox ``advance``
     and its four-word output: a change there fails here, not in the bytes."""
@@ -312,7 +299,7 @@ class TestSampleSlicesMatchOneShotDraw:
     ])
     @pytest.mark.parametrize("params", SLICED_MIXTURES, ids=["K1", "K2", "K3"])
     def test_concatenated_slices_equal_one_shot(self, params, n, size):
-        slices = list(sample_slices(params, n, 23, size))
+        slices = filled_slices(params, n, 23, size)
         assert [len(z) for z in slices] == [min(size, n - i) for i in range(0, n, size)]
         assert np.array_equal(np.concatenate(slices), sample_points(params, n, 23))
 
