@@ -305,16 +305,18 @@ class TestPipelineLifecycle:
     ], ids=["unknown-coords", "K3-relative", "singular"])
     def test_checks_before_any_draw(self, params, coords, error, monkeypatch):
         threads = record_fills(monkeypatch, fail_on=1, error=AssertionError("drew a slice"))
+        before = threading.active_count()
         with pytest.raises(error):
             fim_estimate(params, coords=coords, method="monte_carlo", budget=3 * _MC_CHUNK)
-        assert threads == []
+        assert threads == [] and threading.active_count() == before
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2 ** 70)])
     def test_a_negative_seed_is_rejected_before_any_draw(self, seed, monkeypatch):
         threads = record_fills(monkeypatch, fail_on=1, error=AssertionError("drew a slice"))
+        before = threading.active_count()
         with pytest.raises(MixtureError, match=f"seed must be non-negative, got {seed}"):
             fim_estimate(P2, coords="means", method="monte_carlo", budget=3 * _MC_CHUNK, seed=seed)
-        assert threads == []
+        assert threads == [] and threading.active_count() == before
 
     def test_no_thread_left_after_return(self):
         before = threading.active_count()
