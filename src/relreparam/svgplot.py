@@ -7,6 +7,7 @@ margin), so outputs are diffable and byte-stable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ TICKS = 5  # per axis
 ARROW_CAP = 0.8  # the longest arrow, in grid pitches
 ARROW_STROKE = "#1f4e9c"
 # arrows per formatted string in draw_quiver, so its text is built in bounded pieces
-QUIVER_BLOCK = 4096
+QUIVER_BLOCK = 512
 
 
 @dataclass
@@ -122,6 +123,11 @@ def draw_quiver(canvas: SvgCanvas, vp: Viewport, xs, ys, us, vs):
     The geometry is computed in array passes over all arrows, and
     each block of QUIVER_BLOCK arrows (a shaft and two arrowhead strokes
     each) is appended to the canvas as one string of ``<line>`` elements.
+    Each arrow's 8 distinct coordinates are written by _hundredths, the
+    same bytes as ``'%.2f' %``: exact round-half-even in int64 for
+    |x| < 2**52, ``'%.2f' %`` one by one past that and for nan and inf.
+    Polylines, axes and text keep ``%`` formatting: at their sizes (a few to
+    ~100 points) the array passes cost more than they save.
     """
     xs, ys, us, vs = (np.asarray(a, dtype=float).ravel() for a in (xs, ys, us, vs))
     norms = np.hypot(us, vs)
@@ -137,11 +143,111 @@ def draw_quiver(canvas: SvgCanvas, vp: Viewport, xs, ys, us, vs):
     # arrowhead: two short back-strokes from the tip
     heads = [(hx + 0.3 * length * np.cos(ang + da), hy + 0.3 * length * np.sin(ang + da))
              for da in (+2.6, -2.6)]
-    coords = np.column_stack([px, py, hx, hy, hx, hy, *heads[0], hx, hy, *heads[1]])
-    arrow = "\n".join([_line_template(ARROW_STROKE, 1.0)] * 3)
+    coords = np.column_stack([px, py, hx, hy, *heads[0], *heads[1]])
     for start in range(0, len(coords), QUIVER_BLOCK):
-        block = coords[start:start + QUIVER_BLOCK]
-        canvas.elements.append("\n".join([arrow] * len(block)) % tuple(block.ravel().tolist()))
+        canvas.elements.append(_arrow_text(coords[start:start + QUIVER_BLOCK]))
+
+
+# one arrow's text, a shaft from (px, py) to the tip (hx, hy) and two
+# arrowhead strokes from the tip, and the coordinate each %.2f field takes
+_ARROW_ROW = "\n".join([_line_template(ARROW_STROKE, 1.0)] * 3) + "\n"
+_ARROW_COLUMNS = (0, 1, 2, 3, 2, 3, 4, 5, 2, 3, 6, 7)
+
+
+def _arrow_text(coords: np.ndarray) -> str:
+    """The ``<line>`` elements of the arrows whose 8 coordinates are the rows
+    of coords (px, py, hx, hy and the two arrowhead ends), newline-separated.
+    Each arrow is one fixed-width byte row: a copy of the constant text with
+    its coordinate fields written in, whose 0 bytes are dropped at the end."""
+    fields = _hundredths(coords).reshape(len(coords), 8, -1)
+    width = fields.shape[2]
+    pieces = _ARROW_ROW.split("%.2f")
+    template = np.frombuffer(("\0" * width).join(pieces).encode(), dtype=np.uint8)
+    rows = np.tile(template, (len(coords), 1))
+    at = 0
+    for piece, column in zip(pieces, _ARROW_COLUMNS):
+        at += len(piece)
+        rows[:, at:at + width] = fields[:, column]
+        at += width
+    flat = rows.ravel()[:-1]
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
+def _hundredths(x: np.ndarray) -> np.ndarray:
+    """``'%.2f' % v`` for each v of the float64 array x, one uint8 row each:
+    the ASCII text with 0 bytes between and around its pieces, which the
+    caller drops.
+
+    For |v| < 2**52 the rounding is exact and in integers only: v's bits give
+    its integer significand M and a shift s with |v| = M / 2**s (s >= 1), and
+    N = round-half-even(M * 100 / 2**s) comes from one shift and a comparison
+    of the remainder with the exact half; M * 100 < 2**60 fits in int64. This
+    is the correctly rounded conversion ``'%.2f'`` makes, ties to even. The
+    digits of N are looked up 3 at a time in _digit_words' tables, and the
+    sign comes from the sign bit, so -0.001 gives "-0.00" as Python writes
+    it. Larger values, nan and inf get ``'%.2f' % v`` one by one. numpy
+    dispatches even its integer ufuncs to SIMD kernels, but every step here
+    is exact, so the bytes do not depend on the dispatch level.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    bits = x.view(np.int64)
+    biased = bits >> 52 & 0x7FF
+    significand = bits & (1 << 52) - 1 | (biased != 0).astype(np.int64) << 52
+    shift = 1075 - np.maximum(biased, 1)
+    exact = shift >= 1
+    shift = np.clip(shift, 1, 62)  # from 62 on, M * 100 < 2**60 is below the half
+    scaled = significand * 100
+    n = scaled >> shift
+    rest = scaled - (n << shift)
+    half = np.left_shift(1, shift - 1)
+    n += (rest > half) | (rest == half) & (n & 1 == 1)
+    n[~exact] = 0  # their rows are written one by one below
+
+    units = n // 100
+    top, chunks = int(units.max(initial=0)), 1
+    while top >= 1000 ** chunks:
+        chunks += 1
+    # one uint32 word per 3-digit chunk of the units, most significant first,
+    # then the cents; the leading chunk's word carries the sign
+    unit_words, cent_words = _digit_words()
+    words = np.empty((n.size, chunks + 1), dtype=np.uint32)
+    words[:, -1] = cent_words.take(n - 100 * units)
+    table = 1 + (bits < 0)  # of the leading chunk: 1 positive, 2 negative
+    for k in range(chunks):
+        higher = units // 1000
+        index = units - 1000 * higher + 1000 * table * (higher == 0)
+        if k:
+            index[units == 0] = _BLANK
+        words[:, -2 - k] = unit_words.take(index)
+        units = higher
+    out = words.view(np.uint8)
+
+    inexact = np.flatnonzero(~exact)
+    if inexact.size:
+        texts = [("%.2f" % v).encode() for v in x[inexact].tolist()]
+        width = max(out.shape[1], *map(len, texts))
+        out = np.pad(out, ((0, 0), (width - out.shape[1], 0)))
+        for i, t in zip(inexact, texts):
+            out[i] = 0
+            out[i, width - len(t):] = np.frombuffer(t, dtype=np.uint8)
+    return out
+
+
+_BLANK = 3000  # the index of the 0 word in _digit_words' units
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 words of _hundredths, 4 ASCII or 0 bytes each: for a 3-digit
+    chunk c, "ddd" at index c, and the leading chunk's "%d" and "-%d" of c at
+    1000 + c and 2000 + c, then the blank; ".dd" for the cents. Built from
+    Python's own formatting, once, on first use."""
+    def words(texts):
+        return np.frombuffer("".join(texts).replace(" ", "\0").encode(), dtype=np.uint32)
+    chunks = range(1000)
+    units = words([f" {c:03d}" for c in chunks] + [f"{c:4d}" for c in chunks]
+                  + [f"{'-' + str(c):>4}" for c in chunks] + ["    "])
+    return units, words([f".{c:02d} " for c in range(100)])
 
 
 def map_polyline(vp: Viewport, xs, ys) -> np.ndarray:

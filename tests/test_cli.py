@@ -604,6 +604,7 @@ class TestGoldenFixtures:
         out = tmp_path / "field"
         assert main(["field", "--out", str(out)]) == EXIT_OK
         assert sha256(out / "flow_field.csv") == GOLDEN["field/flow_field.csv"]
+        assert sha256(out / "flow_field.svg") == GOLDEN["field/flow_field.svg"]
 
     def test_ecm_default_matches_golden(self, tmp_path):
         out = tmp_path / "ecm"
@@ -615,16 +616,18 @@ class TestGoldenFixtures:
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
                         or not _dynamic_arch_openblas(),
                         reason="needs x86-64 and numpy on a DYNAMIC_ARCH OpenBLAS")
-    @pytest.mark.parametrize("kind, csv", [("ecm", "ecm_trajectories.csv"),
-                                           ("field", "flow_field.csv")],
+    @pytest.mark.parametrize("kind, files", [("ecm", ["ecm_trajectories.csv"]),
+                                             ("field", ["flow_field.csv", "flow_field.svg"])],
                              ids=["ecm", "field"])
-    def test_digest_independent_of_openblas_kernel(self, tmp_path, kind, csv):
+    def test_digest_independent_of_openblas_kernel(self, tmp_path, kind, files):
         coretypes = ["native", "Prescott"] + (["Haswell"] if _cpu_has_avx2() else [])
         digests = {}
         for coretype in coretypes:
             env_vars = {} if coretype == "native" else {"OPENBLAS_CORETYPE": coretype}
-            digests[coretype] = _child_digest(tmp_path / coretype, kind, csv, **env_vars)
-        assert set(digests.values()) == {GOLDEN[f"{kind}/{csv}"]}, digests
+            out = tmp_path / coretype
+            _child_digest(out, kind, files[0], **env_vars)
+            digests[coretype] = tuple(sha256(out / name) for name in files)
+        assert set(digests.values()) == {tuple(GOLDEN[f"{kind}/{name}"] for name in files)}, digests
 
     # ecm is left out: numpy's exp/log round differently without AVX-512
     @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
@@ -634,8 +637,7 @@ class TestGoldenFixtures:
                                NPY_DISABLE_CPU_FEATURES=REDUCED_SIMD)
         assert digest == GOLDEN["field/flow_field.csv"]
         # the quiver's arctan2/cos/sin run over arrays, so through numpy's SIMD kernels
-        native = _child_digest(tmp_path / "native", "field", "flow_field.svg")
-        assert sha256(reduced / "flow_field.svg") == native
+        assert sha256(reduced / "flow_field.svg") == GOLDEN["field/flow_field.svg"]
 
 
 def cell_text(value) -> str:

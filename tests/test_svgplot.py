@@ -1,8 +1,12 @@
-"""The array-pass quiver and polylines against the per-arrow, per-point oracles: same bytes."""
+"""The array-pass quiver and polylines against the per-arrow, per-point
+oracles, and the quiver's array formatter against ``'%.2f' %``: same bytes."""
+
+import re
 
 import numpy as np
 import pytest
 
+from childproc import REDUCED_SIMD_CLASSES, assert_passes_under_reduced_simd, numpy_has_x86_v4
 from oracles import map_polyline_per_point, polyline_per_point, quiver_per_arrow
 from relreparam import svgplot
 from relreparam.dynamics import TrueModel, flow_field
@@ -107,6 +111,94 @@ def test_overflowing_grid_draws_only_finite_arrows():
     assert_same_document(fast, slow)
     assert fast.count("<line") == 3 * np.count_nonzero(np.isfinite(norms) & (norms > 0))
     assert not any(w in fast for w in ("nan", "inf"))
+
+
+def test_data_partly_outside_the_viewport():
+    """A viewport 0.05 wide on the default grid: pixel coordinates run from
+    about -16,750 to 16,850, so they take a sign and a second digit chunk."""
+    _, g1, g2, us, vs = field_cells(0.1, "relative")
+    vp = Viewport(0.0, 0.05, 0.0, 0.05)
+    fast, slow, _ = both_quivers(vp, g1, g2, us, vs)
+    assert_same_document(fast, slow)
+    coords = [float(c) for c in re.findall(r'[xy][12]="([^"]*)"', fast)]
+    assert min(coords) < -1.0e4 and max(coords) > 1.0e4
+
+
+def test_empty_input_adds_no_element():
+    vp = Viewport(-2.0, 2.0, -2.0, 2.0)
+    fast, slow, canvas = both_quivers(vp, [], [], [], [])
+    assert canvas.elements == []
+    assert fast == slow
+
+
+def hundredths_texts(x) -> list[str]:
+    """The texts ``svgplot._hundredths`` gives for the values of x."""
+    fields = svgplot._hundredths(x)
+    rows = np.column_stack([fields, np.full(len(fields), ord("\n"), dtype=np.uint8)]).ravel()
+    return rows[rows != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def assert_formats_as_percent(x) -> None:
+    x = np.asarray(x, dtype=float).ravel()
+    got, want = hundredths_texts(x), ["%.2f" % v for v in x.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def around(x):
+    """x and its neighbouring doubles on both sides."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+class TestHundredthsMatchPercentFormat:
+    """The quiver's formatter against ``'%.2f' % x``, element by element."""
+
+    def test_exact_ties_round_half_even(self):
+        k = np.arange(-80_000, 80_001)
+        assert_formats_as_percent(k / 8)
+        assert_formats_as_percent(np.ldexp(1.0, np.arange(20, 49))[:, None] + k[:64] / 8)
+
+    def test_next_to_half_hundredth_boundaries(self):
+        boundaries = [float(f"{i}.{j:02d}5") for i in (0, 1, 7, 42, 123, 4567, 98765)
+                      for j in range(100)]
+        assert_formats_as_percent(around(boundaries + [-b for b in boundaries]))
+
+    def test_carries_that_widen_the_number(self):
+        nines = [float("9" * d + ".995") for d in range(1, 13)]
+        nines += [float("9" * d + ".994") for d in range(1, 13)]
+        assert_formats_as_percent(around(nines + [-v for v in nines]))
+        assert_formats_as_percent(around([10.0 ** d for d in range(16)]))
+        # alone, so that the largest value of the call sets the digit chunks
+        for v in around([99.999, 100.0, 999999.999, 1e6, 1e10, 1e14]).tolist():
+            assert hundredths_texts([v]) == ["%.2f" % v], v
+
+    def test_zeros_and_negatives_that_round_to_zero(self):
+        x = [0.0, -0.0, -0.001, -0.004999, -0.005, 0.005, -1e-300, 1e-300, -5e-324]
+        assert hundredths_texts(x) == ["%.2f" % v for v in x]
+        assert hundredths_texts([-0.0, -0.001]) == ["-0.00", "-0.00"]
+
+    def test_subnormals(self):
+        tiny = np.nextafter(0.0, 1.0) * np.array([1, 2, 3, 2 ** 20, 2 ** 51, 2 ** 52 - 1])
+        assert_formats_as_percent(np.concatenate([tiny, -tiny, [np.finfo(float).tiny]]))
+
+    def test_past_the_exact_range_formats_each_value(self):
+        edge = 2.0 ** 52
+        x = around([edge, 2.0 ** 53, 1e300, np.finfo(float).max]).tolist()
+        x += [np.nan, -np.nan, np.inf, -np.inf, 1.25, -3.5]
+        assert_formats_as_percent(np.array(x + [-v for v in x]))
+        assert edge - 0.5 == np.nextafter(edge, 0.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_draws_across_scales(self, seed):
+        """10**5 draws a seed, 10**6 over the ten, at magnitudes 10**-3 to 10**9."""
+        rng = np.random.default_rng(seed)
+        assert_formats_as_percent(rng.standard_normal(10 ** 5) * 10.0 ** rng.uniform(-3, 9, 10 ** 5))
+
+    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    def test_under_reduced_numpy_simd(self):
+        assert_passes_under_reduced_simd(*REDUCED_SIMD_CLASSES)
 
 
 @pytest.mark.parametrize("x_offset", [0.0, 420.0])
