@@ -5,8 +5,9 @@ argument, followed by ``--config``, ``--out``, ``--seed`` and
 ``--print-defaults``. ``experiments.load_config`` parses a config file, with
 libyaml when PyYAML has it, and ``experiments.run`` runs it, writing each
 output as a new file that replaces any old one.
-Exit codes: 0 success, 2 config error, 3 numerical failure or
-non-convergence, 4 singularity guard. Verbosity via RELREPARAM_LOG.
+Exit codes: 0 success, 2 config error or an output directory that cannot
+be made, 3 numerical failure or non-convergence, 4 singularity guard.
+Verbosity via RELREPARAM_LOG.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from pathlib import Path
 
 import yaml
 
-from .experiments import (KINDS, ConfigError, ConvergenceError, check_config,
-                          default_config, load_config, run)
+from .experiments import (KINDS, ConfigError, ConvergenceError, default_config, load_config,
+                          run)
 from .fim import SingularFimError
 
 EXIT_OK = 0
@@ -66,17 +67,16 @@ def main(argv=None) -> int:
         if cfg["kind"] != args.kind:
             raise ConfigError(
                 f"config kind {cfg['kind']!r} does not match the requested kind {args.kind!r}")
-        values = check_config(cfg)  # before out_dir is resolved; run checks it again
-        out_dir = args.out or Path(values["out_dir"])
+        out_dir, manifest = run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        manifest = run(cfg, out_dir)
     except SingularFimError as exc:
         print(f"singularity guard: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    except OSError as exc:  # only writing the outputs touches the disk
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConvergenceError, FloatingPointError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

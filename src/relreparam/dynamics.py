@@ -38,10 +38,10 @@ import numpy as np
 # The empirical step takes its component-major score rows from the
 # responsibilities of its one pass, not from score_means; that name stays
 # importable from this module, where perfbench/tracer.py wraps it.
-from .gmm import (Dataset, MixtureParams, MixtureError, _score_means_given, component_nodes,
-                  distances_to_truth, log_density_means, log_likelihood, mixture_moments,
-                  normal_quadrature, responsibilities_and_log_density, score_means,
-                  unit_variance_pair)
+from .gmm import (Dataset, MixtureParams, MixtureError, _score_means_given, checked_size,
+                  component_nodes, distances_to_truth, log_density_means, log_likelihood,
+                  mixture_moments, normal_quadrature, responsibilities_and_log_density,
+                  score_means, unit_variance_pair)
 
 PARAMETERIZATIONS = ("original", "relative")
 
@@ -283,6 +283,7 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
     _check_parameterization(parameterization)
     if eta <= 0:
         raise MixtureError("eta must be positive")
+    steps = checked_size(steps, "steps")
     if steps < 1:
         raise MixtureError("need at least one step")
     _check_v(v)

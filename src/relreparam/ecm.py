@@ -16,7 +16,7 @@ import numpy as np
 # e_step fuses log_likelihood and responsibilities_array into one pass, and
 # no fit re-encodes its result with to_relative; all three stay importable
 # from this module, where perfbench/tracer.py wraps them.
-from .gmm import (Dataset, MixtureParams, MixtureError, distances_to_truth,
+from .gmm import (Dataset, MixtureParams, MixtureError, checked_size, distances_to_truth,
                   log_component_densities, log_likelihood, log_weights,
                   responsibilities_and_log_density, responsibilities_array)
 from .reparam import (RELATIVE_SPEC, RelativeParams, ReparamSpec, decoded_gaps,
@@ -77,6 +77,7 @@ class ECMConfig:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise MixtureError("epsilon must be positive")
+        object.__setattr__(self, "max_iters", checked_size(self.max_iters, "max_iters"))
         if self.max_iters < 1:
             raise MixtureError("max_iters must be >= 1")
 

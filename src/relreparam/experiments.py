@@ -86,7 +86,7 @@ def load_config(path: str | Path) -> dict:
     checks it."""
     try:
         raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError("config must be a mapping with a 'kind' field")
@@ -237,20 +237,23 @@ def _finish(cfg: dict, out_dir: Path, started: float, digests: dict) -> dict:
     return manifest
 
 
-def run(cfg: dict, out_dir: Path) -> dict:
+def run(cfg: dict, out_dir: Path | None = None) -> tuple[Path, dict]:
     """Run ``cfg``'s experiment on its checked values and write its files and
-    manifest to ``out_dir``, created only once the runner has returned; a
-    failure the runner returns is raised after the manifest is written.
-    Returns the manifest."""
+    manifest to ``out_dir``, by default the config's ``out_dir``, created
+    only once the runner has returned; a failure the runner returns is
+    raised after the manifest is written. Returns the directory and the
+    manifest."""
     started = time.monotonic()
-    files, failure = RUNNERS[cfg["kind"]](check_config(cfg))
+    values = check_config(cfg)
+    out_dir = Path(values["out_dir"]) if out_dir is None else out_dir
+    files, failure = RUNNERS[cfg["kind"]](values)
     out_dir.mkdir(parents=True, exist_ok=True)
     digests = {name: _write(out_dir / name, content.encode()) if isinstance(content, str)
                else write_csv(out_dir / name, *content) for name, content in files.items()}
     manifest = _finish(cfg, out_dir, started, digests)
     if failure is not None:
         raise failure
-    return manifest
+    return out_dir, manifest
 
 
 def run_field(values: dict) -> tuple[dict, ConvergenceError | None]:

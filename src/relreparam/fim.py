@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-# Neither estimator calls score_means; it stays importable from this
-# module, where perfbench/tracer.py wraps it.
-from .gmm import (MixtureParams, MixtureError, _fill_slice, _score_means_rows, _slice_streams,
+# Neither estimator calls score or score_means; both stay importable from
+# this module, where perfbench/tracer.py wraps them.
+from .gmm import (MixtureParams, MixtureError, _fill_slice, _score_rows, _slice_streams,
                   checked_size, component_nodes, normal_quadrature, score, score_means)
 
 COORD_SETS = ("means", "relative_means", "full")
@@ -84,47 +84,42 @@ def _rows(buf: np.ndarray, k: int, m: int) -> np.ndarray:
     return buf[:k * m].reshape(k, m)
 
 
+def _width(params: MixtureParams, coords: str) -> int:
+    """k, the number of scores per point in the coordinates."""
+    return 3 * params.n_components - 1 if coords == "full" else params.n_components
+
+
 def _slice_buffers(params: MixtureParams, coords: str, size: int):
     """(work, rows): the buffers of ``_score_slice`` and ``_merged`` for
     slices of up to `size` points, made once per estimate or per quadrature
     rule. While a slice is drawn, the first two rows of `work` are the
-    draw's scratch (``gmm._fill_slice``); while it is scored,
-    `work` holds its K log-density rows and one slice vector and `rows` its
-    k score rows; `work` then holds the k(k + 1)/2 product rows, as many as
-    the log-density rows and the vector at k = 2. `full` scores
-    come from ``gmm.score``, whose temporaries would add to product rows
-    kept beside them (16.5 MiB against 12.0 MiB at k = 5), so they get no
-    buffers and ``_merged`` allocates their products per slice."""
-    if coords == "full":
-        return None, None
-    k = params.n_components
-    return np.empty(max(k + 1, k * (k + 1) // 2) * size), np.empty(k * size)
+    draw's scratch (``gmm._fill_slice``); while it is scored, `work` holds
+    its K log-density rows and one slice vector and `rows` its k score rows;
+    `work` then holds the k(k + 1)/2 product rows, at least as many as the
+    log-density rows and the vector."""
+    n_comp, k = params.n_components, _width(params, coords)
+    return np.empty(max(n_comp + 1, k * (k + 1) // 2) * size), np.empty(k * size)
 
 
 def _score_slice(params: MixtureParams, z: np.ndarray, coords: str,
-                 work: np.ndarray | None, rows: np.ndarray | None) -> np.ndarray:
+                 work: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The (k, len(z)) score rows of the points z in the chosen coordinates,
-    each row contiguous, so that ``.T`` is the (len(z), k) scores. For the
-    means and the relative means they are written into the buffers of
-    ``_slice_buffers`` (``gmm._score_means_rows``), with no slice-sized
-    array allocated, and are overwritten by the next call; `full` scores
-    are ``gmm.score``'s rows. `coords` is one that ``_check_coords`` passed
-    for params."""
-    if coords == "full":
-        return score(params, z).T
-    m, k = len(z), params.n_components
-    s = _score_means_rows(params, z, _rows(rows, k, m), _rows(work, k, m),
-                          work[k * m:(k + 1) * m])
+    each row contiguous, so that ``.T`` is the (len(z), k) scores. They are
+    written into the buffers of ``_slice_buffers`` (``gmm._score_rows``),
+    with no slice-sized array allocated, and are overwritten by the next
+    call. `coords` is one that ``_check_coords`` passed for params."""
+    m, n_comp = len(z), params.n_components
+    s = _score_rows(params, z, _rows(rows, _width(params, coords), m), _rows(work, n_comp, m),
+                    work[n_comp * m:(n_comp + 1) * m])
     if coords == "relative_means":
         s[0] += s[1]  # lambda = (mu1, Delta) with mu2 = mu1 + Delta
     return s
 
 
-def _merged(n: int, mean, m2, s: np.ndarray, work: np.ndarray | None):
+def _merged(n: int, mean, m2, s: np.ndarray, work: np.ndarray):
     """(n, mean, m2) merged with the slice of (k, c) score rows s, over the
     k(k + 1)/2 products s_i s_j, i <= j, in row-major upper-triangle order,
-    which are taken into the first rows of the flat `work`, or into new
-    rows without it.
+    which are taken into the first rows of the flat `work`.
 
     Each slice's mean and M2 about that mean are merged into the running
     pair with the pairwise update of Chan, Golub & LeVeque (1979).
@@ -132,7 +127,7 @@ def _merged(n: int, mean, m2, s: np.ndarray, work: np.ndarray | None):
     k, c = s.shape
     n_prods = k * (k + 1) // 2
     # each product's draws contiguous
-    prods = np.empty((n_prods, c)) if work is None else _rows(work, n_prods, c)
+    prods = _rows(work, n_prods, c)
     row = 0
     for i in range(k):
         np.multiply(s[i], s[i:], out=prods[row:row + k - i])
@@ -164,22 +159,20 @@ def _mc_moments(params: MixtureParams, budget: int, seed: int, coords: str):
     upper-triangle products merged (``_merged``) before the next is drawn,
     and the triangle is mirrored at the end, which keeps the bits, as
     s_i s_j == s_j s_i. The slice, the scores and the products live in
-    buffers made here once (``_slice_buffers``), so the means and relative
-    means allocate nothing slice-sized per slice. Their draws' scratch is
-    the first two rows of the work buffer, which is free while a slice is
-    drawn: six slice vectors at k = 2. `full` draws into scratch of its
-    own. No thread starts here; ``experiments.run_fim`` runs its two
-    estimates side by side instead.
+    buffers made here once (``_slice_buffers``), so nothing slice-sized is
+    allocated per slice. The draws' scratch is the first two rows of the
+    work buffer, which is free while a slice is drawn: six slice vectors at
+    k = 2, 21 at k = 5. No thread starts here; ``experiments.run_fim`` runs
+    its two estimates side by side instead.
     """
     size = min(budget, _MC_CHUNK)
     streams = _slice_streams(params, budget, seed, size)
     work, rows = _slice_buffers(params, coords, size)
-    scratch = np.empty(2 * size) if work is None else work[:2 * size]
     buf = np.empty(size)
     n, mean, m2 = 0, 0.0, 0.0  # the first merge takes the first slice's pair as is
     for start in range(0, budget, size):
         z = buf[:min(size, budget - start)]
-        _fill_slice(z, *streams, scratch)
+        _fill_slice(z, *streams, work[:2 * size])
         n, mean, m2 = _merged(n, mean, m2, _score_slice(params, z, coords, work, rows), work)
     return _mirrored(mean), _mirrored(m2)
 

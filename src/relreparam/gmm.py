@@ -228,15 +228,9 @@ def _log_sum_exp_rows(a: np.ndarray, weights, amax: np.ndarray | None = None,
     return e, total, amax
 
 
-def _log_sum_exp_terms(params: MixtureParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The log-sum-exp terms of ``_log_sum_exp_rows`` for a_k = ln pi_k N_k(x);
-    the one pass behind the density and the responsibilities."""
-    return _log_sum_exp_rows(log_component_densities(params, x), params.weights)
-
-
 def log_density(params: MixtureParams, x):
     """ln sum_k pi_k N(x | mu_k, sigma_k^2) via log-sum-exp."""
-    _, total, amax = _log_sum_exp_terms(params, x)
+    _, total, amax = _log_sum_exp_rows(log_component_densities(params, x), params.weights)
     out = amax + np.log(total)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
@@ -271,16 +265,10 @@ def responsibilities_and_log_density(params: MixtureParams, x) -> tuple[np.ndarr
     Both come from one log-sum-exp pass and carry the same bits as
     ``responsibilities_array`` and ``log_density``.
     """
-    e, total, amax = _log_sum_exp_terms(params, x)
+    e, total, amax = _log_sum_exp_rows(log_component_densities(params, x), params.weights)
     log_p = amax + np.log(total)
     e /= total
     return e, log_p
-
-
-def _responsibilities(params: MixtureParams, x) -> np.ndarray:
-    e, total, _ = _log_sum_exp_terms(params, x)
-    e /= total
-    return e
 
 
 def _components_last(a: np.ndarray) -> np.ndarray:
@@ -294,27 +282,7 @@ def responsibilities_array(params: MixtureParams, x) -> np.ndarray:
     A view of the component-major array: for 1-D x, ``.T`` gives its
     contiguous (K, n) rows.
     """
-    return _components_last(_responsibilities(params, x))
-
-
-def score(params: MixtureParams, x) -> np.ndarray:
-    """Gradient of ln density at x over (pi_1..pi_{K-1} free coords, mu, sigma).
-
-    The weight block uses the first K-1 weights as free coordinates with
-    pi_K = 1 - sum of the others, so the gradient has length 3K - 1. A view
-    of the component-major rows, as in ``responsibilities_array``.
-    """
-    xs = np.asarray(x, dtype=float)  # checked by the density pass
-    gam = _responsibilities(params, xs)  # (K, ...)
-    mu = _components_first(np.asarray(params.means), xs.ndim)
-    sig = _components_first(np.asarray(params.sigmas), xs.ndim)
-    z = (xs - mu) / sig
-    # d ln p / d pi_k (free coords): (N_k - N_K) / p = gam_k/pi_k - gam_K/pi_K
-    w = _components_first(np.asarray(params.weights), xs.ndim)
-    d_pi = gam[:-1] / w[:-1] - gam[-1:] / w[-1]
-    d_mu = gam * z / sig
-    d_sigma = gam * (z * z - 1.0) / sig
-    return _components_last(np.concatenate([d_pi, d_mu, d_sigma], axis=0))
+    return _components_last(responsibilities_and_log_density(params, x)[0])
 
 
 def _score_means_given(params: MixtureParams, xs: np.ndarray, gam: np.ndarray,
@@ -329,27 +297,64 @@ def _score_means_given(params: MixtureParams, xs: np.ndarray, gam: np.ndarray,
     return s
 
 
-def _score_means_rows(params: MixtureParams, xs: np.ndarray, out: np.ndarray,
-                      a: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """The (K, n) rows of ``score_means(params, xs).T`` for 1-D draws xs,
-    with their bits, written into `out`: the same operations in the same
-    order, with no slice-sized array allocated. `a`, of out's shape, holds
-    ln pi_k N_k and then the responsibilities; `out` is scratch until the
-    scores; the vector `vec`, as long as xs, holds the row max and then the
-    row total. xs is not checked, so it must be finite."""
-    mu = _components_first(np.asarray(params.means), 1)
-    sig = _components_first(np.asarray(params.sigmas), 1)
-    _log_normal(xs, mu, sig, out=a, tmp=out)
-    e, total, _ = _log_sum_exp_rows(a, params.weights, amax=vec, total=vec)
-    e /= total
-    return _score_means_given(params, xs, e, out=out)
+def _score_rows(params: MixtureParams, xs: np.ndarray, rows: np.ndarray, a: np.ndarray,
+                vec: np.ndarray) -> np.ndarray:
+    """The component-major score rows of xs, written into `rows` and
+    returned: the K scores of the means, or, when `rows` has 3K - 1 rows,
+    ``score``'s, written row by row with its operations in its order.
+
+    Nothing of xs's size is allocated. `a`, of shape (K,) + xs.shape, holds
+    ln pi_k N_k and then the responsibilities gamma_k; the first K rows of
+    `rows` are scratch until the scores; `vec`, of xs's shape, holds the
+    max over the components, then their total, then gamma_K / pi_K. xs is
+    not checked, so it must be finite.
+    """
+    k = params.n_components
+    _log_normal(xs, _components_first(np.asarray(params.means), xs.ndim),
+                _components_first(np.asarray(params.sigmas), xs.ndim), out=a, tmp=rows[:k])
+    gam, total, _ = _log_sum_exp_rows(a, params.weights, amax=vec, total=vec)
+    gam /= total
+    if len(rows) == k:
+        return _score_means_given(params, xs, gam, out=rows)
+    # d ln p / d pi_k (free coords): (N_k - N_K) / p = gam_k/pi_k - gam_K/pi_K
+    last = np.divide(gam[-1], params.weights[-1], out=vec)
+    for i, w in enumerate(params.weights[:-1]):
+        np.divide(gam[i], w, out=rows[i, ...])  # a view also when x is 0-d
+        rows[i, ...] -= last
+    # d_mu = gam z / sig and d_sigma = gam (z z - 1) / sig, z = (x - mu) / sig
+    for i, (m, s) in enumerate(zip(params.means, params.sigmas)):
+        z, d_sigma = rows[k - 1 + i, ...], rows[2 * k - 1 + i, ...]
+        np.subtract(xs, m, out=z)
+        z /= s
+        np.multiply(z, z, out=d_sigma)
+        d_sigma -= 1.0
+        d_sigma *= gam[i]
+        d_sigma /= s
+        z *= gam[i]
+        z /= s
+    return rows
+
+
+def _fresh_score_rows(params: MixtureParams, x, width: int) -> np.ndarray:
+    """``_score_rows`` of the checked x in buffers made here: the (..., width)
+    view of its component-major rows, as in ``responsibilities_array``."""
+    xs = _check_x(x)
+    rows, a = np.empty((width,) + xs.shape), np.empty((params.n_components,) + xs.shape)
+    return _components_last(_score_rows(params, xs, rows, a, np.empty(xs.shape)))
+
+
+def score(params: MixtureParams, x) -> np.ndarray:
+    """Gradient of ln density at x over (pi_1..pi_{K-1} free coords, mu, sigma).
+
+    The weight block uses the first K-1 weights as free coordinates with
+    pi_K = 1 - sum of the others, so the gradient has length 3K - 1.
+    """
+    return _fresh_score_rows(params, x, 3 * params.n_components - 1)
 
 
 def score_means(params: MixtureParams, x) -> np.ndarray:
-    """Gradient of ln density with respect to the means only; shape (..., K),
-    a view of the component-major rows."""
-    xs = np.asarray(x, dtype=float)  # checked by the density pass
-    return _components_last(_score_means_given(params, xs, _responsibilities(params, xs)))
+    """Gradient of ln density with respect to the means only; shape (..., K)."""
+    return _fresh_score_rows(params, x, params.n_components)
 
 
 def make_rng(seed: int) -> np.random.Generator:

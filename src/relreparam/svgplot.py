@@ -88,12 +88,12 @@ class SvgCanvas:
         self.line(x - 5.0, y + 5.0, x + 5.0, y - 5.0, stroke="green", width=2.0)
 
     def render(self) -> str:
-        head = (
-            '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{_fmt(self.width)}" height="{_fmt(self.height)}">\n'
-        )
-        return head + "\n".join(self.elements) + "\n</svg>\n"
+        """The document, built by one join over the elements, so that it is
+        copied once; a canvas with no elements has a blank line for them."""
+        head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+                f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+                f'width="{_fmt(self.width)}" height="{_fmt(self.height)}">')
+        return "\n".join([head, *(self.elements or [""]), "</svg>\n"])
 
 
 def draw_axes(canvas: SvgCanvas, vp: Viewport, xlabel: str, ylabel: str, title: str):

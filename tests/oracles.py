@@ -415,6 +415,17 @@ def polyline_per_point(canvas: SvgCanvas, pts, stroke="blue", width=1.5):
     )
 
 
+def concatenated_render(canvas: SvgCanvas) -> str:
+    """``SvgCanvas.render`` as head + joined elements + tail, which copies
+    the document twice more than one join."""
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{svgplot._fmt(canvas.width)}" height="{svgplot._fmt(canvas.height)}">\n'
+    )
+    return head + "\n".join(canvas.elements) + "\n</svg>\n"
+
+
 def map_polyline_per_point(vp: Viewport, xs, ys):
     """Pixel coordinates of (xs, ys) as a list of tuples, mapped point by point."""
     return [(vp.px(float(x)), vp.py(float(y))) for x, y in zip(xs, ys)]

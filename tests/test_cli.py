@@ -23,6 +23,7 @@ from relreparam.experiments import (DEFAULTS, KINDS, ConfigError, check_config,
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = json.loads((FIXTURES / "golden_digests.json").read_text())
+GD_FILES = ["gd_trajectory_original.csv", "gd_trajectory_relative.csv", "gd_trajectory.svg"]
 
 
 def sha256(path: Path) -> str:
@@ -201,6 +202,14 @@ class TestYamlLoader:
         monkeypatch.setattr(experiments, "_YAML_LOADER", getattr(yaml, loader))
         bad = tmp_path / "broken.yaml"
         bad.write_text("kind: [unclosed")
+        assert main(["nn", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {bad}")
+        assert not (tmp_path / "o").exists()
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        # a byte that is not UTF-8 ended in a UnicodeDecodeError traceback
+        bad = tmp_path / "latin1.yaml"
+        bad.write_bytes(b"kind: nn\nactivation: caf\xe9\n")
         assert main(["nn", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: cannot read config {bad}")
         assert not (tmp_path / "o").exists()
@@ -508,6 +517,22 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+    def test_an_out_dir_that_cannot_be_made_is_an_output_error(self, tmp_path, below):
+        """--out naming a regular file, or a path below one: the run exits 2
+        with one stderr line, not a traceback, and the file is left as is."""
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n")
+        env = child_env()
+        env.pop("RELREPARAM_LOG", None)
+        proc = subprocess.run([sys.executable, "-m", "relreparam.cli", "nn", "--out",
+                               str(blocker / "sub" if below else blocker)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("output error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert blocker.read_text() == "kept\n"
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_default_run_stderr_is_empty(self, tmp_path, kind):
         """Each kind at its defaults, in a fresh interpreter, exits 0 and
@@ -613,12 +638,19 @@ class TestGoldenFixtures:
         expected = (FIXTURES / "ecm_trajectories_golden.csv").read_bytes()
         assert (out / "ecm_trajectories.csv").read_bytes() == expected
 
+    def test_gd_default_matches_golden(self, tmp_path):
+        out = tmp_path / "gd"
+        assert main(["gd", "--out", str(out)]) == EXIT_OK
+        for name in GD_FILES:
+            assert sha256(out / name) == GOLDEN[f"gd/{name}"], name
+
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
                         or not _dynamic_arch_openblas(),
                         reason="needs x86-64 and numpy on a DYNAMIC_ARCH OpenBLAS")
     @pytest.mark.parametrize("kind, files", [("ecm", ["ecm_trajectories.csv"]),
-                                             ("field", ["flow_field.csv", "flow_field.svg"])],
-                             ids=["ecm", "field"])
+                                             ("field", ["flow_field.csv", "flow_field.svg"]),
+                                             ("gd", GD_FILES)],
+                             ids=["ecm", "field", "gd"])
     def test_digest_independent_of_openblas_kernel(self, tmp_path, kind, files):
         coretypes = ["native", "Prescott"] + (["Haswell"] if _cpu_has_avx2() else [])
         digests = {}
@@ -638,6 +670,13 @@ class TestGoldenFixtures:
         assert digest == GOLDEN["field/flow_field.csv"]
         # the quiver's arctan2/cos/sin run over arrays, so through numpy's SIMD kernels
         assert sha256(reduced / "flow_field.svg") == GOLDEN["field/flow_field.svg"]
+
+    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    def test_gd_digests_under_reduced_numpy_simd(self, tmp_path):
+        reduced = tmp_path / "gd"
+        _child_digest(reduced, "gd", GD_FILES[0], NPY_DISABLE_CPU_FEATURES=REDUCED_SIMD)
+        for name in GD_FILES:
+            assert sha256(reduced / name) == GOLDEN[f"gd/{name}"], name
 
 
 def cell_text(value) -> str:
@@ -971,8 +1010,15 @@ class TestRunNn:
 
 def test_run_ecm_creates_missing_out_dir(tmp_path):
     out = tmp_path / "deep" / "nested" / "dir"
-    run(default_config("ecm"), out)
+    assert run(default_config("ecm"), out)[0] == out
     assert (out / "run_manifest.json").exists()
+
+
+def test_run_writes_to_the_configs_out_dir_by_default(tmp_path):
+    out = tmp_path / "from_config"
+    got, manifest = run({**default_config("nn"), "out_dir": str(out)})
+    assert got == out
+    assert {p.name for p in out.iterdir()} == {*manifest["files"], "run_manifest.json"}
 
 
 def test_perfbench_tracer_runs_every_kind(tmp_path, monkeypatch):

@@ -292,6 +292,18 @@ class TestIntegrateGd:
         with pytest.raises(MixtureError):
             integrate_gd((0.0, 1.0), TRUTH0, eta=0.1, steps=0)
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
+    def test_steps_must_be_an_integer(self, steps):
+        # 2.5 raised a TypeError from range
+        with pytest.raises(MixtureError, match="steps must be an integer"):
+            integrate_gd((0.0, 1.0), TRUTH0, eta=0.1, steps=steps)
+
+    def test_takes_a_numpy_integer_step_count(self):
+        got = integrate_gd((-0.4, 0.7), TRUTH0, eta=0.02, steps=np.int64(3))
+        want = integrate_gd((-0.4, 0.7), TRUTH0, eta=0.02, steps=3)
+        assert got.n_steps == 3
+        assert np.array_equal(got.mu1, want.mu1) and np.array_equal(got.mu2, want.mu2)
+
     def test_rejects_unknown_gradient_source(self):
         # the source is the data argument: a TrueModel or a Dataset, nothing else
         points = sample(TRUTH0.params, 50, seed=1).points

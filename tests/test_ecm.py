@@ -385,6 +385,20 @@ def test_ecm_config_validation():
         ECMConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("max_iters", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
+def test_ecm_config_max_iters_must_be_an_integer(max_iters):
+    # accepted, 2.5 made the fit fail with a TypeError from range
+    with pytest.raises(MixtureError, match="max_iters must be an integer"):
+        ECMConfig(max_iters=max_iters)
+
+
+def test_ecm_config_takes_a_numpy_integer():
+    cfg = ECMConfig(max_iters=np.int64(7))
+    assert cfg.max_iters == 7 and type(cfg.max_iters) is int
+    data = sample(FIG_TRUTH, 50, seed=1)
+    assert fit_em_standard(data, FIG_TRUTH, cfg).iterations <= 7
+
+
 # The paper's figure setup (the CLI's default ecm config) and the benchmark's
 # large-n fit: EM with every block free against the relative ECM, from the
 # relative coordinates the CLI builds with its default squared-gap encoding.

@@ -14,7 +14,7 @@ from oracles import (one_shot_mc_fim, quadrature_fim, rowmajor_mc_moments,
 from relreparam import experiments, fim
 from relreparam.cli import EXIT_OK, EXIT_SINGULAR, main
 from relreparam.experiments import check_config, default_config
-from relreparam.fim import (_MC_CHUNK, FisherMatrix, SingularFimError, _mc_moments,
+from relreparam.fim import (_MC_CHUNK, COORD_SETS, FisherMatrix, SingularFimError, _mc_moments,
                             _score_slice, _slice_buffers,
                             bernoulli_family, crouzeix_check, fim_estimate,
                             gaussian_natural_family, length_element,
@@ -150,9 +150,10 @@ class TestFimEstimate:
 
 
 SCORER_CASES = [(P2, "means"), (P2, "relative_means"), (P2_UNEQUAL, "means"),
-                (P2_UNEQUAL, "relative_means"), (P3, "means")]
+                (P2_UNEQUAL, "relative_means"), (P2_UNEQUAL, "full"), (P3, "means"),
+                (P3, "full")]
 SCORER_CASE_IDS = ["K2-means", "K2-relative_means", "K2-unequal-means",
-                   "K2-unequal-relative_means", "K3-means"]
+                   "K2-unequal-relative_means", "K2-unequal-full", "K3-means", "K3-full"]
 
 
 class TestStreamedMonteCarlo:
@@ -173,9 +174,9 @@ class TestStreamedMonteCarlo:
         # here, so neither budget's peak counts that import
         make_rng(0)
         for coords, k in (("relative_means", 2), ("full", 5)):
-            # one slice's k(k + 1)/2 product rows, its score rows and the
-            # scorer's temporaries, the slice buffer and the draw's scratch:
-            # fewer than k^2 + 2k + 4 slice-sized vectors at any budget
+            # one slice's k(k + 1)/2 product rows, its score rows, the slice
+            # buffer and the draw's scratch: fewer than k^2 + 2k + 4
+            # slice-sized vectors at any budget
             bound = (k * k + 2 * k + 4) * 8 * _MC_CHUNK
             peaks = []
             for budget in (10 ** 6, 4 * 10 ** 6):
@@ -194,10 +195,15 @@ class TestStreamedMonteCarlo:
                 # the draw's scratch in the work buffer: six slice vectors
                 # (3.01 MiB), the slice, two score rows and three work rows
                 assert peaks[0] < 3.5 * 2 ** 20, peaks
+            else:
+                # gmm.score's temporaries beside its products per slice took
+                # 11.51 MiB; scored into the work buffer, 21 slice vectors
+                # (10.5 MiB): 15 product rows, 5 score rows and the slice
+                assert peaks[0] < 11 * 2 ** 20, peaks
 
     @pytest.mark.parametrize("params, coords", [
-        (P2, "means"), (P2, "relative_means"), (P3, "means"),
-    ], ids=["K2-means", "K2-relative_means", "K3-means"])
+        (P2, "means"), (P2, "relative_means"), (P2, "full"), (P3, "means"), (P3, "full"),
+    ], ids=["K2-means", "K2-relative_means", "K2-full", "K3-means", "K3-full"])
     def test_a_slice_is_scored_and_merged_without_slice_sized_arrays(self, params, coords):
         z = sample_points(params, _MC_CHUNK, 7)
         work, rows = _slice_buffers(params, coords, _MC_CHUNK)
@@ -270,7 +276,7 @@ class TestMcMomentsMatchRowMajorOracle:
             got = _score_slice(params, z, coords, work, rows)
             assert np.array_equal(got, rowmajor_score_in_coords(params, z, coords).T)
 
-    @pytest.mark.parametrize("coords", ["means", "relative_means"])
+    @pytest.mark.parametrize("coords", COORD_SETS)
     def test_buffered_scorer_where_a_responsibility_underflows(self, coords):
         z = np.array([-1e3, -60.0, -30.0, 30.0, 60.0, 1e3])
         assert np.all(np.any(responsibilities_array(P2_UNEQUAL, z) == 0.0, axis=1))
@@ -278,7 +284,7 @@ class TestMcMomentsMatchRowMajorOracle:
         got = _score_slice(P2_UNEQUAL, z, coords, work, rows)
         assert np.array_equal(got, rowmajor_score_in_coords(P2_UNEQUAL, z, coords).T)
 
-    @pytest.mark.parametrize("coords", ["means", "relative_means"])
+    @pytest.mark.parametrize("coords", COORD_SETS)
     def test_buffered_scorer_at_a_tie(self, coords):
         # at x = 0 the two components' log-densities are equal, bit for bit
         z = np.array([0.0, -0.0, 0.5, 0.0])

@@ -183,24 +183,29 @@ class TestScoreLayout:
     views of component-major rows, with the values of the C-contiguous
     arrays computed components-last (tests/oracles.py)."""
 
-    P = MixtureParams((0.2, 0.5, 0.3), (-1.0, 0.5, 2.0), (0.7, 1.0, 1.3))
-    FUNCTIONS = [(score, rowmajor_score, 8), (score_means, rowmajor_score_means, 3)]
+    PARAMS = [MixtureParams((1.0,), (0.4,), (1.3,)),
+              MixtureParams((0.3, 0.7), (-1.0, 1.5), (0.6, 1.4)),
+              MixtureParams((0.2, 0.5, 0.3), (-1.0, 0.5, 2.0), (0.7, 1.0, 1.3))]
+    FUNCTIONS = [(score, rowmajor_score, lambda k: 3 * k - 1),
+                 (score_means, rowmajor_score_means, lambda k: k)]
 
+    @pytest.mark.parametrize("p", PARAMS, ids=["K1", "K2", "K3"])
     @pytest.mark.parametrize("x", [0.3, np.linspace(-3.0, 3.0, 7),
                                    np.linspace(-3.0, 3.0, 12).reshape(3, 4)],
                              ids=["0d", "1d", "2d"])
-    def test_shape_and_values(self, x):
+    def test_shape_and_values(self, p, x):
         for fn, oracle, width in self.FUNCTIONS:
-            got = fn(self.P, x)
-            assert got.shape == np.shape(x) + (width,)
-            assert np.array_equal(np.ascontiguousarray(got), oracle(self.P, x))
+            got = fn(p, x)
+            assert got.shape == np.shape(x) + (width(p.n_components),)
+            assert np.array_equal(np.ascontiguousarray(got), oracle(p, x))
 
-    def test_transpose_of_1d_scores_is_contiguous_rows(self):
-        xs = sample(self.P, 1000, seed=3).points
+    @pytest.mark.parametrize("p", PARAMS, ids=["K1", "K2", "K3"])
+    def test_transpose_of_1d_scores_is_contiguous_rows(self, p):
+        xs = sample(p, 1000, seed=3).points
         for fn, oracle, _ in self.FUNCTIONS:
-            got = fn(self.P, xs)
+            got = fn(p, xs)
             assert got.T.flags.c_contiguous
-            assert np.array_equal(got, oracle(self.P, xs))
+            assert np.array_equal(got, oracle(p, xs))
 
 
 class TestSample:

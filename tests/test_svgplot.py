@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from childproc import REDUCED_SIMD_CLASSES, assert_passes_under_reduced_simd, numpy_has_x86_v4
-from oracles import map_polyline_per_point, polyline_per_point, quiver_per_arrow
+from oracles import (concatenated_render, map_polyline_per_point, polyline_per_point,
+                     quiver_per_arrow)
 from relreparam import svgplot
 from relreparam.dynamics import TrueModel, flow_field
 from relreparam.gmm import MixtureParams
@@ -129,6 +130,16 @@ def test_empty_input_adds_no_element():
     fast, slow, canvas = both_quivers(vp, [], [], [], [])
     assert canvas.elements == []
     assert fast == slow
+
+
+@pytest.mark.parametrize("n_elements", [0, 1, 3])
+def test_render_matches_the_concatenated_document(n_elements):
+    # with no elements, the document keeps the blank line between its tags
+    canvas = SvgCanvas(Viewport(-2.0, 2.0, -1.0, 1.0), Viewport(0.0, 1.0, 0.0, 3.0))
+    for i in range(n_elements):
+        canvas.line(i, 0.5, 1.0, i / 3.0)
+    assert canvas.render() == concatenated_render(canvas)
+    assert ("\n\n" in canvas.render()) == (n_elements == 0)
 
 
 def hundredths_texts(x) -> list[str]:
