@@ -35,13 +35,11 @@ from functools import cached_property
 
 import numpy as np
 
-# The empirical step takes its component-major score rows from the
-# responsibilities of its one pass, not from score_means; that name stays
-# importable from this module, where perfbench/tracer.py wraps it.
-from .gmm import (Dataset, MixtureParams, MixtureError, _score_means_given, checked_size,
+# The empirical step scores through _score_rows, not score_means; that name
+# stays importable from this module, where perfbench/tracer.py wraps it.
+from .gmm import (Dataset, MixtureParams, MixtureError, _score_rows, checked_size,
                   component_nodes, distances_to_truth, log_density_means, log_likelihood,
-                  mixture_moments, normal_quadrature, responsibilities_and_log_density,
-                  score_means, unit_variance_pair)
+                  mixture_moments, normal_quadrature, score_means, unit_variance_pair)
 
 PARAMETERIZATIONS = ("original", "relative")
 
@@ -276,13 +274,16 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
     TrueModel, every iterate's expected log-likelihood and distance to the
     true means follow the loop in one blocked pass. Under a Dataset, step k
     takes the score and iterate k's log-likelihood from one density pass over
-    the sample, and the distance is NaN. A diverged run (``diverged``) ends
+    the sample (``gmm._score_rows``, into buffers made once per call, so a
+    step allocates nothing of the sample's size), and the distance is NaN.
+    The sample's points were checked when the Dataset was made, and are not
+    checked again. A diverged run (``diverged``) ends
     at its last finite iterate; numpy's floating-point warnings on the way
     there are not raised.
     """
     _check_parameterization(parameterization)
-    if eta <= 0:
-        raise MixtureError("eta must be positive")
+    if not 0 < eta < np.inf:  # NaN and inf are refused too
+        raise MixtureError("eta must be positive and finite")
     steps = checked_size(steps, "steps")
     if steps < 1:
         raise MixtureError("need at least one step")
@@ -301,13 +302,15 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
             return dwp - (1.0 - v) * ddelta, ddelta
     elif isinstance(true, Dataset):
         xs = true.points
+        rows, a = np.empty((2, len(xs))), np.empty((2, len(xs)))
+        amax, total = np.empty(len(xs)), np.empty(len(xs))
         passes = []  # log-likelihood at the means of each step's pass, in step order
 
         def mean_score(m1, m2):
-            params = unit_variance_pair(m1, m2, v)
-            gam, log_p = responsibilities_and_log_density(params, xs)
+            _score_rows(unit_variance_pair(m1, m2, v), xs, rows, a, amax, total)
+            log_p = np.add(amax, np.log(total, out=total), out=total)
             passes.append(float(np.sum(log_p)))
-            return np.mean(_score_means_given(params, xs, gam), axis=1)
+            return np.mean(rows, axis=1)
 
         def original(m1, m2):
             g = mean_score(m1, m2)

@@ -75,7 +75,7 @@ class ECMConfig:
     max_iters: int = 10000
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN is refused too
             raise MixtureError("epsilon must be positive")
         object.__setattr__(self, "max_iters", checked_size(self.max_iters, "max_iters"))
         if self.max_iters < 1:

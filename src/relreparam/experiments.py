@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 from pathlib import Path
 
@@ -382,26 +381,16 @@ def _side_by_side(here, there) -> tuple:
     """(here(), there()). With more than one CPU, there() runs on a worker
     thread while here() runs on this one; with one, both run here, here()
     first. The worker is joined before this returns or raises, and what
-    there() raised is raised here as itself."""
+    there() raised is raised here as itself (``Future.result``)."""
     if _cpus() == 1:
         return here(), there()
-    outcome = {}
+    # imported here, where it is used: at module level it slows the CLI's import
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work():
-        try:
-            outcome["value"] = there()
-        except BaseException as exc:  # raised again in the calling thread
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=work, name="side-by-side")
-    worker.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="side-by-side") as pool:
+        future = pool.submit(there)
         first = here()
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return first, outcome["value"]
+    return first, future.result()
 
 
 def run_fim(values: dict) -> tuple[dict, ConvergenceError | None]:

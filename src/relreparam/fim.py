@@ -109,8 +109,9 @@ def _score_slice(params: MixtureParams, z: np.ndarray, coords: str,
     with no slice-sized array allocated, and are overwritten by the next
     call. `coords` is one that ``_check_coords`` passed for params."""
     m, n_comp = len(z), params.n_components
+    vec = work[n_comp * m:(n_comp + 1) * m]  # the row max, then the row total
     s = _score_rows(params, z, _rows(rows, _width(params, coords), m), _rows(work, n_comp, m),
-                    work[n_comp * m:(n_comp + 1) * m])
+                    vec, vec)
     if coords == "relative_means":
         s[0] += s[1]  # lambda = (mu1, Delta) with mu2 = mu1 + Delta
     return s

@@ -285,39 +285,35 @@ def responsibilities_array(params: MixtureParams, x) -> np.ndarray:
     return _components_last(responsibilities_and_log_density(params, x)[0])
 
 
-def _score_means_given(params: MixtureParams, xs: np.ndarray, gam: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """Component-major (K, ...) scores of the means from the responsibilities
-    gam of xs, gam (xs - mu) / sig^2, written into `out` when given."""
-    mu = _components_first(np.asarray(params.means), xs.ndim)
-    sig = _components_first(np.asarray(params.sigmas), xs.ndim)
-    s = np.subtract(xs, mu, out=out)
-    np.multiply(gam, s, out=s)
-    s /= sig * sig
-    return s
-
-
 def _score_rows(params: MixtureParams, xs: np.ndarray, rows: np.ndarray, a: np.ndarray,
-                vec: np.ndarray) -> np.ndarray:
+                amax: np.ndarray, total: np.ndarray) -> np.ndarray:
     """The component-major score rows of xs, written into `rows` and
-    returned: the K scores of the means, or, when `rows` has 3K - 1 rows,
-    ``score``'s, written row by row with its operations in its order.
+    returned: the K scores of the means, gamma_k (xs - mu_k) / sigma_k^2,
+    or, when `rows` has 3K - 1 rows, ``score``'s, written row by row with
+    its operations in its order.
 
     Nothing of xs's size is allocated. `a`, of shape (K,) + xs.shape, holds
     ln pi_k N_k and then the responsibilities gamma_k; the first K rows of
-    `rows` are scratch until the scores; `vec`, of xs's shape, holds the
-    max over the components, then their total, then gamma_K / pi_K. xs is
+    `rows` are scratch until the scores. `amax` and `total`, of xs's shape,
+    take the density pass's max over the components and their total (see
+    ``_log_sum_exp_rows``; they may be one array). When they are two arrays
+    and `rows` has K rows, both keep what the pass wrote, so ln p = amax +
+    ln(total); the full scores overwrite `total` with gamma_K / pi_K. xs is
     not checked, so it must be finite.
     """
     k = params.n_components
-    _log_normal(xs, _components_first(np.asarray(params.means), xs.ndim),
-                _components_first(np.asarray(params.sigmas), xs.ndim), out=a, tmp=rows[:k])
-    gam, total, _ = _log_sum_exp_rows(a, params.weights, amax=vec, total=vec)
+    mu = _components_first(np.asarray(params.means), xs.ndim)
+    sig = _components_first(np.asarray(params.sigmas), xs.ndim)
+    _log_normal(xs, mu, sig, out=a, tmp=rows[:k])
+    gam, total, _ = _log_sum_exp_rows(a, params.weights, amax=amax, total=total)
     gam /= total
     if len(rows) == k:
-        return _score_means_given(params, xs, gam, out=rows)
+        s = np.subtract(xs, mu, out=rows)
+        np.multiply(gam, s, out=s)
+        s /= sig * sig
+        return s
     # d ln p / d pi_k (free coords): (N_k - N_K) / p = gam_k/pi_k - gam_K/pi_K
-    last = np.divide(gam[-1], params.weights[-1], out=vec)
+    last = np.divide(gam[-1], params.weights[-1], out=total)
     for i, w in enumerate(params.weights[:-1]):
         np.divide(gam[i], w, out=rows[i, ...])  # a view also when x is 0-d
         rows[i, ...] -= last
@@ -336,11 +332,13 @@ def _score_rows(params: MixtureParams, xs: np.ndarray, rows: np.ndarray, a: np.n
 
 
 def _fresh_score_rows(params: MixtureParams, x, width: int) -> np.ndarray:
-    """``_score_rows`` of the checked x in buffers made here: the (..., width)
-    view of its component-major rows, as in ``responsibilities_array``."""
+    """``_score_rows`` of the checked x in buffers made here, one vector
+    for the max and the total: the (..., width) view of its component-major
+    rows, as in ``responsibilities_array``."""
     xs = _check_x(x)
     rows, a = np.empty((width,) + xs.shape), np.empty((params.n_components,) + xs.shape)
-    return _components_last(_score_rows(params, xs, rows, a, np.empty(xs.shape)))
+    vec = np.empty(xs.shape)
+    return _components_last(_score_rows(params, xs, rows, a, vec, vec))
 
 
 def score(params: MixtureParams, x) -> np.ndarray:

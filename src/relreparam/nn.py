@@ -102,7 +102,7 @@ def detect_singularities(mlp: MLPParams, tol: float = 1e-6) -> NNSingularityRepo
     rounding; the tests keep that loop as the oracle. The working set is
     O(units^2 * fan_in) per layer.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN is refused too
         raise MixtureError("tol must be positive")
     elim, over, lindep = [], [], []
     for k in range(mlp.depth - 1):
@@ -165,7 +165,7 @@ class RowReparam:
 def reparameterize_rows(w: np.ndarray, clearance: float = 0.0, column: int = 0) -> RowReparam:
     """Sort rows by one column and encode that column's gaps as d^2 + lambda."""
     w = np.asarray(w, dtype=float)
-    if clearance < 0:
+    if not clearance >= 0:  # NaN is refused too
         raise MixtureError("clearance must be >= 0")
     if not 0 <= column < w.shape[1]:
         raise MixtureError("ordering column out of range")

@@ -42,7 +42,7 @@ class ReparamSpec:
             raise MixtureError(f"ordering_coordinate must be one of {ORDER_COORDS}")
         if self.delta_encoding not in ENCODINGS:
             raise MixtureError(f"delta_encoding must be one of {ENCODINGS}")
-        if self.clearance < 0:
+        if not self.clearance >= 0:  # NaN is refused too
             raise MixtureError("clearance must be >= 0")
 
 
@@ -182,7 +182,7 @@ def classify_singularities(params: MixtureParams, tol: float = 1e-8) -> Singular
     An overlap hit requires both means and sigmas of a pair to coincide within
     tol: with distinct sigmas the components stay distinguishable.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN is refused too
         raise MixtureError("tol must be positive")
     elim = tuple(
         (k, abs(pi)) for k, pi in enumerate(params.weights) if abs(pi) <= tol

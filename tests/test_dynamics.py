@@ -346,6 +346,9 @@ class TestIntegrateGdOracle:
     def test_empirical(self, mode):
         self.assert_same((-0.5, 0.5), self.DATA, 0.05, 100, mode, "empirical")
         self.assert_same((0.8, -0.2), self.DATA, 0.2, 30, mode, "empirical", v=0.3)
+        # the benchmark's empirical gd run: 10^4 points, 100 steps
+        self.assert_same((-1.5, 1.5), sample(TRUTH0.params, 10_000, seed=0), 0.05, 100,
+                         mode, "empirical")
 
     @pytest.mark.parametrize("mode", ["original", "relative"])
     def test_diverging(self, mode):
@@ -444,20 +447,26 @@ class TestIntegrateGdRowMajorOracle:
 
 class TestDensityPasses:
     """Passes over the points, counted at gmm.log_component_densities as in
-    test_ecm's TestOnePassPerIteration."""
+    test_ecm's TestOnePassPerIteration, and at the row scorer that the
+    empirical step calls, dynamics._score_rows."""
 
     DATA = TestIntegrateGdOracle.DATA
 
     @staticmethod
     def counted(monkeypatch) -> list:
         calls = []
-        original = gmm.log_component_densities
+        densities, score_rows = gmm.log_component_densities, dynamics._score_rows
 
         def counting(params, x):
             calls.append(np.size(x))
-            return original(params, x)
+            return densities(params, x)
+
+        def counting_rows(params, xs, *buffers):
+            calls.append(np.size(xs))
+            return score_rows(params, xs, *buffers)
 
         monkeypatch.setattr(gmm, "log_component_densities", counting)
+        monkeypatch.setattr(dynamics, "_score_rows", counting_rows)
         return calls
 
     @pytest.mark.parametrize("init", [(-0.5, 0.5), (0.8, -0.2)], ids=["sorted", "unsorted"])
@@ -512,6 +521,33 @@ def test_expected_integrate_gd_memory_bounded(mode):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("mode", ["original", "relative"])
+def test_empirical_step_allocates_nothing_of_the_sample_size(mode, monkeypatch):
+    """The empirical step's buffers are made once per call: from one
+    row-scorer call to the next, a whole step allocates (tracemalloc's peak
+    above the memory then in use) under a tenth of one sample-sized vector."""
+    n = 10 ** 5
+    data = sample(TRUTH0.params, n, seed=1)
+    growth, start, score_rows = [], [], dynamics._score_rows
+
+    def measured(*args):
+        current, peak = tracemalloc.get_traced_memory()
+        if start:
+            growth.append(peak - start[-1])
+        tracemalloc.reset_peak()
+        start.append(current)
+        return score_rows(*args)
+
+    monkeypatch.setattr(dynamics, "_score_rows", measured)
+    tracemalloc.start()
+    try:
+        integrate_gd((-0.5, 0.5), data, 0.05, 10, parameterization=mode)
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == 9
+    assert max(growth) < 8 * n // 10
 
 
 @pytest.mark.parametrize("name", ["Original", "orig", "RELATIVE", ""])
@@ -587,7 +623,7 @@ class TestBoundaryChecks:
     def test_gd_checks_v_for_either_source(self, monkeypatch, v):
         """v is refused before any density pass, under a Dataset as under a TrueModel."""
         passes = []
-        for name in ("responsibilities_and_log_density", "_expected_logliks"):
+        for name in ("_score_rows", "_expected_logliks"):
             monkeypatch.setattr(dynamics, name, lambda *args: passes.append(args))
         for source, mode in itertools.product((TRUTH0, sample(TRUTH0.params, 50, 0)),
                                               dynamics.PARAMETERIZATIONS):

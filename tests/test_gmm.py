@@ -11,9 +11,10 @@ from oracles import (axis0_log_sum_exp_rows, filled_slices, mean_distance, numpy
                      rowmajor_log_sum_exp, rowmajor_score, rowmajor_score_means, sample_points)
 
 from relreparam.gmm import (Dataset, MixtureParams, MixtureError, _component_index,
-                            _log_sum_exp_rows, _numpy_sum, density, distances_to_truth, log_density,
-                            log_density_means, log_likelihood, log_weights, make_rng,
-                            mixture_moments, normal_quadrature,
+                            _log_sum_exp_rows, _numpy_sum, _score_rows, density,
+                            distances_to_truth, log_density, log_density_means,
+                            log_likelihood, log_weights, make_rng, mixture_moments,
+                            normal_quadrature,
                             responsibilities_and_log_density, sample, score,
                             score_means, unit_variance_pair)
 
@@ -580,6 +581,22 @@ class TestLogSumExpRowsMatchesOracles:
             np.testing.assert_allclose(gam, want_gam, rtol=64 * np.finfo(float).eps, atol=0.0)
             np.testing.assert_allclose(log_p, want_log_p, rtol=64 * np.finfo(float).eps,
                                        atol=64 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("shape", [(), (50,)], ids=str)
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    def test_score_rows_leave_the_log_density(self, k, shape):
+        """Given two buffers for the max and the total, the row scorer leaves
+        ln p = amax + ln(total) with log_density's bits; given one vector
+        for both, it writes the same scores."""
+        rng = make_rng(300 + k)
+        p = MixtureParams(_simplex(k, k), rng.normal(size=k), rng.random(k) + 0.5)
+        x = np.asarray(rng.normal(0.0, 2.0, shape))
+        rows, amax, total = np.empty((k,) + shape), np.empty(shape), np.empty(shape)
+        assert _score_rows(p, x, rows, np.empty((k,) + shape), amax, total) is rows
+        assert np.array_equal(amax + np.log(total), log_density(p, x))
+        vec = np.empty(shape)
+        shared = _score_rows(p, x, np.empty((k,) + shape), np.empty((k,) + shape), vec, vec)
+        assert np.array_equal(shared, rows)
 
     @pytest.mark.parametrize("k", [2, 9])
     def test_point_where_every_component_underflows(self, k):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from relreparam.dynamics import TrueModel, integrate_gd
+from relreparam.ecm import ECMConfig
 from relreparam.gmm import MixtureParams, MixtureError, density, make_rng
+from relreparam.nn import MLPParams, detect_singularities, reparameterize_rows
 from relreparam.reparam import (RelativeParams, ReparamSpec, SingularPointError,
                                 classify_singularities, decoded_gaps, jacobian,
                                 to_absolute, to_relative)
@@ -184,6 +187,32 @@ class TestClassifySingularities:
         p = MixtureParams((1.0,), (0.0,), (1.0,))
         with pytest.raises(MixtureError):
             classify_singularities(p, tol=0.0)
+
+
+NAN = float("nan")
+IDENTITY_NET = MLPParams(weights=(np.eye(2), np.eye(2)), biases=(np.zeros(2), np.zeros(2)))
+COINCIDENT = MixtureParams((0.5, 0.5), (2.0, 2.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: integrate_gd((-1.0, 1.0), TrueModel.from_means(0.0, 0.0), eta=NAN, steps=3),
+     "eta must be positive and finite"),
+    (lambda: integrate_gd((-1.0, 1.0), TrueModel.from_means(0.0, 0.0), eta=np.inf, steps=3),
+     "eta must be positive and finite"),
+    (lambda: ECMConfig(epsilon=NAN), "epsilon must be positive"),
+    (lambda: detect_singularities(IDENTITY_NET, tol=NAN), "tol must be positive"),
+    (lambda: reparameterize_rows(np.eye(2), clearance=NAN), "clearance must be >= 0"),
+    (lambda: ReparamSpec(clearance=NAN), "clearance must be >= 0"),
+    (lambda: classify_singularities(COINCIDENT, tol=NAN), "tol must be positive"),
+], ids=["gd-eta-nan", "gd-eta-inf", "ecm-epsilon", "nn-tol", "nn-clearance", "spec-clearance",
+        "classify-tol"])
+def test_nan_fails_every_float_guard(call, message):
+    """Each guard on a float argument refuses NaN, which fails every
+    comparison: a NaN tol would report coincident components or an all-zero
+    unit as identifiable, a NaN epsilon would run a fit to max_iters, and a
+    NaN eta would end gradient descent as diverged after no step."""
+    with pytest.raises(MixtureError, match=message):
+        call()
 
 
 def test_decoded_gaps_nonnegative():
