@@ -65,6 +65,43 @@ def permute_hidden_units(mlp: MLPParams, layer: int, perm) -> MLPParams:
     return MLPParams(weights=tuple(ws), biases=tuple(bs), activation=mlp.activation)
 
 
+def unscreened_linear_dependence(mlp: MLPParams, tol: float = 1e-6) -> list:
+    """``detect_singularities``'s linear-dependence hits with no screen: the
+    modified Gram-Schmidt residual of every (pair, target) triple, compared
+    with the bound. Each pair's basis is built on its own, with 1-D products
+    and sums (the bits of the kernel's row sums); each target's residuals
+    come in one pass over all pairs. Returns (layer, (i, j, target), residual)
+    tuples in the report's order."""
+    eps = np.finfo(float).eps
+    hits = []
+    for k in range(mlp.depth - 1):
+        cols = np.ascontiguousarray(mlp.weights[k].T)
+        units, fan_in = cols.shape
+        sq = np.array([(c * c).sum() for c in cols])
+        norms = np.sqrt(sq)
+        bound = tol * max(float(np.sqrt(sq.sum())), 1.0)
+        pairs = [(i, j) for i in range(units) for j in range(i + 1, units)]
+        q1s, q2s = np.zeros((len(pairs), fan_in)), np.zeros((len(pairs), fan_in))
+        for p, (i, j) in enumerate(pairs):
+            x1, x2, n1 = ((cols[j], cols[i], norms[j]) if norms[j] > norms[i]
+                          else (cols[i], cols[j], norms[i]))
+            if n1 == 0:
+                continue  # both columns are zero
+            q1s[p] = x1 / n1
+            r = x2 - (q1s[p] * x2).sum() * q1s[p]
+            nr = np.sqrt((r * r).sum())
+            if nr > eps * max(fan_in, 2) * n1:
+                q2s[p] = r / nr
+        for target in range(units):
+            t = cols[target]
+            r1 = t - (q1s * t).sum(axis=1)[:, None] * q1s
+            res = r1 - (q2s * r1).sum(axis=1)[:, None] * q2s
+            resid = np.sqrt((res * res).sum(axis=1))
+            hits.extend((k, (i, j, target), float(resid[p])) for p, (i, j) in enumerate(pairs)
+                        if target not in (i, j) and resid[p] <= bound)
+    return hits
+
+
 def exact_partials_per_sample(state: UVWState, xs: np.ndarray) -> np.ndarray:
     """Per-sample exact chain-rule partials of the log-density, shape (n, 3).
 

@@ -24,6 +24,7 @@ from relreparam.experiments import (DEFAULTS, KINDS, ConfigError, check_config,
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = json.loads((FIXTURES / "golden_digests.json").read_text())
 GD_FILES = ["gd_trajectory_original.csv", "gd_trajectory_relative.csv", "gd_trajectory.svg"]
+NN_FILES = ["nn_report.csv", "nn_report.txt"]
 
 
 def sha256(path: Path) -> str:
@@ -49,10 +50,12 @@ def _cpu_has_avx2() -> bool:
     return bool(found & {"AVX2", "X86_V3", "X86_V4"})
 
 
-def _child_digest(out: Path, kind: str, filename: str, **env_vars) -> str:
-    """Digest of the file `filename` from `kind` at its defaults, run in a
-    child interpreter with `env_vars` set (see `childproc.child_env`)."""
-    proc = subprocess.run([sys.executable, "-m", "relreparam.cli", kind, "--out", str(out)],
+def _child_digest(out: Path, kind: str, filename: str, *cli_args: str, **env_vars) -> str:
+    """Digest of the file `filename` from `kind` at its defaults (or with
+    `cli_args`), run in a child interpreter with `env_vars` set (see
+    `childproc.child_env`)."""
+    proc = subprocess.run([sys.executable, "-m", "relreparam.cli", kind, "--out", str(out),
+                           *cli_args],
                           env=child_env(**env_vars), capture_output=True, text=True)
     assert proc.returncode == EXIT_OK, proc.stderr
     return sha256(out / filename)
@@ -644,13 +647,19 @@ class TestGoldenFixtures:
         for name in GD_FILES:
             assert sha256(out / name) == GOLDEN[f"gd/{name}"], name
 
+    def test_nn_default_matches_golden(self, tmp_path):
+        out = tmp_path / "nn"
+        assert main(["nn", "--out", str(out)]) == EXIT_OK
+        for name in NN_FILES:
+            assert sha256(out / name) == GOLDEN[f"nn/{name}"], name
+
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
                         or not _dynamic_arch_openblas(),
                         reason="needs x86-64 and numpy on a DYNAMIC_ARCH OpenBLAS")
     @pytest.mark.parametrize("kind, files", [("ecm", ["ecm_trajectories.csv"]),
                                              ("field", ["flow_field.csv", "flow_field.svg"]),
-                                             ("gd", GD_FILES)],
-                             ids=["ecm", "field", "gd"])
+                                             ("gd", GD_FILES), ("nn", NN_FILES)],
+                             ids=["ecm", "field", "gd", "nn"])
     def test_digest_independent_of_openblas_kernel(self, tmp_path, kind, files):
         coretypes = ["native", "Prescott"] + (["Haswell"] if _cpu_has_avx2() else [])
         digests = {}
@@ -677,6 +686,34 @@ class TestGoldenFixtures:
         _child_digest(reduced, "gd", GD_FILES[0], NPY_DISABLE_CPU_FEATURES=REDUCED_SIMD)
         for name in GD_FILES:
             assert sha256(reduced / name) == GOLDEN[f"gd/{name}"], name
+
+    # the dependence scan's products and row sums run through numpy's SIMD kernels
+    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    def test_nn_digests_under_reduced_numpy_simd(self, tmp_path):
+        reduced = tmp_path / "nn"
+        _child_digest(reduced, "nn", NN_FILES[0], NPY_DISABLE_CPU_FEATURES=REDUCED_SIMD)
+        for name in NN_FILES:
+            assert sha256(reduced / name) == GOLDEN[f"nn/{name}"], name
+
+    def test_wide_nn_report_same_under_kernels_and_simd(self, tmp_path):
+        # the [40, 40, 1] network is not pinned: its bytes are compared
+        # across settings, and need at least two of them
+        settings = {"native": {}}
+        if platform.machine().lower() in ("x86_64", "amd64") and _dynamic_arch_openblas():
+            settings["Prescott"] = {"OPENBLAS_CORETYPE": "Prescott"}
+            if _cpu_has_avx2():
+                settings["Haswell"] = {"OPENBLAS_CORETYPE": "Haswell"}
+        if numpy_has_x86_v4():
+            settings["reduced SIMD"] = {"NPY_DISABLE_CPU_FEATURES": REDUCED_SIMD}
+        if len(settings) < 2:
+            pytest.skip("needs a DYNAMIC_ARCH OpenBLAS on x86-64 or numpy's X86_V4 dispatch")
+        cfg = write_config(tmp_path, {"kind": "nn", "sizes": [40, 40, 1]})
+        digests = {}
+        for label, env_vars in settings.items():
+            out = tmp_path / label
+            _child_digest(out, "nn", NN_FILES[0], "--config", str(cfg), **env_vars)
+            digests[label] = tuple(sha256(out / name) for name in NN_FILES)
+        assert len(set(digests.values())) == 1, digests
 
 
 def cell_text(value) -> str:

@@ -8,7 +8,8 @@ from relreparam.nn import (MLPParams, RowReparam, decode_rows,
                            reparameterize_rows)
 from relreparam.reparam import ReparamSpec, SingularPointError, to_absolute, to_relative
 
-from oracles import permute_hidden_units
+from childproc import REDUCED_SIMD_CLASSES, assert_passes_under_reduced_simd, numpy_has_x86_v4
+from oracles import permute_hidden_units, unscreened_linear_dependence
 
 
 def naive_forward(mlp, x):
@@ -73,9 +74,9 @@ def lstsq_detect_singularities(mlp, tol=1e-6):
     return elim, over, lindep
 
 
-# Values may move by rounding only: the batched scan projects onto an SVD
-# basis where lstsq solves for coefficients (at most 3.1e-14 measured on the
-# injected networks below and at 64 units).
+# Values may move by rounding only: the batched scan takes the residual off
+# a modified Gram-Schmidt basis where lstsq solves for coefficients (at most
+# 2.9e-14 measured on the injected networks below and at 64 units).
 ORACLE_ABS_TOL = 1e-12
 
 
@@ -88,6 +89,23 @@ def assert_matches_oracle(mlp, tol):
     # plain Python scalars: under numpy 2 an index would print as np.int64(1)
     assert not any("np." in line for line in report_lines(rep))
     return rep
+
+
+def edge_grid(mode):
+    """(network, tol) pairs: identity layers of fan_in 1-3 and 1-4 units
+    whose unit 1 is unit 0 times 2.5 ("parallel"), its negation or zero."""
+    rng = make_rng(79)
+    for fan_in in (1, 2, 3):
+        for units in (1, 2, 3, 4):
+            for tol in (1e-8, 1e-3):
+                w1 = rng.normal(0, 1, (fan_in, units))
+                if units >= 2:
+                    w1[:, 1] = {"parallel": 2.5 * w1[:, 0], "negated": -w1[:, 0],
+                                "zero": 0.0}[mode]
+                mlp = MLPParams(weights=(w1, rng.normal(0, 1, (units, 1))),
+                                biases=(np.zeros(units), np.zeros(1)),
+                                activation="identity")
+                yield mlp, tol
 
 
 def random_mlp(rng, sizes, activation="tanh"):
@@ -130,6 +148,18 @@ class TestForward:
     def test_one_dim_input_promoted(self):
         mlp = MLPParams(weights=(np.eye(2),), biases=(np.zeros(2),))
         assert forward(mlp, np.array([1.0, 2.0])).shape == (1, 2)
+
+
+class TestMLPParamsChecks:
+    @pytest.mark.parametrize("activation", ["tanh", "identity"])
+    @pytest.mark.parametrize("field", ["weights", "biases"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, activation, field, bad):
+        # before the check, a NaN weight gave a tanh network an empty report
+        ws, bs = [np.eye(3), np.ones((3, 1))], [np.zeros(3), np.zeros(1)]
+        (ws if field == "weights" else bs)[0][1] = bad
+        with pytest.raises(MixtureError, match="must be finite"):
+            MLPParams(weights=tuple(ws), biases=tuple(bs), activation=activation)
 
 
 class TestDetectSingularities:
@@ -216,6 +246,13 @@ class TestDetectSingularities:
         with pytest.raises(MixtureError):
             detect_singularities(mlp, tol=0.0)
 
+    def test_rejects_infinite_tol(self):
+        # an infinite bound would report every triple of a generic identity
+        # network as linear dependence
+        mlp = random_mlp(make_rng(80), [3, 4, 1], activation="identity")
+        with pytest.raises(MixtureError, match="finite"):
+            detect_singularities(mlp, tol=np.inf)
+
     def test_report_lines_cover_all_hits(self):
         w1 = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
         w2 = np.ones((3, 1))
@@ -250,18 +287,8 @@ class TestBatchedScanMatchesLstsqOracle:
 
     @pytest.mark.parametrize("mode", ["parallel", "negated", "zero"])
     def test_edge_grid(self, mode):
-        rng = make_rng(79)
-        for fan_in in (1, 2, 3):
-            for units in (1, 2, 3, 4):
-                for tol in (1e-8, 1e-3):
-                    w1 = rng.normal(0, 1, (fan_in, units))
-                    if units >= 2:
-                        w1[:, 1] = {"parallel": 2.5 * w1[:, 0], "negated": -w1[:, 0],
-                                    "zero": 0.0}[mode]
-                    mlp = MLPParams(weights=(w1, rng.normal(0, 1, (units, 1))),
-                                    biases=(np.zeros(units), np.zeros(1)),
-                                    activation="identity")
-                    assert_matches_oracle(mlp, tol)
+        for mlp, tol in edge_grid(mode):
+            assert_matches_oracle(mlp, tol)
 
     def test_rank_cutoff_drops_parallel_pair_noise_direction(self):
         # fan_in 2: a parallel pair spans only a line, so a generic third
@@ -273,6 +300,124 @@ class TestBatchedScanMatchesLstsqOracle:
                         activation="identity")
         rep = assert_matches_oracle(mlp, tol=1e-8)
         assert [triple for _, triple, _ in rep.linear_dependence] == [(1, 2, 0), (0, 2, 1)]
+
+
+def identity_layer(w1):
+    """One identity hidden layer with incoming weights w1, all outgoing weights 1."""
+    units = w1.shape[1]
+    return MLPParams(weights=(w1, np.ones((units, 1))), biases=(np.zeros(units), np.zeros(1)),
+                     activation="identity")
+
+
+def assert_matches_unscreened(mlp, tol):
+    """The screened scan reports the unscreened oracle's hits, in its order,
+    with the same residual bits."""
+    got = list(detect_singularities(mlp, tol=tol).linear_dependence)
+    assert got == unscreened_linear_dependence(mlp, tol)
+    return got
+
+
+class TestScreenedScanMatchesUnscreenedOracle:
+    @pytest.mark.parametrize("mode", ["parallel", "negated", "zero"])
+    def test_edge_grid(self, mode):
+        for mlp, tol in edge_grid(mode):
+            assert_matches_unscreened(mlp, tol)
+
+    @pytest.mark.parametrize("sizes", [[8, 16, 16, 1], [40, 40, 1], [20, 60, 1]])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_networks(self, sizes, seed):
+        # injected singularities at the default tol; then a generic network
+        # at a tol whose bound sits amid its residuals, so that thousands
+        # of cells fall on either side of it
+        cfg = {"sizes": sizes, "seed": seed, "activation": "identity",
+               "inject": ["elimination", "overlap", "linear_dependence"]}
+        assert assert_matches_unscreened(_build_nn(cfg), 1e-6)
+        generic = _build_nn({**cfg, "inject": []})
+        hits = assert_matches_unscreened(generic, 1 / np.sqrt(sizes[1]))
+        triples = sum(u * (u - 1) * (u - 2) // 2 for u in sizes[1:-1])
+        assert 0.1 * triples < len(hits) < 0.9 * triples
+
+    @pytest.mark.parametrize("step, hit", [(-1, False), (0, False), (1, True)])
+    def test_second_column_at_the_rank_cut(self, step, hit):
+        # q1 = e1 and r = (0, beta, 0) exactly, against the cut 3 eps * |e1|:
+        # only above it does the pair span the plane that holds column 2
+        beta = 3 * np.finfo(float).eps * (1 + step * 2.0 ** -20)
+        w1 = np.array([[1.0, 0.5, 0.25], [0.0, beta, 0.5], [0.0, 0.0, 0.0]])
+        triples = [triple for _, triple, _ in assert_matches_unscreened(identity_layer(w1), 1e-8)]
+        assert ((0, 1, 2) in triples) == hit
+        assert (1, 2, 0) in triples and (0, 2, 1) in triples
+
+    def test_near_rank_cut_pairs_in_general_position(self):
+        # as above, rotated: the orthogonalised column is about as small as
+        # its own rounding noise, so q2 is far from orthogonal to q1
+        rng = make_rng(82)
+        for factor in 2.0 ** np.arange(-3.0, 3.5, 0.5):
+            rot, _ = np.linalg.qr(rng.normal(0, 1, (3, 3)))
+            x1 = rot[:, 0] * rng.uniform(0.5, 2.0)
+            x2 = 0.5 * x1 + 3 * np.finfo(float).eps * np.linalg.norm(x1) * factor * rot[:, 1]
+            w1 = np.column_stack([x1, x2, 0.3 * x1 + 0.4 * rot[:, 1], rng.normal(0, 1, 3)])
+            for tol in (1e-8, 1e-3):
+                assert_matches_unscreened(identity_layer(w1), tol)
+
+    def test_skewed_basis_needs_the_sequential_coefficient(self):
+        # a nearly parallel pair: rounding leaves q1.q2 ~ 1e-7, and the
+        # targets q1 +- q2 lie within ~|q1.q2| of its span. For one of them
+        # q2.t misses the sequential coefficient q2.t - c1 (q1.q2) by ~2e-7
+        # in the square, far more than bound^2, so a screen on q2.t alone
+        # would drop that hit
+        rng = make_rng(85)
+        skew = []
+        for _ in range(10):
+            rot, _ = np.linalg.qr(rng.normal(0, 1, (3, 3)))
+            x1 = rot[:, 0] * rng.uniform(1.0, 2.0)
+            x2 = 0.5 * x1 + 1e-9 * rot[:, 1]
+            q1 = x1 / np.sqrt((x1 * x1).sum())
+            r = x2 - (q1 * x2).sum() * q1
+            q2 = r / np.sqrt((r * r).sum())
+            skew.append(abs((q1 * q2).sum()))
+            mlp = identity_layer(np.column_stack([x1, x2, q1 + q2, q1 - q2]))
+            triples = [triple for _, triple, _ in assert_matches_unscreened(mlp, 1e-6)]
+            assert (0, 1, 2) in triples and (0, 1, 3) in triples
+        assert max(skew) > 1e-8
+
+    @staticmethod
+    def off_plane_layer(rng, delta=1e-3):
+        """Columns 0 and 1 random, column 2 at distance delta from their plane."""
+        v0, v1 = rng.normal(0, 1, 3), rng.normal(0, 1, 3)
+        normal = np.cross(v0, v1)
+        normal /= np.linalg.norm(normal)
+        return np.column_stack([v0, v1, 0.6 * v0 - 1.1 * v1 + delta * normal])
+
+    @pytest.mark.parametrize("offset, hit", [(-1e-9, False), (-1e-15, None), (0.0, None),
+                                             (1e-15, None), (1e-9, True)])
+    def test_residual_at_the_bound(self, offset, hit):
+        # tol puts the bound at delta * (1 + offset): the screen keeps the
+        # cell either way, and the exact residual decides
+        w1 = self.off_plane_layer(make_rng(83))
+        tol = 1e-3 * (1 + offset) / max(np.linalg.norm(w1), 1.0)
+        triples = [triple for _, triple, _ in assert_matches_unscreened(identity_layer(w1), tol)]
+        if hit is not None:
+            assert ((0, 1, 2) in triples) == hit
+
+    def test_residual_equal_to_the_bound_is_a_hit(self):
+        # tol gives the smallest bound at or above column 2's residual off
+        # columns 0 and 1; the screen's value for that cell rounds above
+        # bound^2 about half the time, so these hits need its slack
+        for seed in range(84, 104):
+            w1 = self.off_plane_layer(make_rng(seed))
+            mlp = identity_layer(w1)
+            resid = next(r for _, triple, r in unscreened_linear_dependence(mlp, 1.0)
+                         if triple == (0, 1, 2))
+            norm = max(float(np.sqrt((w1 * w1).sum(axis=0).sum())), 1.0)
+            tol = resid / norm
+            while tol * norm < resid:
+                tol = np.nextafter(tol, np.inf)
+            triples = [triple for _, triple, _ in assert_matches_unscreened(mlp, tol)]
+            assert (0, 1, 2) in triples, seed
+
+    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    def test_under_reduced_numpy_simd(self):
+        assert_passes_under_reduced_simd(*REDUCED_SIMD_CLASSES)
 
 
 class TestReparameterizeRows:
@@ -318,6 +463,18 @@ class TestReparameterizeRows:
     def test_column_out_of_range(self):
         with pytest.raises(MixtureError):
             reparameterize_rows(np.eye(2), column=5)
+
+    def test_one_dim_weights_rejected(self):
+        with pytest.raises(MixtureError, match="2-D"):
+            reparameterize_rows(np.array([0.5, 0.1, 0.9]))
+
+    def test_fractional_column_rejected(self):
+        with pytest.raises(MixtureError, match="column must be an integer"):
+            reparameterize_rows(np.eye(2), column=1.5)
+
+    def test_bool_column_rejected(self):
+        with pytest.raises(MixtureError, match="column must be an integer"):
+            reparameterize_rows(np.eye(2), column=True)
 
     def test_forward_equivalence_after_roundtrip(self):
         # encode/decode the first layer's incoming vectors, compensate the
