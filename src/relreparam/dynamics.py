@@ -277,7 +277,8 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
     the sample (``gmm._score_rows``, into buffers made once per call, so a
     step allocates nothing of the sample's size), and the distance is NaN.
     The sample's points were checked when the Dataset was made, and are not
-    checked again. A diverged run (``diverged``) ends
+    checked again. Non-finite ``init_means`` are refused under either
+    source, before any step. A diverged run (``diverged``) ends
     at its last finite iterate; numpy's floating-point warnings on the way
     there are not raised.
     """
@@ -288,6 +289,9 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
     if steps < 1:
         raise MixtureError("need at least one step")
     _check_v(v)
+    mu1, mu2 = float(init_means[0]), float(init_means[1])
+    if not (np.isfinite(mu1) and np.isfinite(mu2)):
+        raise MixtureError("init_means must be finite")
 
     # original(mu1, mu2) gives (dmu1, dmu2); relative(lo, hi) gives (dlo, dDelta)
     if isinstance(true, TrueModel):
@@ -309,8 +313,9 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
         def mean_score(m1, m2):
             _score_rows(unit_variance_pair(m1, m2, v), xs, rows, a, amax, total)
             log_p = np.add(amax, np.log(total, out=total), out=total)
-            passes.append(float(np.sum(log_p)))
-            return np.mean(rows, axis=1)
+            # np.sum's and np.mean's reductions and division, without their wrappers
+            passes.append(float(np.add.reduce(log_p)))
+            return np.add.reduce(rows, axis=1) / len(xs)
 
         def original(m1, m2):
             g = mean_score(m1, m2)
@@ -322,7 +327,6 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
     else:
         raise MixtureError("the gradient source must be a TrueModel or a Dataset")
 
-    mu1, mu2 = float(init_means[0]), float(init_means[1])
     mu1s, mu2s = [mu1], [mu2]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(steps):

@@ -47,6 +47,8 @@ class Responsibilities:
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 2:
             raise MixtureError("gamma must be an N x K matrix")
+        if not np.all(np.isfinite(g)):  # NaN would pass every comparison below
+            raise MixtureError("gamma entries must be finite")
         if np.any(g < -1e-12) or np.any(g > 1.0 + 1e-12):
             raise MixtureError("gamma entries must lie in [0, 1]")
         if np.max(np.abs(g.sum(axis=1) - 1.0)) > 1e-12:

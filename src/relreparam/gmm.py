@@ -162,16 +162,39 @@ def _components_first(v: np.ndarray, ndim: int) -> np.ndarray:
     return v.reshape((-1,) + (1,) * ndim)
 
 
-def _log_normal(xs: np.ndarray, mu: np.ndarray, sig: np.ndarray,
+def _sigma_rows(sigmas: tuple[float, ...], ndim: int) -> np.ndarray | None:
+    """The sigmas shaped (K, 1, ...) to broadcast against ndim-d x, or None
+    when every sigma is exactly 1.0, which ``_log_normal`` takes as unit
+    sigmas. Decided by comparing the tuple of floats, with no array pass."""
+    if sigmas == (1.0,) * len(sigmas):
+        return None
+    return _components_first(np.asarray(sigmas, dtype=float), ndim)
+
+
+def _log_normal(xs: np.ndarray, mu: np.ndarray, sig: np.ndarray | None,
                 out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
     """ln N(xs | mu, sig^2) elementwise, mu and sig broadcast against xs:
     -0.5 z z - ln sig - ln(2 pi) / 2 with z = (xs - mu) / sig, one operation
     at a time. Written into `out`, with `tmp` as scratch, both of the
-    broadcast shape; each is allocated when not given."""
-    z = np.subtract(xs, mu, out=out)
-    z /= sig
-    z *= np.multiply(z, -0.5, out=tmp)  # z (-0.5 z), the bits of (-0.5 z) z
-    z -= np.log(sig)
+    broadcast shape; each is allocated when not given.
+
+    `sig` None means unit sigmas (``_sigma_rows``): the pass skips the
+    division by sigma and the subtraction of ln sigma, and leaves
+    d = xs - mu in `tmp`. Its bits are those of sigmas of 1.0 taken
+    through the divisions: x / 1.0 and x - 0.0 are x for every float,
+    numpy's ln 1.0 is +0.0, and (-0.5 d) d is d (-0.5 d). The empirical and
+    expected ``gd`` runs, the Fisher matrix and the relative ECM take this
+    path; EM only on its first E-step, before it updates the sigmas.
+    """
+    if sig is None:
+        d = np.subtract(xs, mu, out=tmp)
+        z = np.multiply(d, -0.5, out=out)
+        z *= d
+    else:
+        z = np.subtract(xs, mu, out=out)
+        z /= sig
+        z *= np.multiply(z, -0.5, out=tmp)  # z (-0.5 z), the bits of (-0.5 z) z
+        z -= np.log(sig)
     z -= 0.5 * LOG_2PI
     return z
 
@@ -184,7 +207,7 @@ def log_component_densities(params: MixtureParams, x) -> np.ndarray:
     """
     xs = _check_x(x)
     return _log_normal(xs, _components_first(np.asarray(params.means), xs.ndim),
-                       _components_first(np.asarray(params.sigmas), xs.ndim))
+                       _sigma_rows(params.sigmas, xs.ndim))
 
 
 def log_weights(weights) -> np.ndarray:
@@ -244,7 +267,7 @@ def log_density_means(weights, sigmas, means: np.ndarray, x) -> np.ndarray:
     """
     xs = _check_x(x)
     mu = means.reshape(means.shape + (1,) * xs.ndim)
-    sig = _components_first(np.asarray(sigmas, dtype=float), xs.ndim + 1)
+    sig = _sigma_rows(tuple(sigmas), xs.ndim + 1)
     _, total, amax = _log_sum_exp_rows(_log_normal(xs, mu, sig), weights)
     return amax + np.log(total)
 
@@ -293,21 +316,32 @@ def _score_rows(params: MixtureParams, xs: np.ndarray, rows: np.ndarray, a: np.n
     its operations in its order.
 
     Nothing of xs's size is allocated. `a`, of shape (K,) + xs.shape, holds
-    ln pi_k N_k and then the responsibilities gamma_k; the first K rows of
-    `rows` are scratch until the scores. `amax` and `total`, of xs's shape,
-    take the density pass's max over the components and their total (see
-    ``_log_sum_exp_rows``; they may be one array). When they are two arrays
-    and `rows` has K rows, both keep what the pass wrote, so ln p = amax +
-    ln(total); the full scores overwrite `total` with gamma_K / pi_K. xs is
-    not checked, so it must be finite.
+    ln pi_k N_k and then the responsibilities gamma_k; the K rows of the
+    mean scores are scratch until the scores. `amax` and `total`, of xs's
+    shape, take the density pass's max over the components and their total
+    (see ``_log_sum_exp_rows``; they may be one array). When they are two
+    arrays and `rows` has K rows, both keep what the pass wrote, so ln p =
+    amax + ln(total); the full scores overwrite `total` with gamma_K / pi_K.
+    xs is not checked, so it must be finite.
+
+    When every sigma is exactly 1.0 the pass takes ``_log_normal``'s unit
+    path: it leaves d = xs - mu_k in the K rows of the mean scores, and the
+    scores are gamma_k d, with no division by sigma and no second x - mu.
+    In the full scores a sigma of 1.0 skips its divisions. The bits are
+    those of the divisions by 1.0. The empirical and expected ``gd`` runs,
+    the Fisher matrix and the relative ECM take the unit path; EM only on
+    its first E-step, before it updates the sigmas.
     """
     k = params.n_components
     mu = _components_first(np.asarray(params.means), xs.ndim)
-    sig = _components_first(np.asarray(params.sigmas), xs.ndim)
-    _log_normal(xs, mu, sig, out=a, tmp=rows[:k])
+    sig = _sigma_rows(params.sigmas, xs.ndim)
+    d = rows if len(rows) == k else rows[k - 1:2 * k - 1]  # the mean scores' rows
+    _log_normal(xs, mu, sig, out=a, tmp=d)
     gam, total, _ = _log_sum_exp_rows(a, params.weights, amax=amax, total=total)
     gam /= total
     if len(rows) == k:
+        if sig is None:
+            return np.multiply(gam, d, out=d)
         s = np.subtract(xs, mu, out=rows)
         np.multiply(gam, s, out=s)
         s /= sig * sig
@@ -320,14 +354,17 @@ def _score_rows(params: MixtureParams, xs: np.ndarray, rows: np.ndarray, a: np.n
     # d_mu = gam z / sig and d_sigma = gam (z z - 1) / sig, z = (x - mu) / sig
     for i, (m, s) in enumerate(zip(params.means, params.sigmas)):
         z, d_sigma = rows[k - 1 + i, ...], rows[2 * k - 1 + i, ...]
-        np.subtract(xs, m, out=z)
-        z /= s
+        if sig is not None:  # else the pass left z = x - mu here
+            np.subtract(xs, m, out=z)
+        if s != 1.0:
+            z /= s
         np.multiply(z, z, out=d_sigma)
         d_sigma -= 1.0
         d_sigma *= gam[i]
-        d_sigma /= s
         z *= gam[i]
-        z /= s
+        if s != 1.0:
+            d_sigma /= s
+            z /= s
     return rows
 
 

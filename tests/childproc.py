@@ -45,6 +45,7 @@ REDUCED_SIMD_CLASSES = (
     "test_fim.py::TestMcMomentsMatchRowMajorOracle",
     "test_gmm.py::TestLogSumExpRowsMatchesOracles",
     "test_gmm.py::TestSampleSlicesMatchOneShotDraw",
+    "test_gmm.py::TestUnitSigmaPassMatchesGenericOracle",
     "test_nn.py::TestScreenedScanMatchesUnscreenedOracle",
     "test_svgplot.py::TestHundredthsMatchPercentFormat",
 )

@@ -11,9 +11,10 @@ from relreparam.dynamics import (TrueModel, Trajectory, UVWState, expected_veloc
                                  velocity_in_means)
 from relreparam.experiments import KINDS, SCHEMA_VERSION
 from relreparam.gmm import (_FLOAT_MIN, _SIMPLEX_TOL, LOG_2PI, Dataset, MixtureError,
-                            MixtureParams, _components_first, _fill_slice, _slice_streams,
-                            component_nodes, log_density, log_likelihood, log_weights, make_rng,
-                            normal_quadrature, responsibilities_array, score_means)
+                            MixtureParams, _components_first, _fill_slice, _log_sum_exp_rows,
+                            _slice_streams, component_nodes, log_density, log_likelihood,
+                            log_weights, make_rng, normal_quadrature, responsibilities_array,
+                            score_means)
 from relreparam.nn import MLPParams
 from relreparam.svgplot import SvgCanvas, Viewport
 
@@ -169,6 +170,68 @@ def numpy_mixture_fields(weights, means, sigmas):
         raise MixtureError("sigmas must be strictly positive")
     return (tuple(float(x) for x in w), tuple(float(x) for x in m),
             tuple(float(x) for x in s))
+
+
+# The generic density pass: every sigma taken through the divisions and
+# ln sigma, the arithmetic gmm's unit-sigma path must reproduce bit for bit.
+
+def generic_log_normal(xs: np.ndarray, mu: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """``gmm._log_normal`` for every sigma, 1.0 too: divide by sigma,
+    multiply by -0.5 z, subtract ln sigma and ln(2 pi) / 2, in that order."""
+    z = np.subtract(xs, mu)
+    z /= sig
+    z *= np.multiply(z, -0.5)
+    z -= np.log(sig)
+    z -= 0.5 * LOG_2PI
+    return z
+
+
+def _generic_rows(params: MixtureParams, ndim: int):
+    """The means and the sigmas shaped (K, 1, ...) for ndim-d x."""
+    return (_components_first(np.asarray(params.means), ndim),
+            _components_first(np.asarray(params.sigmas, dtype=float), ndim))
+
+
+def generic_density_pass(params: MixtureParams, x):
+    """``responsibilities_and_log_density`` through ``generic_log_normal``:
+    the (K, ...) responsibilities and the (...) ln p."""
+    xs = np.asarray(x, dtype=float)
+    a = generic_log_normal(xs, *_generic_rows(params, xs.ndim))
+    e, total, amax = _log_sum_exp_rows(a, params.weights)
+    log_p = amax + np.log(total)
+    e /= total
+    return e, log_p
+
+
+def generic_log_density_means(weights, sigmas, means: np.ndarray, x) -> np.ndarray:
+    """``log_density_means`` through ``generic_log_normal``."""
+    xs = np.asarray(x, dtype=float)
+    mu = means.reshape(means.shape + (1,) * xs.ndim)
+    sig = _components_first(np.asarray(sigmas, dtype=float), xs.ndim + 1)
+    _, total, amax = _log_sum_exp_rows(generic_log_normal(xs, mu, sig), weights)
+    return amax + np.log(total)
+
+
+def generic_score_rows(params: MixtureParams, x, width: int) -> np.ndarray:
+    """``gmm._score_rows``'s component-major rows with every division kept:
+    the K mean scores gamma_k (x - mu_k) / sigma_k^2, or, at width 3K - 1,
+    the weight scores gamma_k / pi_k - gamma_K / pi_K, then gamma_k z / sigma_k
+    and gamma_k (z z - 1) / sigma_k with z = (x - mu_k) / sigma_k."""
+    xs = np.asarray(x, dtype=float)
+    gam = generic_density_pass(params, xs)[0]
+    k = params.n_components
+    if width == k:
+        mu, sig = _generic_rows(params, xs.ndim)
+        return gam * np.subtract(xs, mu) / (sig * sig)
+    rows = np.empty((width,) + xs.shape)
+    last = gam[-1] / params.weights[-1]
+    for i, w in enumerate(params.weights[:-1]):
+        rows[i, ...] = gam[i] / w - last
+    for i, (m, s) in enumerate(zip(params.means, params.sigmas)):
+        z = np.subtract(xs, m) / s
+        rows[k - 1 + i, ...] = z * gam[i] / s
+        rows[2 * k - 1 + i, ...] = (z * z - 1.0) * gam[i] / s
+    return rows
 
 
 def axis0_log_sum_exp_rows(a: np.ndarray, weights):

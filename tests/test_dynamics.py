@@ -619,6 +619,20 @@ class TestBoundaryChecks:
             integrate_gd((-1.0, 1.0), TRUTH0, eta=0.1, steps=5, parameterization=mode, v=1.5)
         assert calls == []
 
+    @pytest.mark.parametrize("init", [(np.nan, 0.0), (np.inf, 0.0), (0.5, -np.inf)])
+    def test_gd_refuses_a_non_finite_start_for_either_source(self, monkeypatch, init):
+        """A non-finite start is refused before any density pass. Under a
+        TrueModel it gave a one-iterate trajectory flagged diverged, with a
+        finite log-likelihood at (inf, 0)."""
+        passes = []
+        for name in ("_score_rows", "_expected_logliks"):
+            monkeypatch.setattr(dynamics, name, lambda *args: passes.append(args))
+        for source, mode in itertools.product((TRUTH0, sample(TRUTH0.params, 50, 0)),
+                                              dynamics.PARAMETERIZATIONS):
+            with pytest.raises(MixtureError, match="init_means must be finite"):
+                integrate_gd(init, source, eta=0.1, steps=5, parameterization=mode)
+        assert passes == []
+
     @pytest.mark.parametrize("v", [0.0, 1.0])
     def test_gd_checks_v_for_either_source(self, monkeypatch, v):
         """v is refused before any density pass, under a Dataset as under a TrueModel."""

@@ -378,6 +378,15 @@ def test_responsibilities_validation():
         Responsibilities(np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_responsibilities_refuse_non_finite_entries(bad):
+    # NaN fails every comparison, so a NaN row passed the range and sum checks
+    with pytest.raises(MixtureError, match="finite"):
+        Responsibilities(np.array([[bad, bad], [0.5, 0.5]]))
+    with pytest.raises(MixtureError, match="finite"):
+        Responsibilities(np.array([[bad, 0.0], [0.5, 0.5]]))
+
+
 def test_ecm_config_validation():
     with pytest.raises(MixtureError):
         ECMConfig(epsilon=0.0)

@@ -7,11 +7,13 @@ import pytest
 from scipy.integrate import quad
 
 from childproc import REDUCED_SIMD_CLASSES, assert_passes_under_reduced_simd, numpy_has_x86_v4
-from oracles import (axis0_log_sum_exp_rows, filled_slices, mean_distance, numpy_mixture_fields,
-                     rowmajor_log_sum_exp, rowmajor_score, rowmajor_score_means, sample_points)
+from oracles import (axis0_log_sum_exp_rows, filled_slices, generic_density_pass,
+                     generic_log_density_means, generic_score_rows, mean_distance,
+                     numpy_mixture_fields, rowmajor_log_sum_exp, rowmajor_score,
+                     rowmajor_score_means, sample_points)
 
 from relreparam.gmm import (Dataset, MixtureParams, MixtureError, _component_index,
-                            _log_sum_exp_rows, _numpy_sum, _score_rows, density,
+                            _log_sum_exp_rows, _numpy_sum, _score_rows, _sigma_rows, density,
                             distances_to_truth, log_density, log_density_means,
                             log_likelihood, log_weights, make_rng, mixture_moments,
                             normal_quadrature,
@@ -623,6 +625,78 @@ class TestLogSumExpRowsMatchesOracles:
         else:
             raise AssertionError("no point where the two orders round apart")
         assert np.array_equal(_log_sum_exp_rows(a.copy(), weights)[1], total)
+
+    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    def test_under_reduced_numpy_simd(self):
+        assert_passes_under_reduced_simd(*REDUCED_SIMD_CLASSES)
+
+
+_ONE_UP = float(np.nextafter(1.0, 2.0))
+# -0.0 against means of +0.0 and -0.0; 1.8e154 where (-0.5 d) d is still
+# finite and 3e154, 1e200 where it overflows to -inf
+_TAIL_X = [-0.0, 0.0, 1e-300, 0.7, -2.5, 1.8e154, -3e154, 1e200]
+_UNIT_SIGMA_X = {"0d": np.array(-0.0), "1d": np.array(_TAIL_X),
+                 "2d": np.array(_TAIL_X).reshape(2, 4)}
+
+
+def _sigma_cases(k: int) -> dict:
+    """Mixtures of K components: unit sigmas, the float just above 1.0, and
+    mixed sigmas with a 1.0 among them (K >= 2)."""
+    means = (0.0, -0.0, 2.5)[:k]
+    weights = _simplex(k, 400 + k)
+    cases = {"unit": (1.0,) * k, "next_after_one": (_ONE_UP,) * k}
+    if k > 1:
+        cases["mixed"] = (1.0, 0.6, 1.3)[:k]
+    return {name: MixtureParams(weights, means, sigmas) for name, sigmas in cases.items()}
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestUnitSigmaPassMatchesGenericOracle:
+    """The unit-sigma density pass, which skips the divisions by sigma and
+    ln sigma and computes x - mu once, against the generic arithmetic kept
+    in tests/oracles.py, bit for bit (NaN payloads and the sign of zero
+    included). Sigmas of nextafter(1, 2) and mixed sigmas take the generic
+    path, and are checked against the same oracle."""
+
+    @pytest.mark.parametrize("x", _UNIT_SIGMA_X.values(), ids=_UNIT_SIGMA_X.keys())
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_score_rows(self, k, x):
+        for name, p in _sigma_cases(k).items():
+            for width in (k, 3 * k - 1):
+                rows, a = np.empty((width,) + x.shape), np.empty((k,) + x.shape)
+                amax, total = np.empty(x.shape), np.empty(x.shape)
+                with np.errstate(all="ignore"):
+                    got = _score_rows(p, x, rows, a, amax, total)
+                    want = generic_score_rows(p, x, width)
+                    log_p = amax + np.log(total)
+                    want_log_p = generic_density_pass(p, x)[1]
+                assert _same_bits(got, want), (name, width)
+                if width == k:
+                    assert _same_bits(log_p, want_log_p), name
+
+    @pytest.mark.parametrize("x", _UNIT_SIGMA_X.values(), ids=_UNIT_SIGMA_X.keys())
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_density_passes(self, k, x):
+        for name, p in _sigma_cases(k).items():
+            with np.errstate(all="ignore"):
+                gam, log_p = responsibilities_and_log_density(p, x)
+                want_gam, want_log_p = generic_density_pass(p, x)
+                density_bits = log_density(p, x)
+                means = np.array([p.means, [m + 0.5 for m in p.means], [-0.0] * k]).T
+                got_means = log_density_means(p.weights, p.sigmas, means, x)
+                want_means = generic_log_density_means(p.weights, p.sigmas, means, x)
+            assert _same_bits(gam, want_gam) and _same_bits(log_p, want_log_p), name
+            assert _same_bits(density_bits, want_log_p), name
+            assert _same_bits(got_means, want_means), name
+
+    def test_only_exact_unit_sigmas_take_the_unit_path(self):
+        assert _sigma_rows((1.0,), 1) is None and _sigma_rows((1.0, 1.0, 1.0), 0) is None
+        for sigmas in ((_ONE_UP,), (1.0, _ONE_UP), (1.0, 0.6), (float(np.nextafter(1.0, 0.0)),)):
+            assert np.array_equal(_sigma_rows(sigmas, 1), np.reshape(sigmas, (-1, 1)))
 
     @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
     def test_under_reduced_numpy_simd(self):
