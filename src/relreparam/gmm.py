@@ -316,32 +316,30 @@ def _score_rows(params: MixtureParams, xs: np.ndarray, rows: np.ndarray, a: np.n
     its operations in its order.
 
     Nothing of xs's size is allocated. `a`, of shape (K,) + xs.shape, holds
-    ln pi_k N_k and then the responsibilities gamma_k; the K rows of the
-    mean scores are scratch until the scores. `amax` and `total`, of xs's
-    shape, take the density pass's max over the components and their total
-    (see ``_log_sum_exp_rows``; they may be one array). When they are two
-    arrays and `rows` has K rows, both keep what the pass wrote, so ln p =
-    amax + ln(total); the full scores overwrite `total` with gamma_K / pi_K.
-    xs is not checked, so it must be finite.
+    ln pi_k N_k and then the responsibilities gamma_k; the first K rows of
+    `rows` are scratch until the scores. `amax` and `total`, of xs's shape,
+    take the density pass's max over the components and their total (see
+    ``_log_sum_exp_rows``; they may be one array). When they are two arrays
+    and `rows` has K rows, both keep what the pass wrote, so ln p = amax +
+    ln(total); the full scores overwrite `total` with gamma_K / pi_K. xs is
+    not checked, so it must be finite.
 
     When every sigma is exactly 1.0 the pass takes ``_log_normal``'s unit
-    path: it leaves d = xs - mu_k in the K rows of the mean scores, and the
+    path: it leaves d = xs - mu_k in the first K rows, and the K mean
     scores are gamma_k d, with no division by sigma and no second x - mu.
-    In the full scores a sigma of 1.0 skips its divisions. The bits are
-    those of the divisions by 1.0. The empirical and expected ``gd`` runs,
-    the Fisher matrix and the relative ECM take the unit path; EM only on
-    its first E-step, before it updates the sigmas.
+    The bits are those of the divisions by 1.0. The empirical and expected
+    ``gd`` runs, the Fisher matrix and the relative ECM take the unit path;
+    EM only on its first E-step, before it updates the sigmas.
     """
     k = params.n_components
     mu = _components_first(np.asarray(params.means), xs.ndim)
     sig = _sigma_rows(params.sigmas, xs.ndim)
-    d = rows if len(rows) == k else rows[k - 1:2 * k - 1]  # the mean scores' rows
-    _log_normal(xs, mu, sig, out=a, tmp=d)
+    _log_normal(xs, mu, sig, out=a, tmp=rows[:k])
     gam, total, _ = _log_sum_exp_rows(a, params.weights, amax=amax, total=total)
     gam /= total
     if len(rows) == k:
-        if sig is None:
-            return np.multiply(gam, d, out=d)
+        if sig is None:  # the pass left d = xs - mu in rows
+            return np.multiply(gam, rows, out=rows)
         s = np.subtract(xs, mu, out=rows)
         np.multiply(gam, s, out=s)
         s /= sig * sig
@@ -354,17 +352,14 @@ def _score_rows(params: MixtureParams, xs: np.ndarray, rows: np.ndarray, a: np.n
     # d_mu = gam z / sig and d_sigma = gam (z z - 1) / sig, z = (x - mu) / sig
     for i, (m, s) in enumerate(zip(params.means, params.sigmas)):
         z, d_sigma = rows[k - 1 + i, ...], rows[2 * k - 1 + i, ...]
-        if sig is not None:  # else the pass left z = x - mu here
-            np.subtract(xs, m, out=z)
-        if s != 1.0:
-            z /= s
+        np.subtract(xs, m, out=z)
+        z /= s
         np.multiply(z, z, out=d_sigma)
         d_sigma -= 1.0
         d_sigma *= gam[i]
+        d_sigma /= s
         z *= gam[i]
-        if s != 1.0:
-            d_sigma /= s
-            z /= s
+        z /= s
     return rows
 
 
