@@ -16,9 +16,9 @@ import numpy as np
 # e_step fuses log_likelihood and responsibilities_array into one pass, and
 # no fit re-encodes its result with to_relative; all three stay importable
 # from this module, where perfbench/tracer.py wraps them.
-from .gmm import (Dataset, MixtureParams, MixtureError, checked_size, distances_to_truth,
-                  log_component_densities, log_likelihood, log_weights,
-                  responsibilities_and_log_density, responsibilities_array)
+from .gmm import (Dataset, MixtureParams, MixtureError, _components_first, _log_normal,
+                  _log_sum_exp_rows, _sigma_rows, checked_size, distances_to_truth,
+                  log_component_densities, log_likelihood, log_weights, responsibilities_array)
 from .reparam import (RELATIVE_SPEC, RelativeParams, ReparamSpec, decoded_gaps,
                       to_absolute, to_relative)
 
@@ -112,30 +112,68 @@ class FitResult:
         return self.stop_reason == "converged"
 
 
+def _workspace(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The buffers an E-step and an M- or CM-step run in: the (K, n)
+    responsibility rows, a (K, n) scratch, and the n-vectors of the
+    log-sum-exp's max and total."""
+    return np.empty((k, n)), np.empty((k, n)), np.empty(n), np.empty(n)
+
+
+def _e_step(params: MixtureParams, xs: np.ndarray, rows: np.ndarray, scratch: np.ndarray,
+            amax: np.ndarray, total: np.ndarray) -> float:
+    """The E-step of params at the dataset's points xs, in ``_workspace``'s
+    buffers: gamma into `rows`, and its log-likelihood returned.
+
+    One density pass, ``gmm.responsibilities_and_log_density``'s operations
+    in its order: ln N_k into `rows` (``_log_normal``, `scratch` as its
+    scratch), the log-sum-exp with `amax` and `total`, then ln p =
+    ln(total) + amax into ``scratch[0]``, which has the bits of amax +
+    ln(total) since IEEE addition commutes, and gamma = e / total. The
+    points are not re-checked: a ``Dataset`` checked them once.
+    """
+    _log_normal(xs, _components_first(np.asarray(params.means), 1),
+                _sigma_rows(params.sigmas, 1), out=rows, tmp=scratch)
+    _log_sum_exp_rows(rows, params.weights, amax=amax, total=total)
+    log_p = np.log(total, out=scratch[0])
+    log_p += amax
+    rows /= total
+    return float(log_p.sum())
+
+
 def e_step(params: MixtureParams, data: Dataset) -> Responsibilities:
     """gamma(z_nk) = pi_k N(x_n|mu_k, sigma_k) / sum_j ..., in log space.
 
     The same log-sum-exp pass gives the log-likelihood of params, kept as
-    the result's ``loglik``.
+    the result's ``loglik``. This is the fit's E-step, ``_e_step``, in
+    buffers made for this call; a fit runs it in one workspace per fit, one
+    pass per iteration, and does not re-check the points.
     """
-    rows, log_p = responsibilities_and_log_density(params, data.points)
-    return Responsibilities._from_rows(rows, float(log_p.sum()))
+    rows, *work = _workspace(params.n_components, data.n)
+    return Responsibilities._from_rows(rows, _e_step(params, data.points, rows, *work))
+
+
+def _m_step(g: np.ndarray, xs: np.ndarray, scratch: np.ndarray) -> MixtureParams:
+    """``m_step_standard`` on the (K, n) rows g, with the (K, n) `scratch`
+    holding g x and then g (x - mu)^2 in turn."""
+    nk = g.sum(axis=1)
+    if np.any(nk <= 0):
+        raise DegenerateComponentError("a component has zero responsibility mass")
+    mu = np.multiply(g, xs, out=scratch).sum(axis=1) / nk
+    sq = np.square(np.subtract(xs, mu[:, None], out=scratch), out=scratch)
+    sq *= g  # the bits of g (x - mu)^2: IEEE multiplication commutes
+    var = sq.sum(axis=1) / nk
+    sig = np.sqrt(np.maximum(var, 1e-300))
+    return MixtureParams(weights=nk / len(xs), means=mu, sigmas=sig)
 
 
 def m_step_standard(gamma: Responsibilities, data: Dataset) -> MixtureParams:
     """Weighted-mean / weight-fraction / weighted-variance updates of every block.
 
     Sums run along each component's contiguous row (numpy's pairwise sum).
+    The fit's M-step, ``_m_step``, with a scratch made for this call.
     """
     g = gamma.gamma.T
-    xs = data.points
-    nk = g.sum(axis=1)
-    if np.any(nk <= 0):
-        raise DegenerateComponentError("a component has zero responsibility mass")
-    mu = (g * xs).sum(axis=1) / nk
-    var = (g * (xs - mu[:, None]) ** 2).sum(axis=1) / nk
-    sig = np.sqrt(np.maximum(var, 1e-300))
-    return MixtureParams(weights=nk / len(xs), means=mu, sigmas=sig)
+    return _m_step(g, data.points, np.empty(g.shape))
 
 
 def _two_component_rows(gamma: Responsibilities) -> np.ndarray:
@@ -143,6 +181,32 @@ def _two_component_rows(gamma: Responsibilities) -> np.ndarray:
     if g.shape[0] != 2:
         raise MixtureError("CM-steps are defined for the 2-component model")
     return g
+
+
+def _mass_and_moment(g: np.ndarray, xs: np.ndarray, buf: np.ndarray) -> tuple[float, float]:
+    """sum_n g_n and sum_n g_n x_n of one responsibility row, with `buf`, as
+    long as xs, holding the products. Both are numpy's pairwise sums, not a
+    BLAS dot: the pinned ECM CSV must not depend on which OpenBLAS kernel
+    runs."""
+    return g.sum(), float(np.multiply(g, xs, out=buf).sum())
+
+
+def _reference_mean(n1: float, s1x: float, n2: float, s2x: float, delta: float) -> float:
+    """The CM-step over mu1 from the two components' masses and moments."""
+    if n1 + n2 <= 0:
+        raise DegenerateComponentError("zero total responsibility")
+    return (s1x + s2x - delta * n2) / (n1 + n2)
+
+
+def _gap_step(n2: float, s2x: float, mu1: float) -> tuple[float, float]:
+    """The CM-step over Delta >= 0 from component 2's mass and moment:
+    (Delta, KKT multiplier)."""
+    if n2 <= 0:
+        raise DegenerateComponentError("zero responsibility mass on component 2")
+    delta_hat = s2x / n2 - mu1
+    if delta_hat >= 0.0:
+        return delta_hat, 0.0
+    return 0.0, -2.0 * n2 * delta_hat
 
 
 def cm_step_reference_mean(gamma: Responsibilities, data: Dataset, delta: float) -> float:
@@ -153,14 +217,9 @@ def cm_step_reference_mean(gamma: Responsibilities, data: Dataset, delta: float)
     """
     g1, g2 = _two_component_rows(gamma)
     xs = data.points
-    n1, n2 = g1.sum(), g2.sum()
-    if n1 + n2 <= 0:
-        raise DegenerateComponentError("zero total responsibility")
-    # numpy's pairwise sum, not a BLAS dot: the result (and so the pinned
-    # ECM CSV) must not depend on which OpenBLAS kernel runs
-    s1x = float((g1 * xs).sum())
-    s2x = float((g2 * xs).sum())
-    return (s1x + s2x - delta * n2) / (n1 + n2)
+    buf = np.empty(len(xs))
+    return _reference_mean(*_mass_and_moment(g1, xs, buf), *_mass_and_moment(g2, xs, buf),
+                           delta)
 
 
 def cm_step_delta(gamma: Responsibilities, data: Dataset, mu1: float) -> tuple[float, float]:
@@ -172,13 +231,7 @@ def cm_step_delta(gamma: Responsibilities, data: Dataset, mu1: float) -> tuple[f
     """
     _, g2 = _two_component_rows(gamma)
     xs = data.points
-    n2 = g2.sum()
-    if n2 <= 0:
-        raise DegenerateComponentError("zero responsibility mass on component 2")
-    delta_hat = float((g2 * xs).sum()) / n2 - mu1
-    if delta_hat >= 0.0:
-        return delta_hat, 0.0
-    return 0.0, -2.0 * n2 * delta_hat
+    return _gap_step(*_mass_and_moment(g2, xs, np.empty(len(xs))), mu1)
 
 
 def q_function(params: MixtureParams, gamma: Responsibilities, data: Dataset) -> float:
@@ -189,23 +242,29 @@ def q_function(params: MixtureParams, gamma: Responsibilities, data: Dataset) ->
 
 def _fit(data: Dataset, params: MixtureParams, step, config: ECMConfig,
          truth: MixtureParams | None, algorithm: str) -> FitResult:
-    """Iterate params = step(gamma, params) from the initial mixture.
+    """Iterate params = step(params, rows, scratch) from the initial mixture.
 
-    Each iteration makes one density pass: the E-step of the current iterate,
-    which also gives that iterate's log-likelihood. The loop records every
-    iterate and its log-likelihood, and stops once the log-likelihood changes
-    by at most config.epsilon or after max_iters steps.
+    The fit runs in one ``_workspace``, made here: each iteration's E-step
+    (``_e_step``) writes gamma into its rows, and `step`, the M- or CM-step,
+    reads them with its (K, n) scratch, so nothing of the data's size is
+    allocated per iteration. Each iteration makes one density pass, the
+    E-step of the current iterate, which also gives that iterate's
+    log-likelihood; the points, checked once by ``Dataset``, are not
+    re-checked. The loop records every iterate and its log-likelihood, and
+    stops once the log-likelihood changes by at most config.epsilon or after
+    max_iters steps.
     """
+    xs = data.points
+    rows, *work = _workspace(params.n_components, len(xs))
+    scratch = work[0]
     traj = [params]
-    gamma = e_step(params, data)
-    lls = [gamma.loglik]
+    lls = [_e_step(params, xs, rows, *work)]
     stop_reason = "max_iters"
     iters = 0
     for iters in range(1, config.max_iters + 1):
-        params = step(gamma, params)
+        params = step(params, rows, scratch)
         traj.append(params)
-        gamma = e_step(params, data)
-        lls.append(gamma.loglik)
+        lls.append(_e_step(params, xs, rows, *work))
         if abs(lls[-1] - lls[-2]) <= config.epsilon:
             stop_reason = "converged"
             break
@@ -223,7 +282,7 @@ def _fit(data: Dataset, params: MixtureParams, step, config: ECMConfig,
 def fit_em_standard(data: Dataset, init: MixtureParams, config: ECMConfig,
                     truth: MixtureParams | None = None) -> FitResult:
     """Standard EM loop, updating the weights, means and sigmas."""
-    return _fit(data, init, lambda gamma, params: m_step_standard(gamma, data),
+    return _fit(data, init, lambda params, rows, scratch: _m_step(rows, data.points, scratch),
                 config, truth, "em")
 
 
@@ -248,11 +307,14 @@ def fit_ecm_relative(data: Dataset, init: RelativeParams, config: ECMConfig,
     # (mu1 + Delta) - mu1 need not round back to Delta
     delta = float(decoded_gaps(init, spec)[0])
     multipliers = []
+    xs = data.points
 
-    def step(gamma, params):
+    def step(params, rows, scratch):
         nonlocal delta
-        mu1 = cm_step_reference_mean(gamma, data, delta)
-        delta, lam = cm_step_delta(gamma, data, mu1)
+        # component 2's mass and moment serve both CM-steps
+        n2, s2x = _mass_and_moment(rows[1], xs, scratch[0])
+        mu1 = _reference_mean(*_mass_and_moment(rows[0], xs, scratch[0]), n2, s2x, delta)
+        delta, lam = _gap_step(n2, s2x, mu1)
         multipliers.append(lam)
         return MixtureParams(weights=params.weights, means=(mu1, mu1 + delta),
                              sigmas=params.sigmas)

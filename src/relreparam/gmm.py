@@ -21,6 +21,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 _SIMPLEX_TOL = 1e-12
 _FLOAT_MIN = float(np.finfo(float).min)
+_FLOAT_TINY = float(np.finfo(float).tiny)
 _FIELD_TYPES = (tuple, list, np.ndarray)
 
 
@@ -212,7 +213,7 @@ def log_component_densities(params: MixtureParams, x) -> np.ndarray:
 
 def log_weights(weights) -> np.ndarray:
     """ln pi_k, with a zero weight floored at the smallest normal float."""
-    return np.log(np.asarray(weights) + np.finfo(float).tiny)
+    return np.log(np.asarray(weights) + _FLOAT_TINY)
 
 
 def _log_sum_exp_rows(a: np.ndarray, weights, amax: np.ndarray | None = None,

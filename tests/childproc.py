@@ -42,6 +42,7 @@ def child_env(**env_vars) -> dict:
 REDUCED_SIMD_CLASSES = (
     "test_dynamics.py::TestIntegrateGdOracle",
     "test_dynamics.py::TestIntegrateGdRowMajorOracle",
+    "test_ecm.py::TestBufferedFitMatchesPublicSteps",
     "test_fim.py::TestMcMomentsMatchRowMajorOracle",
     "test_gmm.py::TestLogSumExpRowsMatchesOracles",
     "test_gmm.py::TestSampleSlicesMatchOneShotDraw",

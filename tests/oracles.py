@@ -9,6 +9,7 @@ import numpy as np
 from relreparam import fim, svgplot
 from relreparam.dynamics import (TrueModel, Trajectory, UVWState, expected_velocity_relative,
                                  velocity_in_means)
+from relreparam.ecm import cm_step_delta, cm_step_reference_mean, e_step, m_step_standard
 from relreparam.experiments import KINDS, SCHEMA_VERSION
 from relreparam.gmm import (_FLOAT_MIN, _SIMPLEX_TOL, LOG_2PI, Dataset, MixtureError,
                             MixtureParams, _components_first, _fill_slice, _log_sum_exp_rows,
@@ -344,6 +345,33 @@ def rowmajor_fit(data: Dataset, params: MixtureParams, config, delta=None,
         if abs(lls[-1] - lls[-2]) <= config.epsilon:
             break
     return iters, traj, np.asarray(lls)
+
+
+def public_steps_fit(data: Dataset, params: MixtureParams, config, delta=None):
+    """The EM/ECM loop composed from the public steps, each in buffers of its
+    own: ``e_step`` of every iterate, then ``m_step_standard`` when ``delta``
+    is None, else ``cm_step_reference_mean`` and ``cm_step_delta`` from the
+    gap ``delta``, carried between iterations. ``config`` gives the stopping
+    rule. Returns (iterations, trajectory, log-likelihoods, stop reason).
+    """
+    gamma = e_step(params, data)
+    traj, lls = [params], [gamma.loglik]
+    stop_reason, iters = "max_iters", 0
+    for iters in range(1, config.max_iters + 1):
+        if delta is None:
+            params = m_step_standard(gamma, data)
+        else:
+            mu1 = cm_step_reference_mean(gamma, data, delta)
+            delta, _ = cm_step_delta(gamma, data, mu1)
+            params = MixtureParams(weights=params.weights, means=(mu1, mu1 + delta),
+                                   sigmas=params.sigmas)
+        traj.append(params)
+        gamma = e_step(params, data)
+        lls.append(gamma.loglik)
+        if abs(lls[-1] - lls[-2]) <= config.epsilon:
+            stop_reason = "converged"
+            break
+    return iters, traj, np.asarray(lls), stop_reason
 
 
 def expected_loglik(params: MixtureParams, true: TrueModel, nodes_weights) -> float:

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from oracles import mean_distance, rowmajor_fit, rowmajor_log_sum_exp
+from childproc import REDUCED_SIMD_CLASSES, assert_passes_under_reduced_simd, numpy_has_x86_v4
+from oracles import mean_distance, public_steps_fit, rowmajor_fit, rowmajor_log_sum_exp
 from relreparam import ecm as ecm_module
-from relreparam import gmm
 
 from relreparam.ecm import (DegenerateComponentError, ECMConfig,
                             Responsibilities, cm_step_delta,
@@ -465,6 +467,111 @@ class TestComponentMajorMatchesRowMajorOracle:
         assert gamma.loglik == float(np.sum(log_p))
 
 
+PAPER_START = MixtureParams((0.5, 0.5), (-2.5, 2.0), (1.0, 1.0))
+# (data, start, max_iters): EM from the paper's start at three sample sizes,
+# K = 3 with unequal weights and sigmas, and a component collapsing onto
+# five equal points, whose variance reaches the 1e-300 floor
+EM_CASES = {
+    "n1": (lambda: sample(FIG_TRUTH, 1, seed=12), PAPER_START, 10000),
+    "n200": (lambda: sample(FIG_TRUTH, 200, seed=12), PAPER_START, 10000),
+    "n1e4": (lambda: sample(MixtureParams((0.5, 0.5), (-6.5, -3.5), (1.0, 1.0)), 10_000, seed=12),
+             PAPER_START, 10000),
+    "k3": (lambda: sample(MixtureParams((0.2, 0.5, 0.3), (-3.0, 0.0, 4.0), (0.5, 1.5, 0.8)),
+                          3000, seed=12),
+           MixtureParams((0.3, 0.3, 0.4), (-1.0, 0.5, 2.0), (1.0, 2.0, 0.7)), 500),
+    "collapse": (lambda: Dataset(np.concatenate([np.full(5, 3.0), np.linspace(-2.0, 2.0, 40)])),
+                 MixtureParams((0.5, 0.5), (0.0, 3.2), (1.0, 0.3)), 10000),
+}
+
+
+class TestBufferedFitMatchesPublicSteps:
+    """The fit loop in its one workspace against the loop composed from the
+    public steps, each in buffers of its own: the same bits, iterations and
+    stop."""
+
+    @staticmethod
+    def assert_same(res, oracle):
+        iters, traj, lls, stop_reason = oracle
+        assert res.iterations == iters
+        assert res.stop_reason == stop_reason
+        assert res.trajectory_params == tuple(traj)
+        assert res.loglik.tolist() == lls.tolist()
+
+    @pytest.mark.parametrize("case", sorted(EM_CASES))
+    def test_em(self, case):
+        make_data, init, max_iters = EM_CASES[case]
+        data = make_data()
+        cfg = ECMConfig(max_iters=max_iters)
+        res = fit_em_standard(data, init, cfg)
+        self.assert_same(res, public_steps_fit(data, init, cfg))
+        assert res.converged
+        if case == "collapse":
+            assert min(res.params.sigmas) == np.sqrt(1e-300)
+
+    def test_degenerate_component_raised_at_the_same_iteration(self):
+        # the first component keeps a sliver of mass for three M-steps; then
+        # the third, collapsed onto the point 0.8 at the variance floor,
+        # takes all of that point's responsibility
+        data = Dataset((-0.5, 0.4, -0.2, -2.4, 0.8, -0.3))
+        init = MixtureParams((8.382310753450314e-206, 1.0716005896236808e-137, 1.0),
+                             (7.991969696768142, -2.4610421034093126, 11.614806261475746),
+                             (0.22059196163580028, 0.4801613113093788, 0.35553142422601575))
+        cfg = ECMConfig(max_iters=3)
+        self.assert_same(fit_em_standard(data, init, cfg), public_steps_fit(data, init, cfg))
+        cfg = ECMConfig(max_iters=4)
+        with pytest.raises(DegenerateComponentError, match="zero responsibility mass"):
+            public_steps_fit(data, init, cfg)
+        with pytest.raises(DegenerateComponentError, match="zero responsibility mass"):
+            fit_em_standard(data, init, cfg)
+
+    # the CLI's default ecm config, and the benchmark's large-n one
+    @pytest.mark.parametrize("overrides", [{}, {"n_samples": 10000, "true_means": [-6.5, -3.5]}],
+                             ids=["default", "large"])
+    def test_relative_ecm(self, overrides):
+        values = {**default_config("ecm"), **overrides}
+        truth = MixtureParams((0.5, 0.5), tuple(values["true_means"]), (1.0, 1.0))
+        init = MixtureParams((0.5, 0.5), tuple(values["init_means"]), (1.0, 1.0))
+        data = sample(truth, values["n_samples"], seed=values["seed"])
+        cfg = ECMConfig(epsilon=values["epsilon"], max_iters=values["max_iters"])
+        rel = to_relative(init, RELATIVE_SPEC)
+        res = fit_ecm_relative(data, rel, cfg, spec=RELATIVE_SPEC)
+        delta = float(decoded_gaps(rel, RELATIVE_SPEC)[0])
+        self.assert_same(res, public_steps_fit(data, to_absolute(rel, RELATIVE_SPEC), cfg,
+                                               delta=delta))
+        assert res.converged
+
+    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    def test_under_reduced_numpy_simd(self):
+        assert_passes_under_reduced_simd(*REDUCED_SIMD_CLASSES)
+
+
+class TestFitMemory:
+    @pytest.mark.parametrize("algorithm", ["em", "ecm_relative"])
+    def test_peak_memory_flat_in_the_iterations(self, algorithm):
+        n = 10 ** 5
+        vec = 8 * n
+        data = sample(MixtureParams((0.5, 0.5), (-6.5, -3.5), (1.0, 1.0)), n, seed=12)
+        rel = to_relative(PAPER_START, RELATIVE_SPEC)
+        peaks, iterations = [], []
+        for max_iters in (3, 30):
+            cfg = ECMConfig(max_iters=max_iters)
+            tracemalloc.start()
+            try:
+                if algorithm == "em":
+                    res = fit_em_standard(data, PAPER_START, cfg)
+                else:
+                    res = fit_ecm_relative(data, rel, cfg, spec=RELATIVE_SPEC)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            iterations.append(res.iterations)
+        assert iterations[0] == 3 and iterations[1] > 3, iterations
+        assert abs(peaks[1] - peaks[0]) < vec, peaks
+        # the workspace is two (2, n) arrays and two n-vectors, six in all;
+        # a loop allocating per step peaked at seven
+        assert max(peaks) < 6.5 * vec, peaks
+
+
 class TestOnePassPerIteration:
     @pytest.mark.parametrize("algorithm", ["em", "ecm_relative"])
     def test_loglik_belongs_to_its_iterate(self, algorithm):
@@ -481,14 +588,15 @@ class TestOnePassPerIteration:
     @pytest.mark.parametrize("max_iters", [3, 10000])
     @pytest.mark.parametrize("algorithm", ["em", "ecm_relative"])
     def test_one_density_pass_per_iteration(self, monkeypatch, algorithm, max_iters):
+        # the fit's E-step takes its density pass through _log_normal
         calls = []
-        original = gmm.log_component_densities
+        original = ecm_module._log_normal
 
-        def counting(params, x):
+        def counting(x, *args, **kwargs):
             calls.append(np.size(x))
-            return original(params, x)
+            return original(x, *args, **kwargs)
 
-        monkeypatch.setattr(gmm, "log_component_densities", counting)
+        monkeypatch.setattr(ecm_module, "_log_normal", counting)
         data = sample(FIG_TRUTH, 200, seed=12)
         cfg = ECMConfig(max_iters=max_iters)
         if algorithm == "em":
@@ -519,7 +627,7 @@ class TestFitObservability:
         # (gamma_2 grows with x, so the weighted mean of component 2 is never
         # below mu1 in exact arithmetic); scripted multipliers check the count
         scripted = iter([(0.0, 2.5), (0.0, 0.5), (1.0, 0.0)])
-        monkeypatch.setattr(ecm_module, "cm_step_delta", lambda gamma, data, mu1: next(scripted))
+        monkeypatch.setattr(ecm_module, "_gap_step", lambda n2, s2x, mu1: next(scripted))
         data = sample(FIG_TRUTH, 200, seed=12)
         res = fit_ecm_relative(data, relative_init(-2.5, 2.0), ECMConfig(max_iters=3))
         assert res.kkt_active_steps == 2
