@@ -35,11 +35,13 @@ from functools import cached_property
 
 import numpy as np
 
-# The empirical step scores through _score_rows, not score_means; that name
-# stays importable from this module, where perfbench/tracer.py wraps it.
-from .gmm import (Dataset, MixtureParams, MixtureError, _score_rows, checked_size,
-                  component_nodes, distances_to_truth, log_density_means, log_likelihood,
-                  mixture_moments, normal_quadrature, score_means, unit_variance_pair)
+# The empirical step scores through _unit_pair_scores, not score_means, and
+# takes no log_likelihood; both names stay importable from this module, where
+# perfbench/tracer.py wraps them.
+from .gmm import (Dataset, MixtureParams, MixtureError, _extremes, _score_rows,
+                  _unit_pair_scores, checked_size, component_nodes, distances_to_truth,
+                  log_density_means, log_likelihood, mixture_moments, normal_quadrature,
+                  score_means, unit_variance_pair)
 
 PARAMETERIZATIONS = ("original", "relative")
 
@@ -273,9 +275,12 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
     keeps Delta >= 0 at every step. The loop records the means. Under a
     TrueModel, every iterate's expected log-likelihood and distance to the
     true means follow the loop in one blocked pass. Under a Dataset, step k
-    takes the score and iterate k's log-likelihood from one density pass over
-    the sample (``gmm._score_rows``, into buffers made once per call, so a
+    takes the score and iterate k's log-likelihood from one pass over the
+    sample (``gmm._unit_pair_scores``'s closed form, or outside its domain
+    the generic ``gmm._score_rows``, into buffers made once per call, so a
     step allocates nothing of the sample's size), and the distance is NaN.
+    Every entry of the log-likelihood column, the final iterate's and an
+    unsorted relative start's too, comes from that pass.
     The sample's points were checked when the Dataset was made, and are not
     checked again. Non-finite ``init_means`` are refused under either
     source, before any step. A diverged run (``diverged``) ends
@@ -306,15 +311,25 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
             return dwp - (1.0 - v) * ddelta, ddelta
     elif isinstance(true, Dataset):
         xs = true.points
+        x_range = _extremes(xs)
         rows, a = np.empty((2, len(xs))), np.empty((2, len(xs)))
         amax, total = np.empty(len(xs)), np.empty(len(xs))
         passes = []  # log-likelihood at the means of each step's pass, in step order
 
+        def log_lik_pass(m1, m2) -> float:
+            """The sample's log-likelihood at (m1, m2), with the mean scores
+            left in rows: the closed form, or else the generic pass."""
+            log_lik = _unit_pair_scores((v, 1.0 - v), (m1, m2), xs, *x_range, rows, a,
+                                        log_lik=True)
+            if log_lik is None:
+                _score_rows(unit_variance_pair(m1, m2, v), xs, rows, a, amax, total)
+                # np.sum's reduction, without its wrapper
+                log_lik = float(np.add.reduce(np.add(amax, np.log(total, out=total), out=total)))
+            return log_lik
+
         def mean_score(m1, m2):
-            _score_rows(unit_variance_pair(m1, m2, v), xs, rows, a, amax, total)
-            log_p = np.add(amax, np.log(total, out=total), out=total)
-            # np.sum's and np.mean's reductions and division, without their wrappers
-            passes.append(float(np.add.reduce(log_p)))
+            passes.append(log_lik_pass(m1, m2))
+            # np.mean's reduction and division, without its wrapper
             return np.add.reduce(rows, axis=1) / len(xs)
 
         def original(m1, m2):
@@ -352,9 +367,9 @@ def integrate_gd(init_means: tuple[float, float], true, eta: float, steps: int,
             # relative mode, an unsorted start's (the pass took its sorted copy)
             loglik = passes
             if len(loglik) < len(mu1s):
-                loglik.append(log_likelihood(unit_variance_pair(mu1s[-1], mu2s[-1], v), true))
+                loglik.append(log_lik_pass(mu1s[-1], mu2s[-1]))
             if parameterization == "relative" and mu1s[0] > mu2s[0]:
-                loglik[0] = log_likelihood(unit_variance_pair(mu1s[0], mu2s[0], v), true)
+                loglik[0] = log_lik_pass(mu1s[0], mu2s[0])
             dist = np.full(len(mu1s), np.nan)
 
     mu1, mu2 = np.asarray(mu1s), np.asarray(mu2s)

@@ -47,6 +47,7 @@ REDUCED_SIMD_CLASSES = (
     "test_gmm.py::TestLogSumExpRowsMatchesOracles",
     "test_gmm.py::TestSampleSlicesMatchOneShotDraw",
     "test_gmm.py::TestUnitSigmaPassMatchesGenericOracle",
+    "test_gmm.py::TestUnitPairMatchesGenericPass",
     "test_nn.py::TestScreenedScanMatchesUnscreenedOracle",
     "test_svgplot.py::TestHundredthsMatchPercentFormat",
 )

@@ -11,11 +11,11 @@ from relreparam.dynamics import (TrueModel, Trajectory, UVWState, expected_veloc
                                  velocity_in_means)
 from relreparam.ecm import cm_step_delta, cm_step_reference_mean, e_step, m_step_standard
 from relreparam.experiments import KINDS, SCHEMA_VERSION
-from relreparam.gmm import (_FLOAT_MIN, _SIMPLEX_TOL, LOG_2PI, Dataset, MixtureError,
-                            MixtureParams, _components_first, _fill_slice, _log_sum_exp_rows,
-                            _slice_streams, component_nodes, log_density, log_likelihood,
-                            log_weights, make_rng, normal_quadrature, responsibilities_array,
-                            score_means)
+from relreparam.gmm import (_FLOAT_MIN, _PAIR_T_MAX, _PAIR_Y_MAX, _SIMPLEX_TOL, LOG_2PI, Dataset,
+                            MixtureError, MixtureParams, _components_first, _fill_slice,
+                            _log_sum_exp_rows, _slice_streams, component_nodes, log_density,
+                            log_likelihood, log_weights, make_rng, normal_quadrature,
+                            responsibilities_array, score_means)
 from relreparam.nn import MLPParams
 from relreparam.svgplot import SvgCanvas, Viewport
 
@@ -249,9 +249,37 @@ def axis0_log_sum_exp_rows(a: np.ndarray, weights):
 # returned before they became views of component-major rows, and the paths
 # that reduced them.
 
-def rowmajor_score_means(params: MixtureParams, x) -> np.ndarray:
-    """``gmm.score_means`` as a C-contiguous (..., K) array, same operations."""
+def rowmajor_unit_pair(params: MixtureParams, x):
+    """``gmm._unit_pair_scores`` with the components last: the C-contiguous
+    (..., 2) mean scores and sum ln p, in its order of operations, or None
+    where it takes the generic pass. Its domain is checked on every point,
+    not at the least and the greatest x."""
     xs = np.asarray(x, dtype=float)
+    if not (params.n_components == 2 and params.sigmas == (1.0, 1.0)
+            and min(params.weights) > 0):
+        return None
+    (w1, w2), (mu1, mu2) = params.weights, params.means
+    delta = mu2 - mu1
+    c = math.log(w1 / w2) + 0.5 * delta * delta
+    y = xs - mu1
+    t = y * -delta + c
+    if xs.size == 0 or not (np.all(np.abs(y) <= _PAIR_Y_MAX) and np.all(np.abs(t) <= _PAIR_T_MAX)):
+        return None
+    e = np.exp(t)
+    g2 = 1.0 / (e + 1.0)
+    g1 = e * g2
+    log_lik = (xs.size * (math.log(w1) - 0.5 * LOG_2PI) - 0.5 * float(np.sum(y * y))
+               - float(np.sum(np.log(g1))))
+    return np.stack([g1 * y, g2 * (xs - mu2)], axis=-1), log_lik
+
+
+def rowmajor_score_means(params: MixtureParams, x) -> np.ndarray:
+    """``gmm.score_means`` as a C-contiguous (..., K) array, same operations:
+    the closed form's (``rowmajor_unit_pair``) where it applies."""
+    xs = np.asarray(x, dtype=float)
+    pair = rowmajor_unit_pair(params, xs)
+    if pair is not None:
+        return pair[0]
     gam = rowmajor_log_sum_exp(params, xs)[0]
     sig = np.asarray(params.sigmas)
     return gam * (xs[..., None] - np.asarray(params.means)) / (sig * sig)
@@ -403,7 +431,9 @@ def integrate_gd_per_step(init_means, true, eta: float, steps: int,
     the truth recorded as soon as it is made. ``gradient_source`` 'expected'
     takes a TrueModel, 'empirical' a Dataset. An empirical step averages
     ``score_means`` over axis 0; with ``row_major`` it averages the
-    C-contiguous (n, K) scores instead, a sum in another order."""
+    C-contiguous (n, K) scores instead, a sum in another order. An
+    empirical iterate's log-likelihood is the closed form's
+    (``rowmajor_unit_pair``) where it applies, else ``log_likelihood``."""
     if gradient_source == "expected":
         nodes_weights = normal_quadrature(101)
     else:
@@ -423,7 +453,8 @@ def integrate_gd_per_step(init_means, true, eta: float, steps: int,
             recs["loglik"].append(expected_loglik(params, true, nodes_weights))
             recs["dist"].append(mean_distance(params, true.params))
         else:
-            recs["loglik"].append(log_likelihood(params, true))
+            pair = rowmajor_unit_pair(params, true.points)
+            recs["loglik"].append(log_likelihood(params, true) if pair is None else pair[1])
             recs["dist"].append(np.nan)
 
     record(mu1, mu2)

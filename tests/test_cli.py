@@ -25,6 +25,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = json.loads((FIXTURES / "golden_digests.json").read_text())
 GD_FILES = ["gd_trajectory_original.csv", "gd_trajectory_relative.csv", "gd_trajectory.svg"]
 NN_FILES = ["nn_report.csv", "nn_report.txt"]
+FIM_FILES = ["fim_direct_relative.csv", "fim_absolute.csv", "fim_transformed.csv",
+             "fim_report.txt"]
 
 
 def sha256(path: Path) -> str:
@@ -647,6 +649,12 @@ class TestGoldenFixtures:
         for name in GD_FILES:
             assert sha256(out / name) == GOLDEN[f"gd/{name}"], name
 
+    def test_fim_default_matches_golden(self, tmp_path):
+        out = tmp_path / "fim"
+        assert main(["fim", "--out", str(out)]) == EXIT_OK
+        for name in FIM_FILES:
+            assert sha256(out / name) == GOLDEN[f"fim/{name}"], name
+
     def test_nn_default_matches_golden(self, tmp_path):
         out = tmp_path / "nn"
         assert main(["nn", "--out", str(out)]) == EXIT_OK
@@ -658,8 +666,9 @@ class TestGoldenFixtures:
                         reason="needs x86-64 and numpy on a DYNAMIC_ARCH OpenBLAS")
     @pytest.mark.parametrize("kind, files", [("ecm", ["ecm_trajectories.csv"]),
                                              ("field", ["flow_field.csv", "flow_field.svg"]),
-                                             ("gd", GD_FILES), ("nn", NN_FILES)],
-                             ids=["ecm", "field", "gd", "nn"])
+                                             ("gd", GD_FILES), ("fim", FIM_FILES),
+                                             ("nn", NN_FILES)],
+                             ids=["ecm", "field", "gd", "fim", "nn"])
     def test_digest_independent_of_openblas_kernel(self, tmp_path, kind, files):
         coretypes = ["native", "Prescott"] + (["Haswell"] if _cpu_has_avx2() else [])
         digests = {}
@@ -670,7 +679,7 @@ class TestGoldenFixtures:
             digests[coretype] = tuple(sha256(out / name) for name in files)
         assert set(digests.values()) == {tuple(GOLDEN[f"{kind}/{name}"] for name in files)}, digests
 
-    # ecm is left out: numpy's exp/log round differently without AVX-512
+    # ecm and fim are left out: numpy's exp/log round differently without AVX-512
     @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
     def test_field_digest_under_reduced_numpy_simd(self, tmp_path):
         reduced = tmp_path / "field"

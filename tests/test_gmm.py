@@ -10,10 +10,12 @@ from childproc import REDUCED_SIMD_CLASSES, assert_passes_under_reduced_simd, nu
 from oracles import (axis0_log_sum_exp_rows, filled_slices, generic_density_pass,
                      generic_log_density_means, generic_score_rows, mean_distance,
                      numpy_mixture_fields, rowmajor_log_sum_exp, rowmajor_score,
-                     rowmajor_score_means, sample_points)
+                     rowmajor_score_means, rowmajor_unit_pair, sample_points)
 
-from relreparam.gmm import (Dataset, MixtureParams, MixtureError, _component_index,
-                            _log_sum_exp_rows, _numpy_sum, _score_rows, _sigma_rows, density,
+from relreparam import gmm
+from relreparam.gmm import (Dataset, MixtureParams, MixtureError, _component_index, _extremes,
+                            _log_sum_exp_rows, _numpy_sum, _score_rows, _sigma_rows,
+                            _unit_pair_scores, density,
                             distances_to_truth, log_density, log_density_means,
                             log_likelihood, log_weights, make_rng, mixture_moments,
                             normal_quadrature,
@@ -665,15 +667,23 @@ class TestUnitSigmaPassMatchesGenericOracle:
     @pytest.mark.parametrize("x", _UNIT_SIGMA_X.values(), ids=_UNIT_SIGMA_X.keys())
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_score_rows(self, k, x):
+        # the two unit-sigma mean scores at x = -0.0 come from the closed
+        # form, checked against its own oracle; the tail points are outside
+        # its domain and take this pass
         for name, p in _sigma_cases(k).items():
             for width in (k, 3 * k - 1):
                 rows, a = np.empty((width,) + x.shape), np.empty((k,) + x.shape)
                 amax, total = np.empty(x.shape), np.empty(x.shape)
+                pair = rowmajor_unit_pair(p, x) if width == k else None
+                assert (pair is not None) == (width == k == 2 and name == "unit" and x.ndim == 0)
                 with np.errstate(all="ignore"):
                     got = _score_rows(p, x, rows, a, amax, total)
                     want = generic_score_rows(p, x, width)
                     log_p = amax + np.log(total)
                     want_log_p = generic_density_pass(p, x)[1]
+                if pair is not None:
+                    assert _same_bits(got, np.moveaxis(pair[0], -1, 0)), (name, width)
+                    continue
                 assert _same_bits(got, want), (name, width)
                 if width == k:
                     assert _same_bits(log_p, want_log_p), name
@@ -697,6 +707,124 @@ class TestUnitSigmaPassMatchesGenericOracle:
         assert _sigma_rows((1.0,), 1) is None and _sigma_rows((1.0, 1.0, 1.0), 0) is None
         for sigmas in ((_ONE_UP,), (1.0, _ONE_UP), (1.0, 0.6), (float(np.nextafter(1.0, 0.0)),)):
             assert np.array_equal(_sigma_rows(sigmas, 1), np.reshape(sigmas, (-1, 1)))
+
+    @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
+    def test_under_reduced_numpy_simd(self):
+        assert_passes_under_reduced_simd(*REDUCED_SIMD_CLASSES)
+
+
+_EPS = float(np.finfo(float).eps)
+# two-component unit-sigma mixtures: the paper's near-singular pair, a gap of
+# 6 at v = 0.3, and the shipped gd start
+_PAIRS = {"near_singular": unit_variance_pair(-5.1, -5.0),
+          "gap6_v03": unit_variance_pair(0.0, 6.0, 0.3),
+          "gd_start": unit_variance_pair(-1.5, 1.5)}
+_PAIR_X = {"0d": np.array(0.7), "1d": np.linspace(-30.0, 30.0, 601),
+           "2d": np.linspace(-12.0, 12.0, 60).reshape(6, 10)}
+
+
+def _pair_pass(p, x):
+    """The closed form's rows and sum ln p in fresh buffers, or None where
+    it leaves x to the generic pass."""
+    rows, a = np.empty((2,) + x.shape), np.empty((2,) + x.shape)
+    log_lik = _unit_pair_scores(p.weights, p.means, x, *_extremes(x), rows, a, log_lik=True)
+    return None if log_lik is None else (rows, log_lik)
+
+
+def _generic_bits(p, x, width: int) -> None:
+    """``_score_rows`` of x at `width` has the generic pass's bits, and at
+    K rows leaves its ln p."""
+    k = p.n_components
+    rows, a = np.empty((width,) + x.shape), np.empty((k,) + x.shape)
+    amax, total = np.empty(x.shape), np.empty(x.shape)
+    assert _same_bits(_score_rows(p, x, rows, a, amax, total), generic_score_rows(p, x, width))
+    if width == k:
+        assert _same_bits(amax + np.log(total), generic_density_pass(p, x)[1])
+
+
+class TestUnitPairMatchesGenericPass:
+    """The closed-form mean scores of two unit-sigma components against the
+    generic density pass (tests/oracles.py). They round apart: the generic
+    pass takes the log-odds as a difference of two log-densities of size
+    (x - mu_k)^2 / 2, the closed form takes it directly. Each score is
+    within eps (1 + |x - mu_k|) (1 + ((x - mu_1)^2 + (x - mu_2)^2) / 2) of
+    the generic one (0.36 of that measured; 2.2e-15 absolute at most on the
+    draws), and sum ln p within 2e-15 relative (5.4e-16 measured). Against
+    its row-major copy the closed form is equal bit for bit. Outside its
+    domain, and for every other mixture, the generic pass runs, with its
+    own bits."""
+
+    @staticmethod
+    def assert_close(p, x, rows, log_lik):
+        y = np.abs(np.subtract(x, np.reshape(p.means, (2,) + (1,) * x.ndim)))
+        bound = _EPS * (1.0 + y) * (1.0 + 0.5 * (y * y).sum(axis=0))
+        assert np.all(np.abs(rows - generic_score_rows(p, x, 2)) <= bound)
+        want = float(np.sum(generic_density_pass(p, x)[1]))
+        assert abs(log_lik - want) <= 2e-15 * abs(want)
+
+    @pytest.mark.parametrize("x", _PAIR_X.values(), ids=_PAIR_X.keys())
+    @pytest.mark.parametrize("name", _PAIRS)
+    def test_grid(self, name, x):
+        p = _PAIRS[name]
+        rows, log_lik = _pair_pass(p, x)
+        want_scores, want_log_lik = rowmajor_unit_pair(p, x)
+        assert _same_bits(rows, np.moveaxis(want_scores, -1, 0)) and log_lik == want_log_lik
+        assert _same_bits(score_means(p, x), want_scores)
+        self.assert_close(p, x, rows, log_lik)
+
+    @pytest.mark.parametrize("name", _PAIRS)
+    def test_draws(self, name):
+        p = _PAIRS[name]
+        x = sample(p, 10 ** 4, seed=5).points
+        self.assert_close(p, x, *_pair_pass(p, x))
+
+    # means 0 and 1, equal weights: t = 0.5 - x, so t = 700 at x = -699.5
+    # and t = -700 at x = 700.5, each exactly
+    EDGE = unit_variance_pair(0.0, 1.0)
+
+    @staticmethod
+    def edge_points(x0: float) -> dict:
+        return {"0d": np.array(x0), "1d": np.array([x0, 0.3, -2.0, 5.0]),
+                "2d": np.array([[x0, 0.3], [-2.0, 5.0]])}
+
+    @pytest.mark.parametrize("shape", ["0d", "1d", "2d"])
+    @pytest.mark.parametrize("edge, t", [(-699.5, 700.0), (700.5, -700.0)])
+    def test_t_at_the_guard_takes_the_closed_form(self, edge, t, shape):
+        assert (edge - 0.0) * -1.0 + 0.5 == t  # the closed form's arithmetic
+        x = self.edge_points(edge)[shape]
+        rows, log_lik = _pair_pass(self.EDGE, x)
+        assert _same_bits(rows, np.moveaxis(rowmajor_unit_pair(self.EDGE, x)[0], -1, 0))
+        self.assert_close(self.EDGE, x, rows, log_lik)
+
+    @pytest.mark.parametrize("shape", ["0d", "1d", "2d"])
+    @pytest.mark.parametrize("edge", [-699.5, 700.5])
+    def test_t_past_the_guard_takes_the_generic_pass(self, edge, shape):
+        x = self.edge_points(float(np.nextafter(edge, np.copysign(np.inf, edge))))[shape]
+        assert _pair_pass(self.EDGE, x) is None and rowmajor_unit_pair(self.EDGE, x) is None
+        _generic_bits(self.EDGE, x, 2)
+
+    def test_a_point_past_the_distance_guard_takes_the_generic_pass(self):
+        # equal means: t = ln(w_1 / w_2) at every x, and only |x - mu_1| <= 1e150
+        # bounds the domain; 1e150 - 2.0 rounds to 1e150
+        p = unit_variance_pair(2.0, 2.0, 0.3)
+        assert _pair_pass(p, np.array([1e150, 0.0])) is not None
+        x = np.array([float(np.nextafter(1e150, np.inf)), 0.0])
+        assert _pair_pass(p, x) is None and rowmajor_unit_pair(p, x) is None
+        _generic_bits(p, x, 2)
+
+    @pytest.mark.parametrize("p, width", [
+        (MixtureParams((0.2, 0.5, 0.3), (-1.0, 0.5, 2.0), (1.0, 1.0, 1.0)), 3),
+        (MixtureParams((0.3, 0.7), (-1.0, 1.5), (1.0, 1.4)), 2),
+        (MixtureParams((0.3, 0.7), (-1.0, 1.5), (_ONE_UP, _ONE_UP)), 2),
+        (MixtureParams((0.0, 1.0), (-1.0, 1.5), (1.0, 1.0)), 2),
+        (unit_variance_pair(-1.0, 1.5, 0.3), 5),
+    ], ids=["K3", "unequal_sigmas", "next_after_one", "zero_weight", "full"])
+    def test_other_mixtures_take_the_generic_pass(self, p, width, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gmm, "_unit_pair_scores", lambda *args, **kw: calls.append(args))
+        for x in _PAIR_X.values():
+            _generic_bits(p, x, width)
+        assert calls == []
 
     @pytest.mark.skipif(not numpy_has_x86_v4(), reason="needs numpy's X86_V4 dispatch")
     def test_under_reduced_numpy_simd(self):
